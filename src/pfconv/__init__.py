@@ -22,8 +22,7 @@ from .lineargauss import GaussianBelief, LinearGaussianModel, kalman_filter, \
     simulate_lg
 from .model import Proposal, StateSpaceModel, TestFunction, make_test_function
 from .moments import MomentCondition, MomentStatus, MomentVerdict, \
-    check_cox_moment_condition, empirical_weight_moment, ess, gamma_signed, \
-    log_gamma, quadrature_weight_moment
+    check_cox_moment_condition, empirical_weight_moment, ess, quadrature_weight_moment
 from .particles import FilterRun, Stage, StepReport, WeightedParticleSet
 from .resampling import ResampleScheme, apply_counts, get_scheme, \
     multinomial_resample, stratified_resample, systematic_resample

@@ -14,8 +14,8 @@ import numpy as np
 
 from .convergence import ExperimentConfig, run_convergence_study
 from .configfile import apply_overrides, load_config
-from .cox import CoxParams, GammaProposal, ObservationSeries, \
-    make_bootstrap_proposal, make_cox_model, make_gamma_proposal, simulate, states_to_csv
+from .cox import CoxParams, GammaProposal, ObservationSeries, make_cox_model, \
+    make_cox_model_and_proposal, make_gamma_proposal, simulate, states_to_csv
 from .engine import run_filter
 from .errors import PfconvError
 from .gridfilter import run_cox_grid_filter
@@ -150,18 +150,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _build_cox(args):
-    params = CoxParams(args.c, args.eta)
-    model = make_cox_model(params)
-    if args.proposal == "bootstrap":
-        proposal = make_bootstrap_proposal(params)
-    else:
-        proposal = make_gamma_proposal(GammaProposal(args.alpha, args.beta))
-    return params, model, proposal
-
-
 def _cmd_filter(args) -> int:
-    params, model, proposal = _build_cox(args)
+    params = CoxParams(args.c, args.eta)
+    model, proposal = make_cox_model_and_proposal(params, args.proposal,
+                                                  args.alpha, args.beta)
     obs = ObservationSeries.from_csv(args.observations)
     phis = [make_test_function(name) for name in args.phi]
     run = run_filter(model, proposal, obs, args.n, get_scheme(args.resampler),

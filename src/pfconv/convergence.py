@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import CoxParams, GammaProposal, ObservationSeries, \
-    make_bootstrap_proposal, make_cox_model, make_gamma_proposal
+from .cox import CoxParams, ObservationSeries, make_cox_model_and_proposal
 from .engine import run_filter
 from .errors import DomainError, InsufficientPoints, NonPositiveValue, StudyError
 from .gridfilter import run_cox_grid_filter
@@ -203,20 +202,11 @@ def resolve_workers(workers: int | None = None) -> int:
     return count
 
 
-def _build_model_and_proposal(config: ExperimentConfig):
-    params = CoxParams(config.c, config.eta)
-    model = make_cox_model(params)
-    if config.proposal == "bootstrap":
-        proposal = make_bootstrap_proposal(params)
-    else:
-        proposal = make_gamma_proposal(GammaProposal(config.alpha, config.beta))
-    return model, proposal
-
-
 def _study_cell(args):
     """Run one (N-index, replicate) cell; returns per-step estimates."""
     config, obs_rows, n_idx, r = args
-    model, proposal = _build_model_and_proposal(config)
+    model, proposal = make_cox_model_and_proposal(
+        CoxParams(config.c, config.eta), config.proposal, config.alpha, config.beta)
     phis = [make_test_function(name) for name in config.test_functions]
     rng = RngStream(config.master_seed, labels=(n_idx, r))
     run = run_filter(model, proposal, obs_rows, config.particle_counts[n_idx],

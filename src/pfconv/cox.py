@@ -201,6 +201,16 @@ def make_bootstrap_proposal(params: CoxParams) -> Proposal:
     )
 
 
+def make_cox_model_and_proposal(params: CoxParams, proposal: str,
+                                alpha: float, beta: float
+                                ) -> tuple[StateSpaceModel, Proposal]:
+    """The Cox model plus the named proposal: "bootstrap", else Gamma(alpha, beta)."""
+    model = make_cox_model(params)
+    if proposal == "bootstrap":
+        return model, make_bootstrap_proposal(params)
+    return model, make_gamma_proposal(GammaProposal(alpha, beta))
+
+
 # ---------------------------------------------------------------------------
 # simulator
 

@@ -37,10 +37,6 @@ class ZeroMass(PfconvError):
     """A grid density lost all probability mass (oracle breakdown)."""
 
 
-class PoleError(PfconvError):
-    """Gamma function evaluated at a nonpositive integer."""
-
-
 class InsufficientPoints(PfconvError):
     """A rate fit was requested with fewer than three points."""
 

@@ -25,31 +25,10 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, PoleError, StageMismatch
+from .errors import DomainError, StageMismatch
 from .model import Proposal, StateSpaceModel
 from .particles import Stage, WeightedParticleSet
 from .rng import RngStream
-
-
-# ---------------------------------------------------------------------------
-# gamma-function helpers
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError("log_gamma requires a positive argument")
-    return math.lgamma(x)
-
-
-def gamma_signed(x: float) -> float:
-    """Gamma(x) for any non-pole real x, including negative non-integers."""
-    if x <= 0 and float(x) == int(x):
-        raise PoleError(f"gamma has a pole at {x}")
-    try:
-        return math.gamma(x)
-    except ValueError as err:  # pragma: no cover - pole guard above
-        raise PoleError(str(err)) from err
 
 
 # ---------------------------------------------------------------------------

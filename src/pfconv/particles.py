@@ -128,9 +128,6 @@ class FilterRun:
     master_seed: int | None = None
     labels: tuple[int, ...] = field(default=())
 
-    def ess_trace(self) -> np.ndarray:
-        return np.array([s.ess for s in self.steps])
-
     def estimate_trace(self, name: str, stage: str = "normalized") -> np.ndarray:
         """Per-step estimates of one test function at one stage."""
         if stage == "normalized":

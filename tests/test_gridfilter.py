@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from pfconv import GridDensity, grid_estimate, grid_init, grid_predict, \
     grid_update, make_test_function, run_cox_grid_filter
 from pfconv.cox import CoxParams, cox_likelihood_logdensity, cox_transition_logdensity
 from pfconv.errors import DomainError, ZeroMass
-from pfconv.gridfilter import density_in_bins, folded_normal_prior, transition_matrix
+from pfconv.gridfilter import density_in_bins, folded_normal_prior
 
 EXP_NEG = make_test_function("exp_neg")
 ONE = make_test_function("one")
@@ -39,9 +40,11 @@ def test_grid_init_zero_mass():
 
 def test_grid_predict_near_identity_kernel():
     grid = grid_init(folded_normal_prior, 15.0, 1500)
-    out = grid_predict(grid, lambda x, xp: cox_transition_logdensity(x, xp, 1e-6))
+    out = grid_predict(grid, 1e-6)
     assert abs(out.mean() - grid.mean()) < 2 * grid.dx
     assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
+    with pytest.raises(DomainError):
+        grid_predict(grid, 0.0)
 
 
 def test_grid_predict_point_mass_reproduces_transition_column():
@@ -50,17 +53,11 @@ def test_grid_predict_point_mass_reproduces_transition_column():
     values = np.zeros(grid.n_cells)
     values[j] = 1.0 / grid.dx
     point = GridDensity(grid.x_max, values)
-    out = grid_predict(point, lambda x, xp: cox_transition_logdensity(x, xp, 0.1))
+    out = grid_predict(point, 0.1)
     source = point.midpoints()[j]
     expected = np.exp(cox_transition_logdensity(out.midpoints(), source, 0.1))
     expected = expected / (np.sum(expected) * grid.dx)
     assert float(np.max(np.abs(out.values - expected))) < 1e-6
-
-
-def test_grid_predict_requires_kernel_or_density():
-    grid = grid_init(folded_normal_prior, 15.0, 100)
-    with pytest.raises(DomainError):
-        grid_predict(grid)
 
 
 def test_grid_update_constant_likelihood_is_identity():
@@ -105,12 +102,21 @@ def test_grid_estimate_stable_under_refinement():
     assert abs(a - b) < 1e-4
 
 
-def test_transition_matrix_matches_logdensity():
-    grid = grid_init(folded_normal_prior, 4.0, 64)
-    kernel = transition_matrix(grid, lambda x, xp: cox_transition_logdensity(x, xp, 0.1))
-    mids = grid.midpoints()
-    direct = np.exp(cox_transition_logdensity(mids[3], mids[17], 0.1))
-    assert kernel[3, 17] == pytest.approx(direct, rel=1e-12)
+@pytest.mark.parametrize("eta", [0.1, 1e-6])
+def test_grid_predict_matches_dense_kernel(eta):
+    # reference: the n x n kernel K[i, j] = f(x_i | x_j) built from the
+    # transition log-density, applied as values' = K @ values * dx
+    prior = grid_init(folded_normal_prior, 15.0, 600)
+    posterior = grid_update(grid_predict(prior, 0.1),
+                            lambda y, x: cox_likelihood_logdensity(y, x, 0.5), 0)
+    mids = prior.midpoints()
+    xt, xp = np.meshgrid(mids, mids, indexing="ij")
+    kernel = np.exp(cox_transition_logdensity(xt, xp, eta))
+    for grid in (prior, posterior):
+        dense = kernel @ grid.values * grid.dx
+        dense /= np.sum(dense) * grid.dx
+        out = grid_predict(grid, eta).values
+        assert np.allclose(out, dense, rtol=1e-12, atol=0)
 
 
 def test_run_cox_grid_filter_normalized_every_step(fixture_obs):
@@ -120,10 +126,15 @@ def test_run_cox_grid_filter_normalized_every_step(fixture_obs):
     assert run.steps == tuple(range(1, 13))
 
 
-def test_run_cox_grid_filter_memoizes(fixture_obs):
-    a = run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800, [ONE])
-    b = run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800, [ONE])
-    assert a is b
+def test_run_cox_grid_filter_memory_is_linear_in_cells(fixture_obs):
+    # a dense 6000-cell kernel alone would take 8 * 6000^2 bytes = 288 MB
+    tracemalloc.start()
+    try:
+        run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 6000, [EXP_NEG])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_density_in_bins_accounts_mass():

@@ -15,13 +15,11 @@ from pfconv import (
     check_cox_moment_condition,
     empirical_weight_moment,
     ess,
-    gamma_signed,
-    log_gamma,
     quadrature_weight_moment,
 )
 from pfconv.cox import GammaProposal, make_gamma_proposal
 from pfconv.engine import normalize
-from pfconv.errors import DomainError, PoleError, StageMismatch
+from pfconv.errors import DomainError, StageMismatch
 from pfconv.moments import quadrature_refinements
 
 C, ETA = 0.5, 0.1
@@ -50,41 +48,6 @@ def _quad_reference(model, proposal, x_prev, y, p, hi=80.0):
     for a, b in ((0.0, 0.05), (0.05, 1.0), (1.0, hi)):
         total += integrate.quad(integrand, a, b, limit=400)[0]
     return total
-
-
-# ---------------------------------------------------------------------------
-# gamma helpers
-
-
-def test_log_gamma_known_values():
-    assert math.exp(log_gamma(0.5)) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-    assert math.exp(log_gamma(5.0)) == pytest.approx(24.0, rel=1e-13)
-    with pytest.raises(DomainError):
-        log_gamma(0.0)
-
-
-def test_gamma_signed_negative_argument():
-    assert gamma_signed(-0.5) == pytest.approx(-2 * math.sqrt(math.pi), rel=1e-12)
-    assert gamma_signed(4.0) == pytest.approx(6.0, rel=1e-13)
-
-
-def test_gamma_signed_poles():
-    for x in (0.0, -1.0, -2.0, -7.0):
-        with pytest.raises(PoleError):
-            gamma_signed(x)
-
-
-def test_gamma_signed_reflection_identity():
-    gen = RngStream(3).gen
-    count = 0
-    while count < 100:
-        x = -5.0 * gen.random()
-        if abs(x - round(x)) < 1e-3:
-            continue
-        count += 1
-        lhs = gamma_signed(x) * gamma_signed(1.0 - x)
-        rhs = math.pi / math.sin(math.pi * x)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
