@@ -13,7 +13,7 @@ from .cox import CoxParams, GammaProposal, ObservationSeries, \
     gamma_logdensity, gamma_propose, make_bootstrap_proposal, make_cox_model, \
     make_gamma_proposal, simulate
 from .engine import estimate, filter_step, init_filter, log_unnormalized_weight, \
-    normalize, propose_and_weight, run_filter
+    normalize, propose_and_weight, run_filter, run_filters
 from .errors import PfconvError
 from .gridfilter import GridDensity, grid_estimate, grid_init, grid_predict, \
     grid_update, run_cox_grid_filter

@@ -8,7 +8,10 @@ like 1/N^2 whenever the weight-moment conditions hold.
 
 Replicate (N, r) always draws from the stream labelled
 (master_seed, N-index, r), so results are byte-identical no matter how
-many worker processes execute the cells.
+many worker processes execute the cells.  A study task runs one block of
+replicates at one N as a single batched (M x N) filter, and a row's
+draws do not depend on its block; a block holds up to `BLOCK_PARTICLES`
+particles.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cox import CoxParams, ObservationSeries, make_cox_model_and_proposal
-from .engine import run_filter
-from .errors import DomainError, InsufficientPoints, NonPositiveValue, StudyError
+from .engine import _run_block
+from .errors import DomainError, InsufficientPoints, NonPositiveValue, PfconvError, \
+    StudyError
 from .gridfilter import run_cox_grid_filter
 from .model import make_test_function
 from .resampling import SCHEMES, get_scheme
@@ -30,6 +34,9 @@ from .rng import RngStream
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "PFCONV_WORKERS"
+# Particles per study task (replicates x N): the largest N in the
+# committed configs, so no block outgrows the largest single replicate.
+BLOCK_PARTICLES = 8192
 
 
 @dataclass(frozen=True)
@@ -203,17 +210,33 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _study_cell(args):
-    """Run one (N-index, replicate) cell; returns per-step estimates."""
-    config, obs_rows, n_idx, r = args
+    """Run one block of replicates at one N as a single batched filter.
+
+    ``args`` is (config, obs_rows, N-index, replicates), the replicates a
+    range; returns the per-step estimates of the block, shape (M, T, P).
+    A failing step stops every row of the block, so when the failure
+    names row r, rows 0..r-1 are rerun on their own first: a lower
+    replicate that fails at a later step is the one reported.  The
+    error's ``row`` indexes ``replicates``.  The estimates are read off
+    the block's arrays; no per-replicate `FilterRun` is built.
+    """
+    config, obs_rows, n_idx, replicates = args
     model, proposal = make_cox_model_and_proposal(
         CoxParams(config.c, config.eta), config.proposal, config.alpha, config.beta)
     phis = [make_test_function(name) for name in config.test_functions]
-    rng = RngStream(config.master_seed, labels=(n_idx, r))
-    run = run_filter(model, proposal, obs_rows, config.particle_counts[n_idx],
-                     get_scheme(config.resampler), rng, phis)
-    est_n = np.array([[s.estimates[p.name] for p in phis] for s in run.steps])
-    est_r = np.array([[s.resampled_estimates[p.name] for p in phis] for s in run.steps])
-    return n_idx, r, est_n, est_r
+    streams = [RngStream(config.master_seed, labels=(n_idx, r)) for r in replicates]
+    try:
+        steps = _run_block(model, proposal, obs_rows, config.particle_counts[n_idx],
+                           get_scheme(config.resampler), streams, phis)
+    except PfconvError as err:
+        if err.row:
+            _study_cell((config, obs_rows, n_idx, replicates[:err.row]))
+        raise
+    est_n = np.stack([np.column_stack([s.estimates[p.name] for p in phis]) for s in steps],
+                     axis=1)
+    est_r = np.stack([np.column_stack([s.resampled_estimates[p.name] for p in phis])
+                      for s in steps], axis=1)
+    return n_idx, replicates, est_n, est_r
 
 
 def _oracle_tables(config: ExperimentConfig, obs, phis):
@@ -302,9 +325,9 @@ def run_convergence_study(config: ExperimentConfig,
                           workers: int | None = None) -> ConvergenceReport:
     """Run the full study; deterministic in config regardless of workers.
 
-    On a cell failure, whatever aggregates exist are flushed to the
+    On a task failure, whatever aggregates exist are flushed to the
     configured output paths (marked partial) before the error propagates
-    with its (N, replicate) context.
+    with the N and the lowest failing replicate of the failed block.
     """
     from .report import emit_report
 
@@ -319,7 +342,10 @@ def run_convergence_study(config: ExperimentConfig,
     n_n, m, t_len, p_len = len(config.particle_counts), config.replicates, len(steps), len(phis)
     est_n = np.full((n_n, m, t_len, p_len), np.nan)
     est_r = np.full((n_n, m, t_len, p_len), np.nan)
-    tasks = [(config, obs_rows, i, r) for i in range(n_n) for r in range(m)]
+    tasks = []
+    for i, n in enumerate(config.particle_counts):
+        size = max(1, BLOCK_PARTICLES // n)
+        tasks += [(config, obs_rows, i, range(r, min(r + size, m))) for r in range(0, m, size)]
 
     n_workers = resolve_workers(workers)
     current = tasks[0]
@@ -327,16 +353,16 @@ def run_convergence_study(config: ExperimentConfig,
         if n_workers == 1:
             for task in tasks:
                 current = task
-                i, r, cell_n, cell_r = _study_cell(task)
-                est_n[i, r], est_r[i, r] = cell_n, cell_r
+                i, block, cell_n, cell_r = _study_cell(task)
+                est_n[i, block], est_r[i, block] = cell_n, cell_r
         else:
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 chunk = max(1, len(tasks) // (4 * n_workers))
                 results = pool.map(_study_cell, tasks, chunksize=chunk)
                 for task in tasks:  # map yields in task order
                     current = task
-                    i, r, cell_n, cell_r = next(results)
-                    est_n[i, r], est_r[i, r] = cell_n, cell_r
+                    i, block, cell_n, cell_r = next(results)
+                    est_n[i, block], est_r[i, block] = cell_n, cell_r
     except Exception as err:
         with np.errstate(invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # nan-only slices
@@ -349,8 +375,10 @@ def run_convergence_study(config: ExperimentConfig,
                 except OSError:
                     pass
         n_failed = config.particle_counts[current[2]]
-        raise StudyError(
-            f"convergence study aborted at N={n_failed}, replicate={current[3]}: {err}"
-        ) from err
+        row = getattr(err, "row", None)
+        block = current[3] if row is None else current[3][row:row + 1]
+        where = f"replicate={block[0]}" if len(block) == 1 \
+            else f"replicates={block[0]}-{block[-1]}"
+        raise StudyError(f"convergence study aborted at N={n_failed}, {where}: {err}") from err
 
     return _assemble(config, steps, truth_map, check, est_n, est_r, phis)

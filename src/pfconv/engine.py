@@ -1,7 +1,16 @@
 """The particle filter engine.
 
-One step of the filter moves an equally weighted particle set through
-propose -> weight -> normalize -> resample.  All weight arithmetic is
+A filter runs as one array pipeline over an (M, N) state: M replicate
+filters of N particles each, one row per replicate, so a single filter
+is the M = 1 case.  Row r has its own root stream; at step t it draws
+its proposals from ``root_r.derive(t, 0)`` and then its resampling
+counts from ``root_r.derive(t, 1)``, exactly as a one-row run does.  A
+row's results therefore do not depend on which rows share its block.
+
+One step moves every row through propose -> weight -> normalize ->
+estimate -> resample.  Proposals and resampling counts are drawn row by
+row; weighting, normalization, the estimates and the effective sample
+size are evaluated once on the whole block.  All weight arithmetic is
 done in the log domain with max-shifted summation because the shipped
 models produce weights spanning hundreds of orders of magnitude (the
 proposal density can vanish at points where the target does not).
@@ -12,28 +21,286 @@ The log weight of a proposed point x given its parent x' is
 
 with the difference grouped so that a bootstrap proposal (q identical
 to f) cancels exactly, bit for bit, leaving the log likelihood.
+
+`run_filters` and `run_filter` work on plain arrays.  The step functions
+(`init_filter`, `propose_and_weight`, `normalize`, `estimate`,
+`filter_step`) are the API over `WeightedParticleSet`: they check each
+set's `Stage` and call the same row kernels with M = 1.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateWeights, PfconvError, StageMismatch, WeightNotFinite
+from .errors import DegenerateWeights, DomainError, PfconvError, StageMismatch, \
+    WeightNotFinite
 from .model import Proposal, StateSpaceModel, TestFunction
-from .moments import ess
-from .particles import FilterRun, Stage, StepCloud, StepReport, WeightedParticleSet
-from .resampling import ResampleScheme, apply_counts
+from .moments import row_ess
+from .particles import _NORMALIZATION_RTOL, FilterRun, Stage, StepCloud, StepReport, \
+    WeightedParticleSet
+from .resampling import ResampleScheme, repeat_by_counts
 from .rng import RngStream
 
 
-def _log_mean_exp(lw: np.ndarray) -> float:
-    m = float(np.max(lw))
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(float(np.mean(np.exp(lw - m))))
+def _at_row(err: PfconvError, row: int) -> PfconvError:
+    err.row = row
+    return err
+
+
+def _particles(values, n: int, source: str) -> np.ndarray:
+    x = np.asarray(values, dtype=float)
+    if x.shape != (n,):
+        raise DomainError(f"{source} returned shape {x.shape} for {n} particles")
+    return x
+
+
+# ---------------------------------------------------------------------------
+# row kernels: each works on an (M, N) block, row r being replicate r
+
+
+def _propose(parents: np.ndarray, proposal: Proposal, y, rngs) -> np.ndarray:
+    """Row r is drawn by the proposal from the parents of row r and rngs[r]."""
+    out = np.empty_like(parents)
+    for r, rng in enumerate(rngs):
+        try:
+            out[r] = _particles(proposal.propose(parents[r], y, rng), parents.shape[1],
+                                "proposal")
+        except PfconvError as err:
+            raise _at_row(err, r)
+    return out
+
+
+def _raw_log_weights(model, proposal, x_t, x_prev, y) -> np.ndarray:
+    lq = np.asarray(proposal.logdensity(x_t, x_prev, y), dtype=float)
+    lf = np.asarray(model.transition_logdensity(x_t, x_prev), dtype=float)
+    lg = np.asarray(model.likelihood_logdensity(y, x_t), dtype=float)
+    with np.errstate(invalid="ignore"):
+        lw = lg + (lf - lq)
+    bad = np.isnan(lw) | np.isposinf(lw)
+    if np.any(bad):
+        at = np.unravel_index(int(np.argmax(bad)), lw.shape)  # lowest row first
+
+        def value(a):
+            return np.broadcast_to(np.asarray(a, dtype=float), lw.shape)[at]
+
+        err = WeightNotFinite(
+            f"non-finite log weight at particle {at[-1]}: x={value(x_t)!r} "
+            f"(log q={value(lq)!r}, log f={value(lf)!r}, log g={value(lg)!r})"
+        )
+        raise _at_row(err, int(at[0])) if lw.ndim == 2 else err
+    return lw
+
+
+def _shift_rows(lw: np.ndarray):
+    """Subtract each row's maximum from lw in place; return the maxima,
+    the exponentials of the shifted rows and their (pairwise) row sums.
+
+    For the dominant weights the shift is exact in floating point, so the
+    normalized weights sum to 1 to within a few ulps even when the raw
+    magnitudes are ~1e6.  A row whose maximum is -inf comes out NaN.
+    """
+    top = lw.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        lw -= top[:, None]
+    e = np.exp(lw)
+    return top, e, e.sum(axis=1)
+
+
+def _log_mean_weights(top: np.ndarray, sums: np.ndarray, n: int) -> list[float]:
+    """Per row, the log of the mean raw weight: the evidence increment."""
+    return [m + math.log(s / n) if m > -math.inf else -math.inf
+            for m, s in zip(top.tolist(), sums.tolist())]
+
+
+def _normalize_rows(lw: np.ndarray, top: np.ndarray, e: np.ndarray, sums: np.ndarray):
+    """Turn the shifted rows of lw into normalized log weights and e into
+    their exponentials, both in place; return the weights and row sums."""
+    dead = top == -math.inf
+    if np.any(dead):
+        raise _at_row(DegenerateWeights("all particles have zero weight"),
+                      int(np.argmax(dead)))
+    lw -= np.array([math.log(s) for s in sums.tolist()])[:, None]
+    w = np.exp(lw, out=e)
+    total = w.sum(axis=1)
+    off = ~(np.abs(total - 1.0) <= _NORMALIZATION_RTOL * np.maximum(np.abs(total), 1.0))
+    if np.any(off):
+        r = int(np.argmax(off))
+        raise _at_row(DomainError(f"normalized weights sum to {total[r]!r}, not 1"), r)
+    return w, total
+
+
+def _estimate_rows(w: np.ndarray, total, x: np.ndarray, phi: TestFunction) -> np.ndarray:
+    # Same pairwise reduction for numerator and denominator, so phi == 1
+    # yields exactly 1.0 and |result| never exceeds the sup-norm.
+    return np.sum(w * phi(x), axis=1) / total
+
+
+class _StepRows(NamedTuple):
+    """One step of every row of a block: row r's report fields at index r."""
+
+    t: int
+    ess: np.ndarray
+    log_mean_weight: list[float]
+    estimates: dict[str, np.ndarray]
+    resampled_estimates: dict[str, np.ndarray]
+    resampled: np.ndarray
+    clouds: list[StepCloud | None]
+
+    def report(self, r: int) -> StepReport:
+        return StepReport(
+            t=self.t,
+            ess=float(self.ess[r]),
+            log_mean_weight=self.log_mean_weight[r],
+            estimates={name: float(v[r]) for name, v in self.estimates.items()},
+            resampled_estimates={name: float(v[r])
+                                 for name, v in self.resampled_estimates.items()},
+            resampled=bool(self.resampled[r]),
+            cloud=self.clouds[r],
+        )
+
+
+def _step(parents: np.ndarray, carried: np.ndarray | None, model: StateSpaceModel,
+          proposal: Proposal, y, resampler: ResampleScheme, rngs,
+          test_functions: Sequence[TestFunction], t: int, record_cloud: int,
+          ess_threshold: float | None) -> tuple[np.ndarray, np.ndarray | None, _StepRows]:
+    """One propose/weight/normalize/estimate/resample cycle of every row.
+
+    ``carried`` holds the log weights each row carries into the step
+    (log w + log N where the last step kept its normalized weights, 0
+    where it resampled), or None when every row resampled.  ``rngs[r]``
+    is row r's stream for this step.  Returns the new particles, the
+    normalized log weights (None when every row resampled) and the
+    step's per-row results.
+    """
+    n = parents.shape[1]
+    proposed = _propose(parents, proposal, y, [rng.derive(0) for rng in rngs])
+    lw = _raw_log_weights(model, proposal, proposed, parents, y)
+    if carried is not None:
+        lw += carried
+    top, w, sums = _shift_rows(lw)
+    log_mean = _log_mean_weights(top, sums, n)
+    w, total = _normalize_rows(lw, top, w, sums)
+    ess = row_ess(lw, w)
+    resampled = np.ones(len(rngs), dtype=bool) if ess_threshold is None \
+        else ess < ess_threshold * n
+    if np.all(resampled):
+        lw = None  # no row carries its weights on; free the block before resampling
+    estimates = {phi.name: _estimate_rows(w, total, proposed, phi) for phi in test_functions}
+
+    out = np.empty_like(proposed)
+    for r, rng in enumerate(rngs):
+        if not resampled[r]:
+            out[r] = proposed[r]
+            continue
+        try:
+            out[r] = repeat_by_counts(proposed[r], resampler.resample(w[r], n, rng.derive(1)))
+        except PfconvError as err:
+            raise _at_row(err, r)
+    after = dict(estimates)
+    if test_functions and np.any(resampled):
+        uniform = np.exp(np.full(n, -math.log(n)))  # the weights of a resampled row
+        for phi in test_functions:
+            after[phi.name] = np.where(resampled, _estimate_rows(uniform, np.sum(uniform),
+                                                                 out, phi), estimates[phi.name])
+    k = min(record_cloud, n)
+    clouds = [StepCloud(proposed[r, :k].copy(), w[r, :k].copy(), out[r, :k].copy())
+              if k > 0 else None for r in range(len(rngs))]
+    return out, lw, _StepRows(t, ess, log_mean, estimates, after, resampled, clouds)
+
+
+# ---------------------------------------------------------------------------
+# batched runs
+
+
+def _run_block(model: StateSpaceModel, proposal: Proposal,
+               observations: Iterable[tuple[int, object]], n: int,
+               resampler: ResampleScheme, roots: Sequence[RngStream],
+               test_functions: Sequence[TestFunction] = (),
+               record_clouds: int = 0,
+               ess_threshold: float | None = None) -> list[_StepRows]:
+    """Every step of one filter per root stream, run as one (M, N) block;
+    errors as in `run_filters`."""
+    obs = list(observations)
+    if not obs:
+        raise ValueError("observations must be nonempty")
+    if any(int(t) < 1 for t, _ in obs):
+        raise ValueError("step indices must be >= 1 (label 0 keys the prior draw)")
+    if n < 1:
+        raise ValueError("particle count must be >= 1")
+    if not roots:
+        raise ValueError("need at least one stream")
+    x = np.empty((len(roots), n))
+    for r, root in enumerate(roots):
+        x[r] = _particles(model.prior_sample(root.derive(0), n), n, "prior_sample")
+    carried = None
+    steps = []
+    for t, y in obs:
+        t = int(t)
+        try:
+            x, lw, step = _step(x, carried, model, proposal, y, resampler,
+                                [root.derive(t) for root in roots], test_functions, t,
+                                record_clouds, ess_threshold)
+        except PfconvError as err:
+            row = "" if err.row is None else f", row {err.row}"
+            raise _at_row(type(err)(f"filter step t={t}{row}: {err}"), err.row) from err
+        carried = None
+        if lw is not None:
+            carried = lw + math.log(n)  # exactly 0 for the rows resampled to 1/N
+            carried[step.resampled] = 0.0
+        steps.append(step)
+    return steps
+
+
+def run_filters(model: StateSpaceModel, proposal: Proposal,
+                observations: Iterable[tuple[int, object]], n: int,
+                resampler: ResampleScheme, streams: Sequence[int | RngStream],
+                test_functions: Sequence[TestFunction] = (),
+                record_clouds: int = 0,
+                ess_threshold: float | None = None) -> tuple[FilterRun, ...]:
+    """Run one filter per root stream over a (t, y) sequence, as one block.
+
+    ``streams[r]`` (a stream or a master seed) is row r's root stream, and
+    row r's run is the run `run_filter` gives for that stream alone.  A
+    step error carries the failing step in its message and, when one row
+    raised it, that row in the message and in ``err.row``.
+    """
+    roots = [s if isinstance(s, RngStream) else RngStream(s) for s in streams]
+    steps = _run_block(model, proposal, observations, n, resampler, roots,
+                       test_functions, record_clouds, ess_threshold)
+    runs = []
+    for r, root in enumerate(roots):
+        reports = tuple(step.report(r) for step in steps)
+        log_evidence = 0.0
+        for report in reports:
+            log_evidence += report.log_mean_weight
+        runs.append(FilterRun(steps=reports, log_evidence=log_evidence, n=n,
+                              master_seed=root.master_seed, labels=root.labels))
+    return tuple(runs)
+
+
+def run_filter(model: StateSpaceModel, proposal: Proposal,
+               observations: Iterable[tuple[int, object]], n: int,
+               resampler: ResampleScheme, master_seed: int | RngStream,
+               test_functions: Sequence[TestFunction] = (),
+               record_clouds: int = 0,
+               ess_threshold: float | None = None) -> FilterRun:
+    """Run the filter over a (t, y) sequence, resampling at every step.
+
+    Deterministic in (master_seed, n): the same seed always yields the
+    same run.  Step errors propagate with the failing step attached.
+    ``ess_threshold`` enables the optional skip-resampling mode (off by
+    default; the convergence guarantees are stated for per-step
+    resampling).
+    """
+    return run_filters(model, proposal, observations, n, resampler, [master_seed],
+                       test_functions, record_clouds, ess_threshold)[0]
+
+
+# ---------------------------------------------------------------------------
+# step API over particle sets
 
 
 def init_filter(model: StateSpaceModel, n: int, rng: RngStream) -> WeightedParticleSet:
@@ -45,28 +312,18 @@ def init_filter(model: StateSpaceModel, n: int, rng: RngStream) -> WeightedParti
     return WeightedParticleSet(particles, log_weights, Stage.RESAMPLED)
 
 
-def _raw_log_weights(model, proposal, x_t, x_prev, y) -> np.ndarray:
-    lq = np.asarray(proposal.logdensity(x_t, x_prev, y), dtype=float)
-    lf = np.asarray(model.transition_logdensity(x_t, x_prev), dtype=float)
-    lg = np.asarray(model.likelihood_logdensity(y, x_t), dtype=float)
-    with np.errstate(invalid="ignore"):
-        lw = lg + (lf - lq)
-    bad = np.isnan(lw) | np.isposinf(lw)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise WeightNotFinite(
-            f"non-finite log weight at particle {i}: x={np.ravel(x_t)[i]!r} "
-            f"(log q={np.ravel(lq)[i]!r}, log f={np.ravel(lf)[i]!r}, log g={np.ravel(lg)[i]!r})"
-        )
-    return lw
-
-
 def log_unnormalized_weight(model: StateSpaceModel, proposal: Proposal,
                             x_t: float, x_prev: float, y) -> float:
     """Log importance weight log(g f / q) at a single point; -inf allowed."""
     lw = _raw_log_weights(model, proposal,
                           np.atleast_1d(float(x_t)), np.atleast_1d(float(x_prev)), y)
     return float(lw[0])
+
+
+def _carried(prev: WeightedParticleSet, caller: str) -> np.ndarray:
+    if prev.stage is Stage.UNNORMALIZED:
+        raise StageMismatch(f"{caller} expects resampled or normalized input")
+    return (prev.log_weights + math.log(prev.n))[None]  # exactly 0 for 1/N weights
 
 
 def propose_and_weight(prev: WeightedParticleSet, model: StateSpaceModel,
@@ -83,31 +340,24 @@ def propose_and_weight(prev: WeightedParticleSet, model: StateSpaceModel,
     Raises WeightNotFinite if any weight evaluates to +inf or NaN, which
     means the proposal emitted a point it assigns zero density.
     """
-    if prev.stage is Stage.UNNORMALIZED:
-        raise StageMismatch("propose_and_weight expects resampled or normalized input")
-    proposed = np.asarray(proposal.propose(prev.particles, y, rng), dtype=float)
-    raw = _raw_log_weights(model, proposal, proposed, prev.particles, y)
-    carried = prev.log_weights + math.log(prev.n)  # exactly 0 for 1/N weights
-    lw = raw + carried
+    carried = _carried(prev, "propose_and_weight")
+    parents = prev.particles[None]
+    proposed = _propose(parents, proposal, y, [rng])
+    lw = _raw_log_weights(model, proposal, proposed, parents, y)
+    lw += carried
     # the evidence increment is the carried-weight average of the raw weights
-    return WeightedParticleSet(proposed, lw, Stage.UNNORMALIZED,
-                               log_mean_weight=_log_mean_exp(lw))
+    top, _, sums = _shift_rows(lw.copy())
+    return WeightedParticleSet(proposed[0], lw[0], Stage.UNNORMALIZED,
+                               log_mean_weight=_log_mean_weights(top, sums, prev.n)[0])
 
 
 def normalize(pset: WeightedParticleSet) -> WeightedParticleSet:
     """Rescale weights to sum to one (max-shifted, overflow-safe)."""
     if pset.stage is not Stage.UNNORMALIZED:
         raise StageMismatch("normalize expects an unnormalized set")
-    lw = pset.log_weights
-    m = float(np.max(lw))
-    if m == -math.inf:
-        raise DegenerateWeights("all particles have zero weight")
-    # Work entirely with the shifted values: for the dominant weights the
-    # shift is exact in floating point, so the normalized weights sum to 1
-    # to within a few ulps even when the raw magnitudes are ~1e6.
-    shifted = lw - m
-    log_total = math.log(float(np.sum(np.exp(shifted))))
-    return WeightedParticleSet(pset.particles, shifted - log_total, Stage.NORMALIZED)
+    lw = pset.log_weights[None].copy()
+    _normalize_rows(lw, *_shift_rows(lw))
+    return WeightedParticleSet(pset.particles, lw[0], Stage.NORMALIZED)
 
 
 def estimate(pset: WeightedParticleSet, phi: TestFunction) -> float:
@@ -120,10 +370,8 @@ def estimate(pset: WeightedParticleSet, phi: TestFunction) -> float:
         raise StageMismatch(
             "estimate is defined after normalization; correct by log_mean_weight instead"
         )
-    w = pset.weights()
-    # Same pairwise reduction for numerator and denominator, so phi == 1
-    # yields exactly 1.0 and |result| never exceeds the sup-norm.
-    return float(np.sum(w * phi(pset.particles)) / np.sum(w))
+    w = pset.weights()[None]
+    return float(_estimate_rows(w, w.sum(axis=1), pset.particles[None], phi)[0])
 
 
 def filter_step(state: WeightedParticleSet, model: StateSpaceModel, proposal: Proposal,
@@ -142,68 +390,11 @@ def filter_step(state: WeightedParticleSet, model: StateSpaceModel, proposal: Pr
     ``ess_threshold * N``; otherwise the normalized set is carried
     forward with its weights.
     """
-    unnorm = propose_and_weight(state, model, proposal, y, rng.derive(0))
-    normalized = normalize(unnorm)
-    ess_value = ess(normalized)
-    do_resample = ess_threshold is None or ess_value < ess_threshold * normalized.n
-    if do_resample:
-        counts = resampler.resample(normalized.weights(), normalized.n, rng.derive(1))
-        out = apply_counts(normalized, counts)
+    carried = _carried(state, "filter_step")
+    x, lw, step = _step(state.particles[None], carried, model, proposal, y, resampler,
+                        [rng], test_functions, t, record_cloud, ess_threshold)
+    if step.resampled[0]:
+        out = WeightedParticleSet(x[0], np.full(state.n, -math.log(state.n)), Stage.RESAMPLED)
     else:
-        out = normalized
-    cloud = None
-    if record_cloud > 0:
-        k = min(record_cloud, normalized.n)
-        cloud = StepCloud(
-            normalized_particles=normalized.particles[:k].copy(),
-            normalized_weights=normalized.weights()[:k],
-            resampled_particles=out.particles[:k].copy(),
-        )
-    report = StepReport(
-        t=t,
-        ess=ess_value,
-        log_mean_weight=unnorm.log_mean_weight,
-        estimates={phi.name: estimate(normalized, phi) for phi in test_functions},
-        resampled_estimates={phi.name: estimate(out, phi) for phi in test_functions},
-        resampled=do_resample,
-        cloud=cloud,
-    )
-    return out, report
-
-
-def run_filter(model: StateSpaceModel, proposal: Proposal,
-               observations: Iterable[tuple[int, object]], n: int,
-               resampler: ResampleScheme, master_seed: int | RngStream,
-               test_functions: Sequence[TestFunction] = (),
-               record_clouds: int = 0,
-               ess_threshold: float | None = None) -> FilterRun:
-    """Run the filter over a (t, y) sequence, resampling at every step.
-
-    Deterministic in (master_seed, n): the same seed always yields the
-    same run.  Step errors propagate with the failing step attached.
-    ``ess_threshold`` enables the optional skip-resampling mode (off by
-    default; the convergence guarantees are stated for per-step
-    resampling).
-    """
-    obs = list(observations)
-    if not obs:
-        raise ValueError("observations must be nonempty")
-    if any(int(t) < 1 for t, _ in obs):
-        raise ValueError("step indices must be >= 1 (label 0 keys the prior draw)")
-    root = master_seed if isinstance(master_seed, RngStream) else RngStream(master_seed)
-    state = init_filter(model, n, root.derive(0))
-    steps = []
-    log_evidence = 0.0
-    for t, y in obs:
-        try:
-            state, report = filter_step(state, model, proposal, y, resampler,
-                                         root.derive(int(t)), test_functions,
-                                         t=int(t), record_cloud=record_clouds,
-                                         ess_threshold=ess_threshold)
-        except PfconvError as err:
-            raise type(err)(f"filter step t={t}: {err}") from err
-        log_evidence += report.log_mean_weight
-        steps.append(report)
-    seed = root.master_seed
-    return FilterRun(steps=tuple(steps), log_evidence=log_evidence, n=n,
-                     master_seed=seed, labels=root.labels)
+        out = WeightedParticleSet(x[0], lw[0], Stage.NORMALIZED)
+    return out, step.report(0)

@@ -2,7 +2,14 @@
 
 
 class PfconvError(Exception):
-    """Base class for all pfconv errors."""
+    """Base class for all pfconv errors.
+
+    ``row`` is the replicate row of a batched filter run
+    (`engine.run_filters`) that raised the error, or None when the error
+    is not tied to one row.
+    """
+
+    row: int | None = None
 
 
 class DomainError(PfconvError):

@@ -13,6 +13,10 @@ f(x_i - x_j) and a Hankel part f(x_i + x_j), so prediction is one direct
 convolution plus one correlation of length-(2n - 1) lag vectors with the
 grid values (Kitagawa's numerical filter with that structure exploited):
 O(n) memory and O(n^2) flops per step, with no kernel matrix.
+
+The grid ends at x_max, so it is only truth when the posterior has
+negligible mass near that edge: `run_cox_grid_filter` fails when the top
+5% of cells hold more than 1e-9 of the filtered mass at any step.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .errors import DomainError, ZeroMass
 from .model import TestFunction
 
 _NORM_TOL = 1e-9
+_TAIL_FRACTION = 0.05  # share of the grid, at its upper edge, checked for mass
+_TAIL_MASS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -151,8 +157,13 @@ class GridFilterRun:
 def run_cox_grid_filter(params: CoxParams, observations,
                         x_max: float = 15.0, n_cells: int = 3000,
                         test_functions: Sequence[TestFunction] = ()) -> GridFilterRun:
-    """Run the grid filter over a (t, y) sequence and record posteriors."""
+    """Run the grid filter over a (t, y) sequence and record posteriors.
+
+    Raises DomainError when x_max truncates a filtered posterior (see the
+    module docstring).
+    """
     grid = grid_init(folded_normal_prior, x_max, n_cells)
+    tail = max(1, int(n_cells * _TAIL_FRACTION))
     grids, steps, means, variances = [], [], [], []
     estimates: dict[str, list[float]] = {phi.name: [] for phi in test_functions}
     log_evidence = 0.0
@@ -161,6 +172,10 @@ def run_cox_grid_filter(params: CoxParams, observations,
         grid, increment = _update_with_evidence(
             grid, lambda yy, x: cox_likelihood_logdensity(yy, x, params.c), y)
         log_evidence += math.log(increment)
+        tail_mass = float(np.sum(grid.values[-tail:]) * grid.dx)
+        if tail_mass > _TAIL_MASS_TOL:
+            raise DomainError(f"x_max={x_max} truncates the posterior at t={t}: the top "
+                              f"{tail} cells hold mass {tail_mass:.3g}")
         grids.append(grid)
         steps.append(int(t))
         means.append(grid.mean())

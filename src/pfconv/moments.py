@@ -43,12 +43,16 @@ def ess(pset: WeightedParticleSet) -> float:
     """
     if pset.stage is not Stage.NORMALIZED:
         raise StageMismatch("ess is defined for normalized weights")
-    lw = pset.log_weights
-    if np.all(lw == lw[0]):
-        return float(pset.n)
-    w = pset.weights()
-    value = 1.0 / float(np.sum(w * w))
-    return min(max(value, 1.0), float(pset.n))
+    return float(row_ess(pset.log_weights[None], pset.weights()[None])[0])
+
+
+def row_ess(log_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """`ess` of each row of an (M, N) block of normalized log weights and
+    their exponentials."""
+    n = log_weights.shape[1]
+    value = np.minimum(np.maximum(1.0 / np.sum(weights * weights, axis=1), 1.0), float(n))
+    value[np.all(log_weights == log_weights[:, :1], axis=1)] = n
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ A particle set moves through three stages in each filter step:
 
 Sets are immutable after construction; the arrays they hold are marked
 read-only so a set can be shared across threads or processes safely.
+They are the boundary of the engine's step API: `engine.run_filters`
+itself steps plain (replicates x particles) arrays and builds no set.
 """
 
 from __future__ import annotations

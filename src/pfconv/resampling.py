@@ -87,15 +87,21 @@ def get_scheme(name: str) -> ResampleScheme:
         raise KeyError(f"unknown resampler {name!r}; choose from {sorted(SCHEMES)}") from None
 
 
+def repeat_by_counts(particles: np.ndarray, counts) -> np.ndarray:
+    """Particle i repeated counts[i] times, once the counts are checked:
+    one nonnegative count per particle, summing to the particle count."""
+    counts = np.asarray(counts)
+    n = len(particles)
+    if counts.shape != (n,):
+        raise CountMismatch(f"counts shape {counts.shape} != {(n,)}")
+    if np.any(counts < 0) or int(np.sum(counts)) != n:
+        raise CountMismatch(f"counts must be nonnegative and sum to {n}")
+    return np.repeat(particles, counts)
+
+
 def apply_counts(pset: WeightedParticleSet, counts: np.ndarray) -> WeightedParticleSet:
     """Duplicate particle i counts[i] times and reset weights to 1/N."""
     if pset.stage is not Stage.NORMALIZED:
         raise StageMismatch("apply_counts requires a normalized particle set")
-    counts = np.asarray(counts)
-    if counts.shape != pset.log_weights.shape:
-        raise CountMismatch(f"counts shape {counts.shape} != {pset.log_weights.shape}")
-    if np.any(counts < 0) or int(np.sum(counts)) != pset.n:
-        raise CountMismatch(f"counts must be nonnegative and sum to {pset.n}")
-    particles = np.repeat(pset.particles, counts)
-    log_weights = np.full(pset.n, -math.log(pset.n))
-    return WeightedParticleSet(particles, log_weights, Stage.RESAMPLED)
+    particles = repeat_by_counts(pset.particles, counts)
+    return WeightedParticleSet(particles, np.full(pset.n, -math.log(pset.n)), Stage.RESAMPLED)

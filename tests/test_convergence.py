@@ -8,7 +8,7 @@ from pfconv import ExperimentConfig, fit_loglog_slope, run_convergence_study
 from pfconv.configfile import apply_overrides, load_config
 from pfconv.convergence import ConvergenceReport, _aggregate, _rate_fits
 from pfconv.errors import DomainError, InsufficientPoints, NonPositiveValue, StudyError
-from pfconv.model import make_test_function
+from pfconv.model import Proposal, make_test_function
 from pfconv.report import emit_report
 
 
@@ -224,16 +224,24 @@ def test_partial_flush_on_failure(tmp_path, fixture_obs_path, monkeypatch):
     out_json = tmp_path / "partial.json"
     cfg = small_config(fixture_obs_path, out_csv=str(out_csv), out_json=str(out_json))
 
-    real_cell = convergence._study_cell
+    # Replicates 2 and 3 of N=16 (N-index 1) share one block; replicate 3
+    # fails first (t=1), but the lower failing replicate 2 (t=5) is reported.
+    fail_at = {(1, 2): 5, (1, 3): 1}
+    real_make = convergence.make_cox_model_and_proposal
 
-    def failing_cell(args):
-        _, _, n_idx, r = args
-        if (n_idx, r) == (1, 2):
-            raise RuntimeError("injected failure")
-        return real_cell(args)
+    def failing_make(*args):
+        model, proposal = real_make(*args)
 
-    monkeypatch.setattr(convergence, "_study_cell", failing_cell)
-    with pytest.raises(StudyError, match=r"N=16, replicate=2"):
+        def propose(x_prev, y, rng):
+            n_idx, r, t, _ = rng.labels
+            if fail_at.get((n_idx, r)) == t:
+                return np.zeros(len(x_prev))  # zero Gamma density: infinite weights
+            return proposal.propose(x_prev, y, rng)
+
+        return model, Proposal(propose, proposal.logdensity)
+
+    monkeypatch.setattr(convergence, "make_cox_model_and_proposal", failing_make)
+    with pytest.raises(StudyError, match=r"N=16, replicate=2: filter step t=5, row 2: "):
         run_convergence_study(cfg, workers=1)
 
     assert out_csv.exists() and out_json.exists()
@@ -242,8 +250,7 @@ def test_partial_flush_on_failure(tmp_path, fixture_obs_path, monkeypatch):
     # the csv keeps completed cells only: N=8 rows are all present
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "phi,N,t,mse,mse_stderr,l4,l4_stderr"
-    # N=8 completed, N=16 partially completed (still flushable aggregates),
-    # N=32 never started and must be absent
+    # N=8 completed; the failed N=16 block and N=32, never started, are absent
     assert any(line.startswith("exp_neg,8,") for line in lines[1:])
     assert not any(line.startswith("exp_neg,32,") for line in lines[1:])
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from pfconv import (
     normalize,
     propose_and_weight,
     run_filter,
+    run_filters,
     simulate_lg,
 )
 from pfconv.errors import DegenerateWeights, StageMismatch, WeightNotFinite
@@ -331,6 +333,66 @@ def test_run_filter_attaches_failing_step():
     obs = [(t, 0.0) for t in range(1, 7)]
     with pytest.raises(WeightNotFinite, match="t=4"):
         run_filter(ssm, bad, obs, 32, get_scheme("multinomial"), 1)
+
+
+@pytest.mark.parametrize("scheme, proposal, ess_threshold", [
+    (scheme, proposal, None)
+    for scheme in ("multinomial", "stratified", "systematic")
+    for proposal in ("gamma_proposal", "bootstrap_proposal")
+] + [("systematic", "bootstrap_proposal", 0.5)])
+def test_run_filters_rows_equal_single_runs(request, cox_model, fixture_obs,
+                                            scheme, proposal, ess_threshold):
+    kw = dict(resampler=get_scheme(scheme), test_functions=[ONE, EXP_NEG],
+              ess_threshold=ess_threshold)
+    prop = request.getfixturevalue(proposal)
+    streams = [RngStream(5, (2, r)) for r in range(5)]
+    batch = run_filters(cox_model, prop, fixture_obs, 50, streams=streams, **kw)
+    singles = [run_filter(cox_model, prop, fixture_obs, 50, master_seed=s, **kw)
+               for s in streams]
+    for a, b in zip(batch, singles):
+        assert a.log_evidence == b.log_evidence
+        assert (a.master_seed, a.labels) == (b.master_seed, b.labels)
+        for sa, sb in zip(a.steps, b.steps):
+            assert (sa.estimates, sa.resampled_estimates) == (sb.estimates, sb.resampled_estimates)
+            assert (sa.ess, sa.log_mean_weight, sa.resampled) == \
+                (sb.ess, sb.log_mean_weight, sb.resampled)
+    if ess_threshold is not None:  # some step resamples some rows but not others
+        assert any(len({run.steps[i].resampled for run in batch}) == 2
+                   for i in range(len(fixture_obs)))
+
+
+@pytest.mark.parametrize("proposal, error", [
+    ("gamma_proposal", WeightNotFinite),  # Gamma density 0 at x = 0: NaN weights
+    ("bootstrap_proposal", DegenerateWeights),  # y_3 = 1 is impossible at x = 0
+])
+def test_run_filters_names_failing_row_and_step(request, cox_model, fixture_obs,
+                                                proposal, error):
+    base = request.getfixturevalue(proposal)
+
+    def propose(x_prev, y, rng):  # row 2 collapses to 0 at t = 3
+        if rng.labels[-3:] == (2, 3, 0):
+            return np.zeros(len(x_prev))
+        return base.propose(x_prev, y, rng)
+
+    streams = [RngStream(1, (r,)) for r in range(4)]
+    with pytest.raises(error, match=r"filter step t=3, row 2: ") as info:
+        run_filters(cox_model, Proposal(propose, base.logdensity), fixture_obs, 16,
+                    get_scheme("multinomial"), streams)
+    assert info.value.row == 2
+
+
+def test_run_filter_memory_stays_linear(cox_model, gamma_proposal, fixture_obs):
+    # N = 2^18 particles take 2 MiB per float array; a fused step that keeps
+    # all of its temporaries alive peaks near 36 MiB
+    for scheme in ("systematic", "multinomial"):
+        tracemalloc.start()
+        try:
+            run_filter(cox_model, gamma_proposal, fixture_obs, 2 ** 18,
+                       get_scheme(scheme), 3, [EXP_NEG])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2 ** 20, f"{scheme}: peak {peak / 2 ** 20:.1f} MiB"
 
 
 def test_run_filter_requires_observations(cox_model, gamma_proposal):

@@ -126,6 +126,13 @@ def test_run_cox_grid_filter_normalized_every_step(fixture_obs):
     assert run.steps == tuple(range(1, 13))
 
 
+def test_run_cox_grid_filter_rejects_truncated_posterior(fixture_obs):
+    # at x_max = 4 the top 5% of cells hold ~3.4e-3 of the filtered mass
+    # (at x_max = 15 they hold ~1e-35)
+    with pytest.raises(DomainError, match="truncates the posterior"):
+        run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 4.0, 800, [EXP_NEG])
+
+
 def test_run_cox_grid_filter_memory_is_linear_in_cells(fixture_obs):
     # a dense 6000-cell kernel alone would take 8 * 6000^2 bytes = 288 MB
     tracemalloc.start()
