@@ -12,8 +12,7 @@ from .cox import CoxParams, GammaProposal, ObservationSeries, \
     cox_likelihood_logdensity, cox_prior_sample, cox_transition_logdensity, \
     gamma_logdensity, gamma_propose, make_bootstrap_proposal, make_cox_model, \
     make_gamma_proposal, simulate
-from .engine import estimate, filter_step, init_filter, log_unnormalized_weight, \
-    normalize, propose_and_weight, run_filter, run_filters
+from .engine import run_filter, run_filters
 from .errors import PfconvError
 from .gridfilter import GridDensity, grid_estimate, grid_init, grid_predict, \
     grid_update, run_cox_grid_filter
@@ -22,10 +21,10 @@ from .lineargauss import GaussianBelief, LinearGaussianModel, kalman_filter, \
     simulate_lg
 from .model import Proposal, StateSpaceModel, TestFunction, make_test_function
 from .moments import MomentCondition, MomentStatus, MomentVerdict, \
-    check_cox_moment_condition, empirical_weight_moment, ess, quadrature_weight_moment
-from .particles import FilterRun, Stage, StepReport, WeightedParticleSet
-from .resampling import ResampleScheme, apply_counts, get_scheme, \
-    multinomial_resample, stratified_resample, systematic_resample
+    check_cox_moment_condition, empirical_weight_moment, quadrature_weight_moment
+from .particles import FilterRun, StepReport
+from .resampling import ResampleScheme, get_scheme, multinomial_resample, \
+    stratified_resample, systematic_resample
 from .rng import RngStream
 
 __version__ = "0.1.0"

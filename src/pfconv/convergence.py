@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cox import CoxParams, ObservationSeries, make_cox_model_and_proposal
+from .cox import CoxParams, GammaProposal, ObservationSeries, \
+    make_cox_model_and_proposal
 from .engine import _run_block
 from .errors import DomainError, InsufficientPoints, NonPositiveValue, PfconvError, \
     StudyError
@@ -78,6 +79,10 @@ class ExperimentConfig:
             raise DomainError(f"unknown resampler {self.resampler!r}")
         if self.proposal not in ("gamma", "bootstrap"):
             raise DomainError(f"unknown proposal kind {self.proposal!r}")
+        if self.proposal == "gamma":
+            GammaProposal(self.alpha, self.beta)  # DomainError unless both are positive
+        if self.master_seed < 0:
+            raise DomainError("master seed must be >= 0")
         if self.grid_dx <= 0 or self.grid_x_max <= self.grid_dx:
             raise DomainError("oracle grid needs 0 < dx < x_max")
 
@@ -188,13 +193,6 @@ class ConvergenceReport:
             if (f["phi"], f["t"], f["moment"], f["stage"]) == (phi, t, moment, stage):
                 return RateFit(f["slope"], f["intercept"], f["r_squared"])
         raise KeyError(f"no rate fit for ({stage}, {phi}, t={t}, p={moment})")
-
-    def cell(self, phi: str, n: int, t: int, stage: str = "normalized") -> dict:
-        n_idx = list(self.config.particle_counts).index(n)
-        t_idx = list(self.steps).index(t)
-        tab = self.tables[stage][phi]
-        return {key: tab[key][n_idx][t_idx]
-                for key in ("mse", "mse_stderr", "l4", "l4_stderr")}
 
 
 def resolve_workers(workers: int | None = None) -> int:

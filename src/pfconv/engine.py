@@ -8,12 +8,14 @@ counts from ``root_r.derive(t, 1)``, exactly as a one-row run does.  A
 row's results therefore do not depend on which rows share its block.
 
 One step moves every row through propose -> weight -> normalize ->
-estimate -> resample.  Proposals and resampling counts are drawn row by
-row; weighting, normalization, the estimates and the effective sample
-size are evaluated once on the whole block.  All weight arithmetic is
-done in the log domain with max-shifted summation because the shipped
-models produce weights spanning hundreds of orders of magnitude (the
-proposal density can vanish at points where the target does not).
+estimate -> resample; every row resamples at every step, the filter
+the convergence guarantees are stated for.  Proposals and resampling
+counts are drawn row by row; weighting, normalization, the estimates
+and the effective sample size are evaluated once on the whole block.
+All weight arithmetic is done in the log domain with max-shifted
+summation because the shipped models produce weights spanning hundreds
+of orders of magnitude (the proposal density can vanish at points where
+the target does not).
 
 The log weight of a proposed point x given its parent x' is
 
@@ -21,11 +23,6 @@ The log weight of a proposed point x given its parent x' is
 
 with the difference grouped so that a bootstrap proposal (q identical
 to f) cancels exactly, bit for bit, leaving the log likelihood.
-
-`run_filters` and `run_filter` work on plain arrays.  The step functions
-(`init_filter`, `propose_and_weight`, `normalize`, `estimate`,
-`filter_step`) are the API over `WeightedParticleSet`: they check each
-set's `Stage` and call the same row kernels with M = 1.
 """
 
 from __future__ import annotations
@@ -35,12 +32,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateWeights, DomainError, PfconvError, StageMismatch, \
-    WeightNotFinite
+from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite
 from .model import Proposal, StateSpaceModel, TestFunction
 from .moments import row_ess
-from .particles import _NORMALIZATION_RTOL, FilterRun, Stage, StepCloud, StepReport, \
-    WeightedParticleSet
+from .particles import _NORMALIZATION_RTOL, FilterRun, StepCloud, StepReport
 from .resampling import ResampleScheme, repeat_by_counts
 from .rng import RngStream
 
@@ -146,7 +141,6 @@ class _StepRows(NamedTuple):
     log_mean_weight: list[float]
     estimates: dict[str, np.ndarray]
     resampled_estimates: dict[str, np.ndarray]
-    resampled: np.ndarray
     clouds: list[StepCloud | None]
 
     def report(self, r: int) -> StepReport:
@@ -157,58 +151,41 @@ class _StepRows(NamedTuple):
             estimates={name: float(v[r]) for name, v in self.estimates.items()},
             resampled_estimates={name: float(v[r])
                                  for name, v in self.resampled_estimates.items()},
-            resampled=bool(self.resampled[r]),
             cloud=self.clouds[r],
         )
 
 
-def _step(parents: np.ndarray, carried: np.ndarray | None, model: StateSpaceModel,
-          proposal: Proposal, y, resampler: ResampleScheme, rngs,
-          test_functions: Sequence[TestFunction], t: int, record_cloud: int,
-          ess_threshold: float | None) -> tuple[np.ndarray, np.ndarray | None, _StepRows]:
+def _step(parents: np.ndarray, model: StateSpaceModel, proposal: Proposal, y,
+          resampler: ResampleScheme, rngs, test_functions: Sequence[TestFunction],
+          t: int, record_cloud: int) -> tuple[np.ndarray, _StepRows]:
     """One propose/weight/normalize/estimate/resample cycle of every row.
 
-    ``carried`` holds the log weights each row carries into the step
-    (log w + log N where the last step kept its normalized weights, 0
-    where it resampled), or None when every row resampled.  ``rngs[r]``
-    is row r's stream for this step.  Returns the new particles, the
-    normalized log weights (None when every row resampled) and the
-    step's per-row results.
+    ``rngs[r]`` is row r's stream for this step.  Returns the resampled
+    particles and the step's per-row results.
     """
     n = parents.shape[1]
     proposed = _propose(parents, proposal, y, [rng.derive(0) for rng in rngs])
     lw = _raw_log_weights(model, proposal, proposed, parents, y)
-    if carried is not None:
-        lw += carried
     top, w, sums = _shift_rows(lw)
     log_mean = _log_mean_weights(top, sums, n)
     w, total = _normalize_rows(lw, top, w, sums)
     ess = row_ess(lw, w)
-    resampled = np.ones(len(rngs), dtype=bool) if ess_threshold is None \
-        else ess < ess_threshold * n
-    if np.all(resampled):
-        lw = None  # no row carries its weights on; free the block before resampling
+    del lw  # free the block before resampling
     estimates = {phi.name: _estimate_rows(w, total, proposed, phi) for phi in test_functions}
 
     out = np.empty_like(proposed)
     for r, rng in enumerate(rngs):
-        if not resampled[r]:
-            out[r] = proposed[r]
-            continue
         try:
             out[r] = repeat_by_counts(proposed[r], resampler.resample(w[r], n, rng.derive(1)))
         except PfconvError as err:
             raise _at_row(err, r)
-    after = dict(estimates)
-    if test_functions and np.any(resampled):
-        uniform = np.exp(np.full(n, -math.log(n)))  # the weights of a resampled row
-        for phi in test_functions:
-            after[phi.name] = np.where(resampled, _estimate_rows(uniform, np.sum(uniform),
-                                                                 out, phi), estimates[phi.name])
+    uniform = np.exp(np.full(n, -math.log(n)))  # the weights of a resampled row
+    after = {phi.name: _estimate_rows(uniform, np.sum(uniform), out, phi)
+             for phi in test_functions}
     k = min(record_cloud, n)
     clouds = [StepCloud(proposed[r, :k].copy(), w[r, :k].copy(), out[r, :k].copy())
               if k > 0 else None for r in range(len(rngs))]
-    return out, lw, _StepRows(t, ess, log_mean, estimates, after, resampled, clouds)
+    return out, _StepRows(t, ess, log_mean, estimates, after, clouds)
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +196,7 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
                observations: Iterable[tuple[int, object]], n: int,
                resampler: ResampleScheme, roots: Sequence[RngStream],
                test_functions: Sequence[TestFunction] = (),
-               record_clouds: int = 0,
-               ess_threshold: float | None = None) -> list[_StepRows]:
+               record_clouds: int = 0) -> list[_StepRows]:
     """Every step of one filter per root stream, run as one (M, N) block;
     errors as in `run_filters`."""
     obs = list(observations)
@@ -235,21 +211,16 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
     x = np.empty((len(roots), n))
     for r, root in enumerate(roots):
         x[r] = _particles(model.prior_sample(root.derive(0), n), n, "prior_sample")
-    carried = None
     steps = []
     for t, y in obs:
         t = int(t)
         try:
-            x, lw, step = _step(x, carried, model, proposal, y, resampler,
-                                [root.derive(t) for root in roots], test_functions, t,
-                                record_clouds, ess_threshold)
+            x, step = _step(x, model, proposal, y, resampler,
+                            [root.derive(t) for root in roots], test_functions, t,
+                            record_clouds)
         except PfconvError as err:
             row = "" if err.row is None else f", row {err.row}"
             raise _at_row(type(err)(f"filter step t={t}{row}: {err}"), err.row) from err
-        carried = None
-        if lw is not None:
-            carried = lw + math.log(n)  # exactly 0 for the rows resampled to 1/N
-            carried[step.resampled] = 0.0
         steps.append(step)
     return steps
 
@@ -258,8 +229,7 @@ def run_filters(model: StateSpaceModel, proposal: Proposal,
                 observations: Iterable[tuple[int, object]], n: int,
                 resampler: ResampleScheme, streams: Sequence[int | RngStream],
                 test_functions: Sequence[TestFunction] = (),
-                record_clouds: int = 0,
-                ess_threshold: float | None = None) -> tuple[FilterRun, ...]:
+                record_clouds: int = 0) -> tuple[FilterRun, ...]:
     """Run one filter per root stream over a (t, y) sequence, as one block.
 
     ``streams[r]`` (a stream or a master seed) is row r's root stream, and
@@ -269,7 +239,7 @@ def run_filters(model: StateSpaceModel, proposal: Proposal,
     """
     roots = [s if isinstance(s, RngStream) else RngStream(s) for s in streams]
     steps = _run_block(model, proposal, observations, n, resampler, roots,
-                       test_functions, record_clouds, ess_threshold)
+                       test_functions, record_clouds)
     runs = []
     for r, root in enumerate(roots):
         reports = tuple(step.report(r) for step in steps)
@@ -285,116 +255,11 @@ def run_filter(model: StateSpaceModel, proposal: Proposal,
                observations: Iterable[tuple[int, object]], n: int,
                resampler: ResampleScheme, master_seed: int | RngStream,
                test_functions: Sequence[TestFunction] = (),
-               record_clouds: int = 0,
-               ess_threshold: float | None = None) -> FilterRun:
+               record_clouds: int = 0) -> FilterRun:
     """Run the filter over a (t, y) sequence, resampling at every step.
 
     Deterministic in (master_seed, n): the same seed always yields the
     same run.  Step errors propagate with the failing step attached.
-    ``ess_threshold`` enables the optional skip-resampling mode (off by
-    default; the convergence guarantees are stated for per-step
-    resampling).
     """
     return run_filters(model, proposal, observations, n, resampler, [master_seed],
-                       test_functions, record_clouds, ess_threshold)[0]
-
-
-# ---------------------------------------------------------------------------
-# step API over particle sets
-
-
-def init_filter(model: StateSpaceModel, n: int, rng: RngStream) -> WeightedParticleSet:
-    """Draw n particles from the prior with uniform weights 1/n."""
-    if n < 1:
-        raise ValueError("particle count must be >= 1")
-    particles = model.prior_sample(rng, n)
-    log_weights = np.full(n, -math.log(n))
-    return WeightedParticleSet(particles, log_weights, Stage.RESAMPLED)
-
-
-def log_unnormalized_weight(model: StateSpaceModel, proposal: Proposal,
-                            x_t: float, x_prev: float, y) -> float:
-    """Log importance weight log(g f / q) at a single point; -inf allowed."""
-    lw = _raw_log_weights(model, proposal,
-                          np.atleast_1d(float(x_t)), np.atleast_1d(float(x_prev)), y)
-    return float(lw[0])
-
-
-def _carried(prev: WeightedParticleSet, caller: str) -> np.ndarray:
-    if prev.stage is Stage.UNNORMALIZED:
-        raise StageMismatch(f"{caller} expects resampled or normalized input")
-    return (prev.log_weights + math.log(prev.n))[None]  # exactly 0 for 1/N weights
-
-
-def propose_and_weight(prev: WeightedParticleSet, model: StateSpaceModel,
-                       proposal: Proposal, y, rng: RngStream) -> WeightedParticleSet:
-    """Move every particle through the proposal and attach raw log weights.
-
-    The previous set is normally equally weighted (resampled); a
-    normalized set is also accepted so that runs with an ESS-triggered
-    resampler can carry weights across steps.  In that case the incoming
-    weights multiply the step weights.  For an equally weighted parent
-    the carried term is exactly zero in the log domain, so the default
-    path is unchanged bit for bit.
-
-    Raises WeightNotFinite if any weight evaluates to +inf or NaN, which
-    means the proposal emitted a point it assigns zero density.
-    """
-    carried = _carried(prev, "propose_and_weight")
-    parents = prev.particles[None]
-    proposed = _propose(parents, proposal, y, [rng])
-    lw = _raw_log_weights(model, proposal, proposed, parents, y)
-    lw += carried
-    # the evidence increment is the carried-weight average of the raw weights
-    top, _, sums = _shift_rows(lw.copy())
-    return WeightedParticleSet(proposed[0], lw[0], Stage.UNNORMALIZED,
-                               log_mean_weight=_log_mean_weights(top, sums, prev.n)[0])
-
-
-def normalize(pset: WeightedParticleSet) -> WeightedParticleSet:
-    """Rescale weights to sum to one (max-shifted, overflow-safe)."""
-    if pset.stage is not Stage.UNNORMALIZED:
-        raise StageMismatch("normalize expects an unnormalized set")
-    lw = pset.log_weights[None].copy()
-    _normalize_rows(lw, *_shift_rows(lw))
-    return WeightedParticleSet(pset.particles, lw[0], Stage.NORMALIZED)
-
-
-def estimate(pset: WeightedParticleSet, phi: TestFunction) -> float:
-    """Weighted posterior estimate of a bounded test function.
-
-    Computed as a self-normalized quotient so that the constant function
-    maps to exactly 1.0 and the result can never exceed the sup-norm.
-    """
-    if pset.stage is Stage.UNNORMALIZED:
-        raise StageMismatch(
-            "estimate is defined after normalization; correct by log_mean_weight instead"
-        )
-    w = pset.weights()[None]
-    return float(_estimate_rows(w, w.sum(axis=1), pset.particles[None], phi)[0])
-
-
-def filter_step(state: WeightedParticleSet, model: StateSpaceModel, proposal: Proposal,
-                y, resampler: ResampleScheme, rng: RngStream,
-                test_functions: Sequence[TestFunction] = (), t: int = 0,
-                record_cloud: int = 0, ess_threshold: float | None = None
-                ) -> tuple[WeightedParticleSet, StepReport]:
-    """One complete propose/weight/normalize/resample cycle.
-
-    The report carries the pre-resampling estimates (the lower-variance
-    ones), the post-resampling estimates, the effective sample size and
-    the step's incremental log evidence.
-
-    By default the step always resamples.  With ``ess_threshold`` set,
-    resampling only happens when the effective sample size drops below
-    ``ess_threshold * N``; otherwise the normalized set is carried
-    forward with its weights.
-    """
-    carried = _carried(state, "filter_step")
-    x, lw, step = _step(state.particles[None], carried, model, proposal, y, resampler,
-                        [rng], test_functions, t, record_cloud, ess_threshold)
-    if step.resampled[0]:
-        out = WeightedParticleSet(x[0], np.full(state.n, -math.log(state.n)), Stage.RESAMPLED)
-    else:
-        out = WeightedParticleSet(x[0], lw[0], Stage.NORMALIZED)
-    return out, step.report(0)
+                       test_functions, record_clouds)[0]

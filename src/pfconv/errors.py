@@ -28,10 +28,6 @@ class DegenerateWeights(PfconvError):
     """Every particle received zero weight; the run must abort."""
 
 
-class StageMismatch(PfconvError):
-    """A particle-set operation was called at the wrong pipeline stage."""
-
-
 class NotNormalized(PfconvError):
     """Weights handed to a resampler do not sum to 1 within tolerance."""
 

@@ -25,9 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, StageMismatch
+from .errors import DomainError
 from .model import Proposal, StateSpaceModel
-from .particles import Stage, WeightedParticleSet
 from .rng import RngStream
 
 
@@ -35,20 +34,13 @@ from .rng import RngStream
 # effective sample size
 
 
-def ess(pset: WeightedParticleSet) -> float:
-    """Effective sample size 1 / sum(w_i^2) of a normalized set, in [1, N].
-
-    Equals N exactly iff the weights are uniform (detected exactly so the
-    boundary case is not blurred by rounding).
-    """
-    if pset.stage is not Stage.NORMALIZED:
-        raise StageMismatch("ess is defined for normalized weights")
-    return float(row_ess(pset.log_weights[None], pset.weights()[None])[0])
-
-
 def row_ess(log_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """`ess` of each row of an (M, N) block of normalized log weights and
-    their exponentials."""
+    """Effective sample size 1 / sum(w_i^2) of each row of an (M, N) block
+    of normalized log weights and their exponentials, in [1, N].
+
+    A row's value equals N exactly iff its weights are uniform (detected
+    exactly so the boundary case is not blurred by rounding).
+    """
     n = log_weights.shape[1]
     value = np.minimum(np.maximum(1.0 / np.sum(weights * weights, axis=1), 1.0), float(n))
     value[np.all(log_weights == log_weights[:, :1], axis=1)] = n

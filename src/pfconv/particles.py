@@ -1,16 +1,9 @@
-"""Weighted particle sets and per-step filter records.
+"""Per-step filter records.
 
-A particle set moves through three stages in each filter step:
-
-* ``UNNORMALIZED`` -- fresh proposals with raw log importance weights and
-  the log of the mean raw weight (the incremental evidence term);
-* ``NORMALIZED`` -- weights rescaled to sum to one;
-* ``RESAMPLED`` -- equally weighted particles after resampling.
-
-Sets are immutable after construction; the arrays they hold are marked
-read-only so a set can be shared across threads or processes safely.
-They are the boundary of the engine's step API: `engine.run_filters`
-itself steps plain (replicates x particles) arrays and builds no set.
+`engine.run_filters` steps plain (replicates x particles) arrays and
+resamples at every step; each step yields a `StepReport` per replicate
+(with an optional `StepCloud` snapshot) and each run a `FilterRun`.
+`WeightedParticleSet` and `Stage` are not used by the package.
 """
 
 from __future__ import annotations
@@ -40,6 +33,7 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+# Unused: perfbench/tracing.py hooks it; delete with Stage after that hook (ROADMAP item 1).
 @dataclass(frozen=True)
 class WeightedParticleSet:
     """Particles with log weights and a pipeline stage tag.
@@ -107,8 +101,7 @@ class StepReport:
     each registered test function; ``resampled_estimates`` the same after
     resampling.  ``log_mean_weight`` is the step's incremental
     log-evidence and ``ess`` the effective sample size of the normalized
-    weights.  ``resampled`` records whether the step actually resampled
-    (always true unless an ESS threshold was configured).
+    weights.
     """
 
     t: int
@@ -116,7 +109,6 @@ class StepReport:
     log_mean_weight: float
     estimates: dict[str, float]
     resampled_estimates: dict[str, float]
-    resampled: bool = True
     cloud: StepCloud | None = None
 
 

@@ -9,14 +9,12 @@ default.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import CountMismatch, NotNormalized, StageMismatch
-from .particles import Stage, WeightedParticleSet
+from .errors import CountMismatch, NotNormalized
 from .rng import RngStream
 
 _SUM_TOL = 1e-9
@@ -98,10 +96,3 @@ def repeat_by_counts(particles: np.ndarray, counts) -> np.ndarray:
         raise CountMismatch(f"counts must be nonnegative and sum to {n}")
     return np.repeat(particles, counts)
 
-
-def apply_counts(pset: WeightedParticleSet, counts: np.ndarray) -> WeightedParticleSet:
-    """Duplicate particle i counts[i] times and reset weights to 1/N."""
-    if pset.stage is not Stage.NORMALIZED:
-        raise StageMismatch("apply_counts requires a normalized particle set")
-    particles = repeat_by_counts(pset.particles, counts)
-    return WeightedParticleSet(particles, np.full(pset.n, -math.log(pset.n)), Stage.RESAMPLED)

@@ -1,12 +1,18 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from pfconv import CoxParams, GammaProposal, ObservationSeries, \
     make_bootstrap_proposal, make_cox_model, make_gamma_proposal
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_OBS = REPO_ROOT / "fixtures" / "cox_obs_t12.csv"
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 result does not depend on earlier runs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

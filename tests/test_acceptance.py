@@ -22,7 +22,6 @@ from pfconv import (
     RngStream,
     check_cox_moment_condition,
     kalman_filter,
-    log_unnormalized_weight,
     make_cox_model,
     make_gamma_proposal,
     make_lg_bootstrap_proposal,
@@ -177,8 +176,8 @@ def test_criterion_3_moment_verdicts(cox_model_session):
 def test_criterion_4_unbounded_weight_reproduction(cox_model_session,
                                                    gamma_proposal_session,
                                                    mse_artifacts):
-    values = [log_unnormalized_weight(cox_model_session, gamma_proposal_session,
-                                      10.0 ** -k, 1.0, 0)
+    values = [float(_raw_log_weights(cox_model_session, gamma_proposal_session,
+                                     np.array([10.0 ** -k]), np.array([1.0]), 0)[0])
               for k in range(2, 9)]
     assert all(b > a for a, b in zip(values, values[1:])), values
 
@@ -230,9 +229,7 @@ def test_criterion_5_histogram_vs_grid(cox_model_session, gamma_proposal_session
 
 def test_criterion_6_conditional_unbiasedness(cox_model_session,
                                               gamma_proposal_session):
-    from pfconv.engine import init_filter
-
-    parents = init_filter(cox_model_session, 50, RngStream(61)).particles
+    parents = cox_model_session.prior_sample(RngStream(61), 50)
     y, inner = 0, 10_000
     tiled = np.tile(parents, inner)
     draws = gamma_proposal_session.propose(tiled, y, RngStream(62))

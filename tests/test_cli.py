@@ -151,5 +151,28 @@ x_max = 12.0
     assert "slope[" in capsys.readouterr().out
 
 
+def test_converge_rejects_invalid_study_parameters(tmp_path, fixture_obs_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"""
+[study]
+observations = {fixture_obs_path}
+particle_counts = 8, 16
+replicates = 2
+
+[oracle]
+dx = 0.05
+x_max = 12.0
+""")
+    out_csv, out_json = tmp_path / "r.csv", tmp_path / "r.json"
+    for flag, value in (("--alpha", "-1"), ("--beta", "0"), ("--master-seed", "-3")):
+        code = cli_dispatch(["converge", "--config", str(cfg), flag, value,
+                             "--csv", str(out_csv), "--json", str(out_json),
+                             "--workers", "1"])
+        err = capsys.readouterr().err
+        assert code == 2, flag
+        assert "aborted" not in err and "error:" in err, err
+        assert not out_csv.exists() and not out_json.exists(), flag
+
+
 def test_converge_requires_config_or_observations(capsys):
     assert cli_dispatch(["converge"]) == 1

@@ -97,6 +97,12 @@ def test_config_validation(fixture_obs_path):
         small_config(fixture_obs_path, resampler="residual").validate()
     with pytest.raises(DomainError):
         small_config(fixture_obs_path, proposal="optimal").validate()
+    for bad in ({"alpha": -1.0}, {"alpha": 0.0}, {"beta": 0.0}, {"beta": -0.5},
+                {"master_seed": -3}):
+        with pytest.raises(DomainError):
+            small_config(fixture_obs_path, **bad).validate()
+    # the bootstrap proposal ignores alpha and beta
+    small_config(fixture_obs_path, proposal="bootstrap", alpha=-1.0).validate()
 
 
 def test_config_file_roundtrip(tmp_path, fixture_obs_path):

@@ -11,23 +11,16 @@ from pfconv import (
     LinearGaussianModel,
     Proposal,
     RngStream,
-    Stage,
-    WeightedParticleSet,
-    estimate,
-    filter_step,
-    init_filter,
     kalman_filter,
-    log_unnormalized_weight,
     make_lg_bootstrap_proposal,
     make_lg_model,
     make_test_function,
-    normalize,
-    propose_and_weight,
     run_filter,
     run_filters,
     simulate_lg,
 )
-from pfconv.errors import DegenerateWeights, StageMismatch, WeightNotFinite
+from pfconv.engine import _estimate_rows, _normalize_rows, _raw_log_weights, _shift_rows
+from pfconv.errors import DegenerateWeights, WeightNotFinite
 from pfconv.resampling import ResampleScheme, get_scheme
 
 ONE = make_test_function("one")
@@ -37,35 +30,22 @@ identity_resampler = ResampleScheme(
     "identity", lambda w, n, rng: np.ones(n, dtype=np.int64))
 
 
-# ---------------------------------------------------------------------------
-# init_filter
+def _log_weight(model, proposal, x_t, x_prev, y) -> float:
+    """The log importance weight at a single point, as the engine computes it."""
+    return float(_raw_log_weights(model, proposal, np.array([x_t]), np.array([x_prev]), y)[0])
 
 
-def test_init_filter_equal_weights(cox_model):
-    pset = init_filter(cox_model, 4, RngStream(3))
-    assert pset.stage is Stage.RESAMPLED
-    assert np.all(pset.particles >= 0)
-    assert np.all(pset.log_weights == -math.log(4))
+def _normalize(log_weights):
+    """Normalize one row of raw log weights as a filter step does; returns
+    the (1, N) normalized log weights, their exponentials and row sum."""
+    lw = np.array([log_weights], dtype=float)
+    w, total = _normalize_rows(lw, *_shift_rows(lw))
+    return lw, w, total
 
 
-def test_init_filter_deterministic(cox_model):
-    a = init_filter(cox_model, 16, RngStream(5))
-    b = init_filter(cox_model, 16, RngStream(5))
-    assert np.array_equal(a.particles, b.particles)
-
-
-def test_init_filter_prior_mean(cox_model):
-    # prior is |xi| for standard normal xi: mean sqrt(2/pi), var 1 - 2/pi
-    n = 10 ** 5
-    pset = init_filter(cox_model, n, RngStream(11))
-    target = math.sqrt(2 / math.pi)
-    sigma = math.sqrt(1 - 2 / math.pi)
-    assert abs(pset.particles.mean() - target) < 3 * sigma / math.sqrt(n)
-
-
-def test_init_filter_rejects_zero_particles(cox_model):
-    with pytest.raises(ValueError):
-        init_filter(cox_model, 0, RngStream(0))
+def _estimate(particles, log_weights, phi) -> float:
+    _, w, total = _normalize(log_weights)
+    return float(_estimate_rows(w, total, np.array([particles], dtype=float), phi)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +53,14 @@ def test_init_filter_rejects_zero_particles(cox_model):
 
 
 def test_bootstrap_cancellation_is_bit_exact(cox_model, bootstrap_proposal):
-    prev = init_filter(cox_model, 256, RngStream(21))
-    moved = propose_and_weight(prev, cox_model, bootstrap_proposal, 2, RngStream(22))
-    expected = cox_model.likelihood_logdensity(2, moved.particles)
-    assert np.array_equal(moved.log_weights, expected)
+    parents = cox_model.prior_sample(RngStream(21), 256)[None]
+    moved = bootstrap_proposal.propose(parents[0], 2, RngStream(22))[None]
+    lw = _raw_log_weights(cox_model, bootstrap_proposal, moved, parents, 2)
+    assert np.array_equal(lw, cox_model.likelihood_logdensity(2, moved))
 
 
 def test_log_weight_bootstrap_single_point(cox_model, bootstrap_proposal):
-    lw = log_unnormalized_weight(cox_model, bootstrap_proposal, 0.7, 1.2, 1)
+    lw = _log_weight(cox_model, bootstrap_proposal, 0.7, 1.2, 1)
     assert lw == float(cox_model.likelihood_logdensity(1, np.array([0.7]))[0])
 
 
@@ -92,13 +72,13 @@ def test_single_weight_value_against_direct_formula(cox_model, gamma_proposal):
          + math.exp(-((0.3 + 1.0) ** 2) / (2 * eta))) / math.sqrt(2 * math.pi * eta)
     q = beta ** alpha * 0.3 ** (alpha - 1) * math.exp(-beta * 0.3) / math.gamma(alpha)
     direct = g * f / q
-    lw = log_unnormalized_weight(cox_model, gamma_proposal, 0.3, 1.0, 0)
+    lw = _log_weight(cox_model, gamma_proposal, 0.3, 1.0, 0)
     assert math.exp(lw) == pytest.approx(direct, rel=1e-12)
     assert math.exp(lw) == pytest.approx(0.4995, rel=2e-4)
 
 
 def test_weight_grows_without_bound_near_origin(cox_model, gamma_proposal):
-    values = [log_unnormalized_weight(cox_model, gamma_proposal, 10.0 ** -k, 1.0, 0)
+    values = [_log_weight(cox_model, gamma_proposal, 10.0 ** -k, 1.0, 0)
               for k in range(2, 9)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
@@ -106,7 +86,7 @@ def test_weight_grows_without_bound_near_origin(cox_model, gamma_proposal):
 def test_weight_is_minus_inf_at_zero_likelihood(cox_model, bootstrap_proposal):
     # y = 3 at x = 0: the likelihood vanishes (intensity 0 cannot emit 3),
     # so the weight is zero; the bootstrap proposal has positive density at 0.
-    lw = log_unnormalized_weight(cox_model, bootstrap_proposal, 0.0, 1.0, 3)
+    lw = _log_weight(cox_model, bootstrap_proposal, 0.0, 1.0, 3)
     assert lw == -math.inf
 
 
@@ -115,27 +95,18 @@ def test_weight_not_finite_when_proposal_vanishes(cox_model, gamma_proposal):
         propose=lambda xp, y, rng: np.zeros(len(np.atleast_1d(xp))),
         logdensity=gamma_proposal.logdensity,
     )
-    prev = init_filter(cox_model, 8, RngStream(1))
-    with pytest.raises(WeightNotFinite):
-        propose_and_weight(prev, cox_model, zero_proposal, 0, RngStream(2))
-
-
-def test_propose_requires_resampled_stage(cox_model, gamma_proposal):
-    prev = init_filter(cox_model, 8, RngStream(1))
-    moved = propose_and_weight(prev, cox_model, gamma_proposal, 0, RngStream(2))
-    with pytest.raises(StageMismatch):
-        propose_and_weight(moved, cox_model, gamma_proposal, 0, RngStream(3))
+    with pytest.raises(WeightNotFinite, match="t=1"):
+        run_filter(cox_model, zero_proposal, [(1, 0)], 8, get_scheme("multinomial"), 1)
 
 
 def test_conditional_expectation_matches_quadrature(cox_model, gamma_proposal):
     # For a frozen parent set, E[(unnormalized estimate of phi)] equals the
     # parent average of int f(x|x') g(y|x) phi(x) dx.
-    parents = init_filter(cox_model, 50, RngStream(31))
+    parents = cox_model.prior_sample(RngStream(31), 50)
     y, inner = 1, 4000
-    tiled = np.tile(parents.particles, inner)
+    tiled = np.tile(parents, inner)
     rng = RngStream(32)
     draws = gamma_proposal.propose(tiled, y, rng)
-    from pfconv.engine import _raw_log_weights
     lw = _raw_log_weights(cox_model, gamma_proposal, draws, tiled, y)
     vals = (np.exp(lw) * EXP_NEG(draws)).reshape(inner, 50).mean(axis=1)
     mc, se = vals.mean(), vals.std(ddof=1) / math.sqrt(inner)
@@ -145,7 +116,7 @@ def test_conditional_expectation_matches_quadrature(cox_model, gamma_proposal):
                         + float(cox_model.likelihood_logdensity(y, np.array([x]))[0])) * math.exp(-x)
 
     truth = np.mean([integrate.quad(integrand, 0, 40, args=(xp,), limit=200)[0]
-                     for xp in parents.particles])
+                     for xp in parents])
     assert abs(mc - truth) <= 3 * se
 
 
@@ -153,54 +124,37 @@ def test_conditional_expectation_matches_quadrature(cox_model, gamma_proposal):
 # normalize
 
 
-def _unnormalized(particles, log_weights):
-    lw = np.asarray(log_weights, dtype=float)
-    finite = lw[lw > -math.inf]
-    lmw = -math.inf
-    if finite.size:
-        m = finite.max()
-        lmw = m + math.log(np.sum(np.exp(lw[lw > -math.inf] - m)) / len(lw))
-    return WeightedParticleSet(particles, lw, Stage.UNNORMALIZED, log_mean_weight=lmw)
-
-
 def test_normalize_simple():
-    pset = _unnormalized([1.0, 2.0], [math.log(2), math.log(2)])
-    out = normalize(pset)
-    assert out.stage is Stage.NORMALIZED
-    assert np.allclose(out.weights(), [0.5, 0.5])
+    _, w, _ = _normalize([math.log(2), math.log(2)])
+    assert np.allclose(w, [[0.5, 0.5]])
 
 
 def test_normalize_single_survivor():
-    out = normalize(_unnormalized([1.0, 2.0, 3.0], [0.0, -math.inf, -math.inf]))
-    assert out.weights().tolist() == [1.0, 0.0, 0.0]
+    _, w, _ = _normalize([0.0, -math.inf, -math.inf])
+    assert w.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_normalize_extreme_magnitudes():
     # exp(-1000) underflows, but the max-shift identity keeps the ratio
-    out = normalize(_unnormalized([0.0, 1.0], [-1000.0, -1001.0]))
+    _, w, _ = _normalize([-1000.0, -1001.0])
     expected = [1 / (1 + math.exp(-1)), math.exp(-1) / (1 + math.exp(-1))]
-    assert np.allclose(out.weights(), expected, rtol=1e-12)
-    assert out.weights()[0] == pytest.approx(0.7310585786300049, rel=1e-12)
+    assert np.allclose(w[0], expected, rtol=1e-12)
+    assert w[0, 0] == pytest.approx(0.7310585786300049, rel=1e-12)
 
 
 def test_normalize_degenerate_raises():
     with pytest.raises(DegenerateWeights):
-        normalize(_unnormalized([1.0, 2.0], [-math.inf, -math.inf]))
-
-
-def test_normalize_requires_unnormalized():
-    pset = WeightedParticleSet([1.0, 2.0], [-math.log(2)] * 2, Stage.RESAMPLED)
-    with pytest.raises(StageMismatch):
-        normalize(pset)
+        _normalize([-math.inf, -math.inf])
 
 
 @settings(max_examples=200, deadline=None)
 @given(lw=st.lists(st.floats(min_value=-1e6, max_value=700), min_size=1, max_size=40))
 def test_normalized_weights_sum_to_one(lw):
-    out = normalize(_unnormalized(np.zeros(len(lw)), lw))
-    total = float(np.sum(out.weights()))
-    assert math.isclose(total, 1.0, rel_tol=1e-12)
-    assert np.all(out.weights() >= 0)
+    log_w, w, total = _normalize(lw)
+    assert math.isclose(float(np.sum(w)), 1.0, rel_tol=1e-12)
+    assert math.isclose(float(total[0]), 1.0, rel_tol=1e-12)
+    assert np.all(w >= 0)
+    assert np.array_equal(w, np.exp(log_w))
 
 
 # ---------------------------------------------------------------------------
@@ -208,51 +162,42 @@ def test_normalized_weights_sum_to_one(lw):
 
 
 def test_estimate_equal_weights_cap():
-    pset = WeightedParticleSet([1.0, 3.0], [-math.log(2)] * 2, Stage.RESAMPLED)
-    assert estimate(pset, make_test_function("min_cap(10)")) == 2.0
+    assert _estimate([1.0, 3.0], [0.0, 0.0], make_test_function("min_cap(10)")) == 2.0
 
 
 def test_estimate_constant_is_exactly_one():
-    pset = WeightedParticleSet([0.3, 5.0, 2.2], [-math.log(3)] * 3, Stage.RESAMPLED)
-    assert estimate(pset, ONE) == 1.0
+    assert _estimate([0.3, 5.0, 2.2], [0.0] * 3, ONE) == 1.0
 
 
 def test_estimate_hand_value():
-    lw = np.log(np.array([0.25, 0.75]))
-    pset = WeightedParticleSet([0.0, 2.0], lw, Stage.NORMALIZED)
     expected = 0.25 + 0.75 * math.exp(-2)
-    assert estimate(pset, EXP_NEG) == pytest.approx(expected, rel=1e-14)
+    value = _estimate([0.0, 2.0], np.log([0.25, 0.75]), EXP_NEG)
+    assert value == pytest.approx(expected, rel=1e-14)
     assert expected == pytest.approx(0.35150, abs=5e-6)
-
-
-def test_estimate_rejects_unnormalized():
-    pset = _unnormalized([1.0], [0.0])
-    with pytest.raises(StageMismatch):
-        estimate(pset, ONE)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 50), st.floats(-600, 10)), min_size=1, max_size=30))
 def test_estimate_bounded_by_sup_norm(pairs):
-    particles = np.array([p for p, _ in pairs])
-    out = normalize(_unnormalized(particles, [w for _, w in pairs]))
+    particles = [p for p, _ in pairs]
+    log_weights = [w for _, w in pairs]
     for name in ("one", "exp_neg", "min_cap(10)"):
         phi = make_test_function(name)
-        assert abs(estimate(out, phi)) <= phi.sup_norm * (1 + 1e-12)
-        assert estimate(out, ONE) == 1.0
+        assert abs(_estimate(particles, log_weights, phi)) <= phi.sup_norm * (1 + 1e-12)
+    assert _estimate(particles, log_weights, ONE) == 1.0
 
 
 # ---------------------------------------------------------------------------
-# filter_step / run_filter
+# run_filter / run_filters
 
 
-def test_filter_step_identity_resampler_keeps_constant_estimate(cox_model, gamma_proposal):
-    state = init_filter(cox_model, 64, RngStream(41))
-    out, report = filter_step(state, cox_model, gamma_proposal, 1,
-                              identity_resampler, RngStream(42), [ONE], t=1)
-    assert report.estimates["one"] == 1.0
-    assert report.resampled_estimates["one"] == 1.0
-    assert out.stage is Stage.RESAMPLED
+def test_identity_resampler_keeps_constant_estimate(cox_model, gamma_proposal):
+    run = run_filter(cox_model, gamma_proposal, [(1, 1)], 64, identity_resampler, 41,
+                     [ONE], record_clouds=64)
+    step = run.steps[0]
+    assert step.estimates["one"] == 1.0
+    assert step.resampled_estimates["one"] == 1.0
+    assert np.array_equal(step.cloud.resampled_particles, step.cloud.normalized_particles)
 
 
 def test_single_lg_step_matches_kalman():
@@ -260,12 +205,11 @@ def test_single_lg_step_matches_kalman():
     ssm, prop = make_lg_model(model), make_lg_bootstrap_proposal(model)
     y = 1.3
     kal = kalman_filter(model, [y])[0]
-    means = []
-    for rep in range(12):
-        state = init_filter(ssm, 5000, RngStream(100 + rep))
-        norm = normalize(propose_and_weight(state, ssm, prop, y, RngStream(200 + rep)))
-        means.append(float(np.dot(norm.weights(), norm.particles)))
-    means = np.array(means)
+    runs = run_filters(ssm, prop, [(1, y)], 5000, get_scheme("multinomial"),
+                       [RngStream(100 + rep) for rep in range(12)], record_clouds=5000)
+    means = np.array([float(np.dot(run.steps[0].cloud.normalized_weights,
+                                   run.steps[0].cloud.normalized_particles))
+                      for run in runs])
     se = means.std(ddof=1)
     assert abs(means[0] - kal.mean) <= 3 * se
 
@@ -335,15 +279,14 @@ def test_run_filter_attaches_failing_step():
         run_filter(ssm, bad, obs, 32, get_scheme("multinomial"), 1)
 
 
-@pytest.mark.parametrize("scheme, proposal, ess_threshold", [
-    (scheme, proposal, None)
+@pytest.mark.parametrize("scheme, proposal", [
+    (scheme, proposal)
     for scheme in ("multinomial", "stratified", "systematic")
     for proposal in ("gamma_proposal", "bootstrap_proposal")
-] + [("systematic", "bootstrap_proposal", 0.5)])
+])
 def test_run_filters_rows_equal_single_runs(request, cox_model, fixture_obs,
-                                            scheme, proposal, ess_threshold):
-    kw = dict(resampler=get_scheme(scheme), test_functions=[ONE, EXP_NEG],
-              ess_threshold=ess_threshold)
+                                            scheme, proposal):
+    kw = dict(resampler=get_scheme(scheme), test_functions=[ONE, EXP_NEG])
     prop = request.getfixturevalue(proposal)
     streams = [RngStream(5, (2, r)) for r in range(5)]
     batch = run_filters(cox_model, prop, fixture_obs, 50, streams=streams, **kw)
@@ -354,11 +297,7 @@ def test_run_filters_rows_equal_single_runs(request, cox_model, fixture_obs,
         assert (a.master_seed, a.labels) == (b.master_seed, b.labels)
         for sa, sb in zip(a.steps, b.steps):
             assert (sa.estimates, sa.resampled_estimates) == (sb.estimates, sb.resampled_estimates)
-            assert (sa.ess, sa.log_mean_weight, sa.resampled) == \
-                (sb.ess, sb.log_mean_weight, sb.resampled)
-    if ess_threshold is not None:  # some step resamples some rows but not others
-        assert any(len({run.steps[i].resampled for run in batch}) == 2
-                   for i in range(len(fixture_obs)))
+            assert (sa.ess, sa.log_mean_weight) == (sb.ess, sb.log_mean_weight)
 
 
 @pytest.mark.parametrize("proposal, error", [
@@ -395,52 +334,14 @@ def test_run_filter_memory_stays_linear(cox_model, gamma_proposal, fixture_obs):
         assert peak < 24 * 2 ** 20, f"{scheme}: peak {peak / 2 ** 20:.1f} MiB"
 
 
+def test_run_filter_rejects_zero_particles(cox_model, gamma_proposal, fixture_obs):
+    with pytest.raises(ValueError):
+        run_filter(cox_model, gamma_proposal, fixture_obs, 0, get_scheme("multinomial"), 1)
+
+
 def test_run_filter_requires_observations(cox_model, gamma_proposal):
     with pytest.raises(ValueError):
         run_filter(cox_model, gamma_proposal, [], 16, get_scheme("multinomial"), 1)
     with pytest.raises(ValueError):
         run_filter(cox_model, gamma_proposal, [(0, 1)], 16,
                    get_scheme("multinomial"), 1)
-
-
-# ---------------------------------------------------------------------------
-# optional ESS-threshold mode (off by default)
-
-
-def test_high_ess_threshold_equals_default_run(cox_model, gamma_proposal, fixture_obs):
-    kw = dict(n=256, resampler=get_scheme("multinomial"), master_seed=4,
-              test_functions=[EXP_NEG])
-    default = run_filter(cox_model, gamma_proposal, fixture_obs, **kw)
-    always = run_filter(cox_model, gamma_proposal, fixture_obs,
-                        ess_threshold=2.0, **kw)
-    assert default.log_evidence == always.log_evidence
-    for a, b in zip(default.steps, always.steps):
-        assert a.estimates == b.estimates and b.resampled
-
-
-def test_zero_ess_threshold_never_resamples(cox_model, gamma_proposal, fixture_obs):
-    run = run_filter(cox_model, gamma_proposal, fixture_obs, 512,
-                     get_scheme("multinomial"), 4, [ONE, EXP_NEG], ess_threshold=0.0)
-    assert all(not s.resampled for s in run.steps)
-    assert all(s.estimates["one"] == 1.0 for s in run.steps)
-    assert all(abs(s.estimates["exp_neg"]) <= 1.0 for s in run.steps)
-
-
-def test_skip_resampling_still_tracks_the_posterior(cox_model, gamma_proposal,
-                                                    fixture_obs):
-    # pure importance sampling over a short horizon stays consistent with
-    # the grid truth (weights have not fully degenerated after 4 steps)
-    from pfconv.gridfilter import run_cox_grid_filter
-    from pfconv.cox import CoxParams
-
-    short = list(fixture_obs)[:4]
-    truth = run_cox_grid_filter(CoxParams(0.5, 0.1), short, 15.0, 1500,
-                                [EXP_NEG]).estimates["exp_neg"][-1]
-    finals = np.array([
-        run_filter(cox_model, gamma_proposal, short, 4000,
-                   get_scheme("multinomial"), RngStream(700 + r), [EXP_NEG],
-                   ess_threshold=0.0).steps[-1].estimates["exp_neg"]
-        for r in range(8)
-    ])
-    se = finals.std(ddof=1) / math.sqrt(len(finals))
-    assert abs(finals.mean() - truth) <= 4 * se

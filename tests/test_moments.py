@@ -10,17 +10,14 @@ from pfconv import (
     MomentCondition,
     MomentStatus,
     RngStream,
-    Stage,
-    WeightedParticleSet,
     check_cox_moment_condition,
     empirical_weight_moment,
-    ess,
     quadrature_weight_moment,
 )
 from pfconv.cox import GammaProposal, make_gamma_proposal
-from pfconv.engine import normalize
-from pfconv.errors import DomainError, StageMismatch
-from pfconv.moments import quadrature_refinements
+from pfconv.engine import _normalize_rows, _shift_rows
+from pfconv.errors import DomainError
+from pfconv.moments import quadrature_refinements, row_ess
 
 C, ETA = 0.5, 0.1
 
@@ -54,38 +51,31 @@ def _quad_reference(model, proposal, x_prev, y, p, hi=80.0):
 # effective sample size
 
 
+def _ess(log_weights) -> float:
+    """`row_ess` of one row of normalized log weights."""
+    lw = np.array([log_weights], dtype=float)
+    return float(row_ess(lw, np.exp(lw))[0])
+
+
 def test_ess_uniform():
-    pset = WeightedParticleSet(np.zeros(100), np.full(100, -math.log(100)),
-                               Stage.NORMALIZED)
-    assert ess(pset) == 100.0
+    assert _ess(np.full(100, -math.log(100))) == 100.0
 
 
 def test_ess_single_survivor():
-    lw = np.array([0.0, -math.inf, -math.inf])
-    pset = WeightedParticleSet(np.zeros(3), lw, Stage.NORMALIZED)
-    assert ess(pset) == 1.0
+    assert _ess([0.0, -math.inf, -math.inf]) == 1.0
 
 
 def test_ess_hand_value():
-    lw = np.log(np.array([0.5, 0.25, 0.25]))
-    pset = WeightedParticleSet(np.zeros(3), lw, Stage.NORMALIZED)
-    assert ess(pset) == pytest.approx(1 / 0.375, rel=1e-12)
-
-
-def test_ess_stage_check():
-    pset = WeightedParticleSet(np.zeros(2), np.full(2, -math.log(2)), Stage.RESAMPLED)
-    with pytest.raises(StageMismatch):
-        ess(pset)
+    assert _ess(np.log([0.5, 0.25, 0.25])) == pytest.approx(1 / 0.375, rel=1e-12)
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.floats(min_value=-300, max_value=0), min_size=1, max_size=50))
 def test_ess_range_property(lw):
     lw = np.asarray(lw)
-    lmw = float(np.max(lw))  # adequate stand-in for the evidence term
-    pset = WeightedParticleSet(np.zeros(len(lw)), lw, Stage.UNNORMALIZED,
-                               log_mean_weight=lmw)
-    value = ess(normalize(pset))
+    normalized = lw[None].copy()  # raw log weights, normalized in place as in a step
+    w, _ = _normalize_rows(normalized, *_shift_rows(normalized))
+    value = float(row_ess(normalized, w)[0])
     n = len(lw)
     assert 1.0 <= value <= n
     if np.all(lw == lw[0]):

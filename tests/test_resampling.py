@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfconv import RngStream, Stage, WeightedParticleSet, apply_counts, \
-    estimate, get_scheme, make_test_function, multinomial_resample, \
+from pfconv import RngStream, get_scheme, make_test_function, multinomial_resample, \
     stratified_resample, systematic_resample
-from pfconv.errors import CountMismatch, NotNormalized, StageMismatch
-from pfconv.resampling import _counts_from_positions
+from pfconv.engine import _estimate_rows
+from pfconv.errors import CountMismatch, NotNormalized
+from pfconv.resampling import _counts_from_positions, repeat_by_counts
 
 ALL_SCHEMES = ["multinomial", "stratified", "systematic"]
-
-
-def _normalized_set(particles, weights):
-    return WeightedParticleSet(particles, np.log(np.asarray(weights, dtype=float)),
-                               Stage.NORMALIZED)
 
 
 # ---------------------------------------------------------------------------
@@ -167,38 +162,36 @@ def test_multinomial_conditional_variance_contract():
 
 
 # ---------------------------------------------------------------------------
-# apply_counts
+# repeat_by_counts
 
 
-def test_apply_counts_all_mass_on_first():
-    pset = _normalized_set([4.0, 5.0, 6.0], [1 / 3] * 3)
-    out = apply_counts(pset, np.array([3, 0, 0]))
-    assert out.particles.tolist() == [4.0, 4.0, 4.0]
-    assert out.stage is Stage.RESAMPLED
+def test_repeat_by_counts_all_mass_on_first():
+    out = repeat_by_counts(np.array([4.0, 5.0, 6.0]), np.array([3, 0, 0]))
+    assert out.tolist() == [4.0, 4.0, 4.0]
 
 
-def test_apply_counts_identity():
-    pset = _normalized_set([4.0, 5.0, 6.0], [0.2, 0.5, 0.3])
-    out = apply_counts(pset, np.array([1, 1, 1]))
-    assert out.particles.tolist() == [4.0, 5.0, 6.0]
-    assert np.all(out.log_weights == -math.log(3))
+def test_repeat_by_counts_identity():
+    out = repeat_by_counts(np.array([4.0, 5.0, 6.0]), np.array([1, 1, 1]))
+    assert out.tolist() == [4.0, 5.0, 6.0]
 
 
-def test_apply_counts_estimate_is_count_average():
-    pset = _normalized_set([1.0, 2.0, 4.0], [0.5, 0.25, 0.25])
+def test_repeat_by_counts_estimate_is_count_average():
+    # the post-resampling estimate of a filter step: uniform weights 1/N
+    particles = np.array([1.0, 2.0, 4.0])
     counts = np.array([2, 0, 1])
-    out = apply_counts(pset, counts)
+    out = repeat_by_counts(particles, counts)
+    uniform = np.exp(np.full(3, -math.log(3)))
     phi = make_test_function("min_cap(10)")
-    expected = float(counts @ phi(pset.particles)) / 3
-    assert estimate(out, phi) == pytest.approx(expected, rel=1e-15)
+    expected = float(counts @ phi(particles)) / 3
+    value = float(_estimate_rows(uniform, np.sum(uniform), out[None], phi)[0])
+    assert value == pytest.approx(expected, rel=1e-15)
 
 
-def test_apply_counts_errors():
-    pset = _normalized_set([1.0, 2.0], [0.5, 0.5])
+def test_repeat_by_counts_errors():
+    particles = np.array([1.0, 2.0])
     with pytest.raises(CountMismatch):
-        apply_counts(pset, np.array([1, 1, 0]))
+        repeat_by_counts(particles, np.array([1, 1, 0]))
     with pytest.raises(CountMismatch):
-        apply_counts(pset, np.array([2, 1]))
-    resampled = apply_counts(pset, np.array([1, 1]))
-    with pytest.raises(StageMismatch):
-        apply_counts(resampled, np.array([1, 1]))
+        repeat_by_counts(particles, np.array([2, 1]))
+    with pytest.raises(CountMismatch):
+        repeat_by_counts(particles, np.array([3, -1]))
