@@ -17,7 +17,7 @@ from .configfile import apply_overrides, load_config
 from .cox import CoxParams, GammaProposal, ObservationSeries, make_cox_model, \
     make_cox_model_and_proposal, make_gamma_proposal, simulate, states_to_csv
 from .engine import run_filter
-from .errors import PfconvError
+from .errors import DomainError, PfconvError
 from .gridfilter import run_cox_grid_filter
 from .model import make_test_function
 from .moments import MomentCondition, check_cox_moment_condition, \
@@ -150,7 +150,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _grid_cells(args) -> int:
+    """The oracle grid's cell count for --x-max and --dx, once 0 < dx < x_max."""
+    if not 0 < args.dx < args.x_max:
+        raise DomainError(f"--dx must lie strictly between 0 and --x-max "
+                          f"({args.x_max!r}), got {args.dx!r}")
+    return int(round(args.x_max / args.dx))
+
+
 def _cmd_filter(args) -> int:
+    n_cells = _grid_cells(args) if args.svg else 0
     params = CoxParams(args.c, args.eta)
     model, proposal = make_cox_model_and_proposal(params, args.proposal,
                                                   args.alpha, args.beta)
@@ -171,13 +180,12 @@ def _cmd_filter(args) -> int:
     print(f"filter: {len(run.steps)} steps, N={args.n}, "
           f"log evidence {run.log_evidence:.6f} -> {args.out}")
     if args.svg:
-        _write_filter_histogram(args, params, obs, run)
+        _write_filter_histogram(args, params, obs, run, n_cells)
         print(f"histogram overlay -> {args.svg}")
     return 0
 
 
-def _write_filter_histogram(args, params, obs, run) -> None:
-    n_cells = int(round(args.x_max / args.dx))
+def _write_filter_histogram(args, params, obs, run, n_cells: int) -> None:
     grun = run_cox_grid_filter(params, obs, args.x_max, n_cells)
     t_idx = list(grun.steps).index(args.hist_step)
     grid = grun.grids[t_idx]
@@ -196,7 +204,7 @@ def _cmd_grid(args) -> int:
     params = CoxParams(args.c, args.eta)
     obs = ObservationSeries.from_csv(args.observations)
     phi = make_test_function(args.phi)
-    n_cells = int(round(args.x_max / args.dx))
+    n_cells = _grid_cells(args)
     run = run_cox_grid_filter(params, obs, args.x_max, n_cells, [phi])
     with open(args.out, "w", newline="") as fh:
         fh.write("t,estimate_phi,grid_mean,grid_var\n")

@@ -7,11 +7,19 @@ its proposals from ``root_r.derive(t, 0)`` and then its resampling
 counts from ``root_r.derive(t, 1)``, exactly as a one-row run does.  A
 row's results therefore do not depend on which rows share its block.
 
+The streams' keys are SeedSequence-compatible and derived per block
+(`rng.KeyPool`): the rows' root labels are absorbed once per block, each
+step t once per step, and t's two branches (0 for propose, 1 for
+resample) together.  The block owns one Philox generator and re-keys it
+row by row (`rng.KeyedRows`) instead of building two generators per row
+and step, so every draw is the one a separately built stream would make.
+
 One step moves every row through propose -> weight -> normalize ->
 estimate -> resample; every row resamples at every step, the filter
 the convergence guarantees are stated for.  Proposals and resampling
-counts are drawn row by row; weighting, normalization, the estimates
-and the effective sample size are evaluated once on the whole block.
+counts are drawn row by row; weighting, normalization, the estimates,
+the effective sample size, the weight and count checks and the particle
+duplication are evaluated once on the whole block.
 All weight arithmetic is done in the log domain with max-shifted
 summation because the shipped models produce weights spanning hundreds
 of orders of magnitude (the proposal density can vanish at points where
@@ -32,17 +40,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite
+from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite, \
+    at_row
 from .model import Proposal, StateSpaceModel, TestFunction
 from .moments import row_ess
 from .particles import _NORMALIZATION_RTOL, FilterRun, StepCloud, StepReport
 from .resampling import ResampleScheme, repeat_by_counts
-from .rng import RngStream
-
-
-def _at_row(err: PfconvError, row: int) -> PfconvError:
-    err.row = row
-    return err
+from .rng import KeyedRows, KeyPool, RngStream, generator
 
 
 def _particles(values, n: int, source: str) -> np.ndarray:
@@ -64,7 +68,7 @@ def _propose(parents: np.ndarray, proposal: Proposal, y, rngs) -> np.ndarray:
             out[r] = _particles(proposal.propose(parents[r], y, rng), parents.shape[1],
                                 "proposal")
         except PfconvError as err:
-            raise _at_row(err, r)
+            raise at_row(err, r)
     return out
 
 
@@ -85,7 +89,7 @@ def _raw_log_weights(model, proposal, x_t, x_prev, y) -> np.ndarray:
             f"non-finite log weight at particle {at[-1]}: x={value(x_t)!r} "
             f"(log q={value(lq)!r}, log f={value(lf)!r}, log g={value(lg)!r})"
         )
-        raise _at_row(err, int(at[0])) if lw.ndim == 2 else err
+        raise at_row(err, int(at[0])) if lw.ndim == 2 else err
     return lw
 
 
@@ -115,7 +119,7 @@ def _normalize_rows(lw: np.ndarray, top: np.ndarray, e: np.ndarray, sums: np.nda
     their exponentials, both in place; return the weights and row sums."""
     dead = top == -math.inf
     if np.any(dead):
-        raise _at_row(DegenerateWeights("all particles have zero weight"),
+        raise at_row(DegenerateWeights("all particles have zero weight"),
                       int(np.argmax(dead)))
     lw -= np.array([math.log(s) for s in sums.tolist()])[:, None]
     w = np.exp(lw, out=e)
@@ -123,7 +127,7 @@ def _normalize_rows(lw: np.ndarray, top: np.ndarray, e: np.ndarray, sums: np.nda
     off = ~(np.abs(total - 1.0) <= _NORMALIZATION_RTOL * np.maximum(np.abs(total), 1.0))
     if np.any(off):
         r = int(np.argmax(off))
-        raise _at_row(DomainError(f"normalized weights sum to {total[r]!r}, not 1"), r)
+        raise at_row(DomainError(f"normalized weights sum to {total[r]!r}, not 1"), r)
     return w, total
 
 
@@ -156,15 +160,17 @@ class _StepRows(NamedTuple):
 
 
 def _step(parents: np.ndarray, model: StateSpaceModel, proposal: Proposal, y,
-          resampler: ResampleScheme, rngs, test_functions: Sequence[TestFunction],
-          t: int, record_cloud: int) -> tuple[np.ndarray, _StepRows]:
+          resampler: ResampleScheme, rngs: tuple[KeyedRows, KeyedRows],
+          test_functions: Sequence[TestFunction], t: int,
+          record_cloud: int) -> tuple[np.ndarray, _StepRows]:
     """One propose/weight/normalize/estimate/resample cycle of every row.
 
-    ``rngs[r]`` is row r's stream for this step.  Returns the resampled
-    particles and the step's per-row results.
+    ``rngs`` holds the rows' propose and resample streams for this step.
+    Returns the resampled particles and the step's per-row results.
     """
     n = parents.shape[1]
-    proposed = _propose(parents, proposal, y, [rng.derive(0) for rng in rngs])
+    propose_rngs, resample_rngs = rngs
+    proposed = _propose(parents, proposal, y, propose_rngs)
     lw = _raw_log_weights(model, proposal, proposed, parents, y)
     top, w, sums = _shift_rows(lw)
     log_mean = _log_mean_weights(top, sums, n)
@@ -173,18 +179,13 @@ def _step(parents: np.ndarray, model: StateSpaceModel, proposal: Proposal, y,
     del lw  # free the block before resampling
     estimates = {phi.name: _estimate_rows(w, total, proposed, phi) for phi in test_functions}
 
-    out = np.empty_like(proposed)
-    for r, rng in enumerate(rngs):
-        try:
-            out[r] = repeat_by_counts(proposed[r], resampler.resample(w[r], n, rng.derive(1)))
-        except PfconvError as err:
-            raise _at_row(err, r)
+    out = repeat_by_counts(proposed, resampler.resample(w, n, resample_rngs))
     uniform = np.exp(np.full(n, -math.log(n)))  # the weights of a resampled row
     after = {phi.name: _estimate_rows(uniform, np.sum(uniform), out, phi)
              for phi in test_functions}
     k = min(record_cloud, n)
     clouds = [StepCloud(proposed[r, :k].copy(), w[r, :k].copy(), out[r, :k].copy())
-              if k > 0 else None for r in range(len(rngs))]
+              if k > 0 else None for r in range(len(parents))]
     return out, _StepRows(t, ess, log_mean, estimates, after, clouds)
 
 
@@ -208,19 +209,24 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
         raise ValueError("particle count must be >= 1")
     if not roots:
         raise ValueError("need at least one stream")
+    pool = KeyPool.of(roots)
+    keys = pool.absorb(0).keys()
+    gen = generator(keys[0])  # the block's one generator, re-keyed row by row
     x = np.empty((len(roots), n))
-    for r, root in enumerate(roots):
-        x[r] = _particles(model.prior_sample(root.derive(0), n), n, "prior_sample")
+    for r, rng in enumerate(KeyedRows(gen, roots, (0,), keys)):
+        x[r] = _particles(model.prior_sample(rng, n), n, "prior_sample")
     steps = []
     for t, y in obs:
         t = int(t)
+        propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()
+        rngs = (KeyedRows(gen, roots, (t, 0), propose_keys),
+                KeyedRows(gen, roots, (t, 1), resample_keys))
         try:
-            x, step = _step(x, model, proposal, y, resampler,
-                            [root.derive(t) for root in roots], test_functions, t,
+            x, step = _step(x, model, proposal, y, resampler, rngs, test_functions, t,
                             record_clouds)
         except PfconvError as err:
             row = "" if err.row is None else f", row {err.row}"
-            raise _at_row(type(err)(f"filter step t={t}{row}: {err}"), err.row) from err
+            raise at_row(type(err)(f"filter step t={t}{row}: {err}"), err.row) from err
         steps.append(step)
     return steps
 

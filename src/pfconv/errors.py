@@ -50,3 +50,9 @@ class NonPositiveValue(PfconvError):
 
 class StudyError(PfconvError):
     """A convergence-study cell failed; carries (N, replicate) context."""
+
+
+def at_row(err: PfconvError, row: int) -> PfconvError:
+    """``err`` with the replicate row that raised it attached."""
+    err.row = row
+    return err

@@ -1,18 +1,202 @@
 """Deterministic, splittable random-number streams.
 
-A stream is identified by a 64-bit master seed plus a tuple of integer
-labels.  Identical (seed, labels) pairs always reproduce the same draws,
-and streams with distinct labels are statistically independent, so
-replicates of an experiment can run on any number of workers and still
-produce byte-identical results.
+A stream is identified by a nonnegative master seed plus a tuple of
+nonnegative integer labels.  Identical (seed, labels) pairs always
+reproduce the same draws, and streams with distinct labels are
+statistically independent, so replicates of an experiment can run on any
+number of workers and still produce byte-identical results.
 
-Backed by numpy's counter-based Philox generator keyed through
-``SeedSequence(master_seed, spawn_key=labels)``.
+A stream draws from numpy's counter-based Philox generator under the
+128-bit key ``SeedSequence(master_seed, spawn_key=labels)
+.generate_state(2, np.uint64)`` (counter 0, empty buffer).  `KeyPool`
+derives that key bit for bit without building a SeedSequence.
+SeedSequence hashes its entropy words (the seed padded to four 32-bit
+words, then the labels) one at a time into a pool of four words, and the
+hash constant a word meets depends only on the word's position.  So the
+pools of a block of streams are one (4, M) uint32 array: each row's
+root labels are absorbed once per block, and a label every row shares,
+such as a filter step t, is absorbed by the whole block at once.  The
+engine then re-keys one generator per block row by row instead of
+building a generator per stream.  numpy.random is imported only when a
+generator is first built.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple, Sequence
+
 import numpy as np
+
+from .errors import DomainError
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+# 0-d uint32 operands: numpy broadcasts them faster than Python ints
+_L, _R, _SHIFT = (np.array(v, dtype=np.uint32) for v in (_MIX_L, _MIX_R, 16))
+# the five hashmix constants of one absorbed word, relative to its first,
+# and generate_state's constant pairs for the four output words
+_A_POWERS = np.array([pow(_MULT_A, i, 1 << 32) for i in range(_POOL + 1)],
+                     dtype=np.uint32)[:, None]
+_B = [_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK for i in range(_POOL + 1)]
+_B_XOR = np.array(_B[:-1], dtype=np.uint32)[:, None]
+_B_MUL = np.array(_B[1:], dtype=np.uint32)[:, None]
+
+
+def _words(value: int) -> list[int]:
+    """A nonnegative integer as SeedSequence splits it: little-endian
+    32-bit words, one word for 0."""
+    out = [value & _MASK]
+    value >>= 32
+    while value:
+        out.append(value & _MASK)
+        value >>= 32
+    return out
+
+
+def _hashmix(value: int, c: int) -> tuple[int, int]:
+    """SeedSequence's hashmix of one word under hash constant c: the
+    hashed word and the next constant."""
+    value ^= c
+    c = c * _MULT_A & _MASK
+    value = value * c & _MASK
+    return value ^ value >> 16, c
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _MASK
+    return r ^ r >> 16
+
+
+def _seed_pool(words: list[int]) -> tuple[list[int], int]:
+    """SeedSequence's pool after its first four entropy words: the four
+    pool words and the hash constant the next word meets."""
+    pool, c = [], _INIT_A
+    for w in words:
+        h, c = _hashmix(w, c)
+        pool.append(h)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                h, c = _hashmix(pool[src], c)
+                pool[dst] = _mix(pool[dst], h)
+    return pool, c
+
+
+def _mix_in(pool: list[int], c: int, words: list[int]) -> tuple[list[int], int]:
+    """One pool after it absorbs further entropy words, each mixed into
+    all four pool words; `_absorb` is this for a block."""
+    pool = list(pool)
+    for w in words:
+        for dst in range(_POOL):
+            h, c = _hashmix(w, c)
+            pool[dst] = _mix(pool[dst], h)
+    return pool, c
+
+
+def _absorb(pool: np.ndarray, const: np.ndarray, word: np.ndarray):
+    """`_mix_in` for a block: every row mixes one more entropy word into
+    each of its four pool words.  ``word`` is 0-d (the same word for
+    every row) or (B, 1, 1) (one branch per word)."""
+    cs = const * _A_POWERS  # the word's five hashmix constants, (5, M)
+    h = (word ^ cs[:-1]) * cs[1:]
+    h ^= h >> _SHIFT
+    pool = pool * _L - h * _R
+    pool ^= pool >> _SHIFT
+    return pool, cs[-1]
+
+
+class KeyPool(NamedTuple):
+    """The SeedSequence pools of a block of M streams, part way through
+    absorbing their entropy.
+
+    ``pool[..., i, r]`` is pool word i of row r and ``const[r]`` the hash
+    constant row r's next entropy word meets; a leading axis of the pool
+    indexes branches (see `absorb`).  Rows whose entropy has different
+    word counts keep different constants, so any streams can share a
+    block.
+    """
+
+    pool: np.ndarray
+    const: np.ndarray
+
+    @classmethod
+    def of(cls, streams: Sequence["RngStream"]) -> "KeyPool":
+        """One row per stream, its seed and labels absorbed.
+
+        The seed, padded to four words (spawn keys start after a full
+        pool), fills the pool once per distinct seed; each row then
+        absorbs its remaining words, labels included.
+        """
+        seeds, rows = {}, []
+        for s in streams:
+            words = _words(s.master_seed)
+            words += [0] * (_POOL - len(words))
+            if s.master_seed not in seeds:
+                seeds[s.master_seed] = _seed_pool(words[:_POOL])
+            for label in s.labels:
+                words += _words(label)
+            rows.append(_mix_in(*seeds[s.master_seed], words[_POOL:]))
+        return cls(np.array([pool for pool, _ in rows], dtype=np.uint32).T,
+                   np.array([c for _, c in rows], dtype=np.uint32))
+
+    def absorb(self, label: int | Sequence[int]) -> "KeyPool":
+        """Every row absorbs one more label, shared by all rows.
+
+        A sequence of labels (with equal word counts) absorbs each label
+        into its own copy of an unbranched pool; the copies are stacked
+        along a new leading axis, in order.
+        """
+        branched = not isinstance(label, (int, np.integer))
+        labels = label if branched else (label,)
+        words = np.array([_words(int(l)) for l in labels], dtype=np.uint32)
+        pool, const = self
+        for column in words.T:
+            pool, const = _absorb(pool, const,
+                                  column[:, None, None] if branched else column[0, ...])
+        return KeyPool(pool, const)
+
+    def keys(self) -> np.ndarray:
+        """Every row's ``generate_state(2, np.uint64)``: shape (..., M, 2)."""
+        out = (self.pool ^ _B_XOR) * _B_MUL
+        out ^= out >> _SHIFT
+        words = np.ascontiguousarray(np.swapaxes(out, -1, -2), dtype="<u4")
+        return words.view("<u8").astype(np.uint64, copy=False)
+
+
+def generator(key) -> "np.random.Generator":
+    """A fresh Philox generator under a 128-bit key: counter 0, empty buffer."""
+    from numpy.random import Generator, Philox  # on first draw, not at import
+    return Generator(Philox(key=key))
+
+
+def rekey(gen: "np.random.Generator", key) -> "np.random.Generator":
+    """Reset a Philox generator to a fresh one under `key`, in place.
+
+    It then draws what ``generator(key)`` draws: every value the generator
+    caches (the binomial set-up, for one) is recomputed whenever its
+    inputs change, so nothing carries over from earlier keys.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,  # buffer empty
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
+def _nonnegative(value, what: str) -> int:
+    value = int(value)
+    if value < 0:
+        raise DomainError(f"{what} must be a nonnegative integer, got {value}")
+    return value
 
 
 class RngStream:
@@ -21,21 +205,47 @@ class RngStream:
     __slots__ = ("master_seed", "labels", "_gen")
 
     def __init__(self, master_seed: int, labels: tuple[int, ...] = ()):
-        self.master_seed = int(master_seed)
-        self.labels = tuple(int(l) for l in labels)
+        self.master_seed = _nonnegative(master_seed, "master seed")
+        self.labels = tuple(_nonnegative(l, "stream label") for l in labels)
         self._gen: np.random.Generator | None = None
 
     @property
     def gen(self) -> np.random.Generator:
         """The underlying numpy generator (created lazily)."""
         if self._gen is None:
-            seq = np.random.SeedSequence(self.master_seed, spawn_key=self.labels)
-            self._gen = np.random.Generator(np.random.Philox(seq))
+            self._gen = generator(KeyPool.of([self]).keys()[0])
         return self._gen
 
     def derive(self, *labels: int) -> "RngStream":
         """Return an independent child stream with extra labels appended."""
-        return RngStream(self.master_seed, self.labels + tuple(int(l) for l in labels))
+        return RngStream(self.master_seed, self.labels + labels)
 
     def __repr__(self) -> str:
         return f"RngStream(master_seed={self.master_seed}, labels={self.labels})"
+
+
+class KeyedRows:
+    """The streams ``roots[r].derive(*labels)`` of a block's rows, all
+    drawing from the block's one generator.
+
+    ``keys[r]`` must be row r's key (`KeyPool.keys`).  Iterating yields
+    the rows in order and re-keys the shared generator to each row's key
+    as it goes, so a row's draws must be made before the next row is
+    taken.
+    """
+
+    __slots__ = ("gen", "roots", "labels", "keys")
+
+    def __init__(self, gen, roots: Sequence[RngStream], labels: tuple[int, ...],
+                 keys: np.ndarray):
+        self.gen, self.roots, self.labels, self.keys = gen, roots, labels, keys
+
+    def __len__(self) -> int:
+        return len(self.roots)
+
+    def __iter__(self):
+        for root, key in zip(self.roots, self.keys.tolist()):  # ints set state fastest
+            stream = RngStream.__new__(RngStream)
+            stream.master_seed, stream.labels = root.master_seed, root.labels + self.labels
+            stream._gen = rekey(self.gen, key)
+            yield stream

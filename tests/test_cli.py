@@ -176,3 +176,25 @@ x_max = 12.0
 
 def test_converge_requires_config_or_observations(capsys):
     assert cli_dispatch(["converge"]) == 1
+
+
+def test_negative_seed_is_runtime_error_naming_the_seed(tmp_path, fixture_obs_path, capsys):
+    for argv, seed in (
+            (["filter", "--observations", str(fixture_obs_path), "--n", "16",
+              "--seed", "-1", "--out", str(tmp_path / "est.csv")], "-1"),
+            (["simulate", "--steps", "3", "--seed", "-2",
+              "--out", str(tmp_path / "obs.csv")], "-2")):
+        assert cli_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and f"got {seed}" in err
+
+
+def test_grid_spacing_must_lie_inside_the_grid(tmp_path, fixture_obs_path, capsys):
+    grid = ["grid", "--observations", str(fixture_obs_path), "--out", str(tmp_path / "g.csv")]
+    filt = ["filter", "--observations", str(fixture_obs_path), "--n", "16", "--seed", "1",
+            "--out", str(tmp_path / "est.csv"), "--svg", str(tmp_path / "hist.svg")]
+    for argv in (grid, filt):
+        for dx in ("0", "-1", "15", "nan"):
+            assert cli_dispatch(argv + ["--dx", dx, "--x-max", "15"]) == 2
+            assert "--dx" in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()  # rejected before filtering

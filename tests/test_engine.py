@@ -19,15 +19,17 @@ from pfconv import (
     run_filters,
     simulate_lg,
 )
+from pfconv import engine as engine_module
+from pfconv import rng as rng_module
 from pfconv.engine import _estimate_rows, _normalize_rows, _raw_log_weights, _shift_rows
-from pfconv.errors import DegenerateWeights, WeightNotFinite
+from pfconv.errors import CountMismatch, DegenerateWeights, WeightNotFinite
 from pfconv.resampling import ResampleScheme, get_scheme
 
 ONE = make_test_function("one")
 EXP_NEG = make_test_function("exp_neg")
 
-identity_resampler = ResampleScheme(
-    "identity", lambda w, n, rng: np.ones(n, dtype=np.int64))
+identity_resampler = ResampleScheme(  # a block of weights in, a block of counts out
+    "identity", lambda w, n, rngs: np.ones(w.shape, dtype=np.int64))
 
 
 def _log_weight(model, proposal, x_t, x_prev, y) -> float:
@@ -303,21 +305,46 @@ def test_run_filters_rows_equal_single_runs(request, cox_model, fixture_obs,
 @pytest.mark.parametrize("proposal, error", [
     ("gamma_proposal", WeightNotFinite),  # Gamma density 0 at x = 0: NaN weights
     ("bootstrap_proposal", DegenerateWeights),  # y_3 = 1 is impossible at x = 0
+    ("gamma_proposal", CountMismatch),  # the resampler's row-2 counts sum to N + 1
 ])
 def test_run_filters_names_failing_row_and_step(request, cox_model, fixture_obs,
                                                 proposal, error):
     base = request.getfixturevalue(proposal)
+    multinomial = get_scheme("multinomial")
 
     def propose(x_prev, y, rng):  # row 2 collapses to 0 at t = 3
-        if rng.labels[-3:] == (2, 3, 0):
+        if error is not CountMismatch and rng.labels[-3:] == (2, 3, 0):
             return np.zeros(len(x_prev))
         return base.propose(x_prev, y, rng)
+
+    calls = []
+
+    def resample(w, n, rngs):  # the third call is step t = 3
+        counts = multinomial.resample(w, n, rngs)
+        calls.append(len(calls) + 1)
+        if error is CountMismatch and calls[-1] == 3:
+            counts[2, 0] += 1
+        return counts
 
     streams = [RngStream(1, (r,)) for r in range(4)]
     with pytest.raises(error, match=r"filter step t=3, row 2: ") as info:
         run_filters(cox_model, Proposal(propose, base.logdensity), fixture_obs, 16,
-                    get_scheme("multinomial"), streams)
+                    ResampleScheme("test double", resample), streams)
     assert info.value.row == 2
+
+
+def test_run_filters_builds_one_generator_per_block(monkeypatch, cox_model,
+                                                    gamma_proposal, fixture_obs):
+    built = []
+
+    def counting(key):
+        built.append(key)
+        return rng_module.generator(key)
+
+    monkeypatch.setattr(engine_module, "generator", counting)
+    run_filters(cox_model, gamma_proposal, fixture_obs, 8, get_scheme("multinomial"),
+                [RngStream(3, (r,)) for r in range(6)])
+    assert len(built) == 1
 
 
 def test_run_filter_memory_stays_linear(cox_model, gamma_proposal, fixture_obs):

@@ -195,3 +195,47 @@ def test_repeat_by_counts_errors():
         repeat_by_counts(particles, np.array([2, 1]))
     with pytest.raises(CountMismatch):
         repeat_by_counts(particles, np.array([3, -1]))
+
+
+# ---------------------------------------------------------------------------
+# blocks: M rows at once
+
+
+def _weight_block(m, k, seed=4):
+    return np.array([RngStream(seed, (r,)).gen.dirichlet(np.ones(k)) for r in range(m)])
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_block_rows_equal_one_row_calls(name):
+    scheme = get_scheme(name)
+    w = _weight_block(5, 12)
+    for n in (12, 30):
+        streams = [RngStream(6, (n, r)) for r in range(5)]
+        block = scheme.resample(w, n, streams)
+        assert block.shape == (5, 12) and block.dtype == np.int64
+        rows = [scheme.resample(w[r], n, RngStream(6, (n, r))) for r in range(5)]
+        assert np.array_equal(block, np.array(rows))
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_block_check_names_lowest_failing_row(name):
+    w = _weight_block(5, 6)
+    w[3] *= 1.1  # sum 1.1
+    w[1, 0] = -w[1, 0]  # negative
+    with pytest.raises(NotNormalized, match="nonnegative") as info:
+        get_scheme(name).resample(w, 6, [RngStream(0, (r,)) for r in range(5)])
+    assert info.value.row == 1
+
+
+def test_block_needs_one_stream_per_row():
+    with pytest.raises(ValueError):
+        multinomial_resample(_weight_block(3, 4), 4, [RngStream(0), RngStream(1)])
+
+
+def test_repeat_by_counts_block_keeps_rows_in_place():
+    particles = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    out = repeat_by_counts(particles, np.array([[0, 3, 0], [2, 0, 1]]))
+    assert out.tolist() == [[2.0, 2.0, 2.0], [4.0, 4.0, 6.0]]
+    with pytest.raises(CountMismatch) as info:
+        repeat_by_counts(particles, np.array([[0, 3, 0], [2, 0, 2]]))
+    assert info.value.row == 1

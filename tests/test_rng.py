@@ -1,8 +1,18 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pfconv import RngStream
+from pfconv.errors import DomainError
+from pfconv.rng import KeyedRows, KeyPool, generator, rekey
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def test_same_seed_and_labels_reproduce():
@@ -42,3 +52,88 @@ def test_determinism_property(seed, labels):
     a = RngStream(seed, tuple(labels)).gen.random(8)
     b = RngStream(seed, tuple(labels)).gen.random(8)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# keys: KeyPool against numpy's SeedSequence, the oracle
+
+
+def _seedsequence_key(seed, labels):
+    return np.random.SeedSequence(seed, spawn_key=labels).generate_state(2, np.uint64)
+
+
+LABELS = [(), (0,), (0, 2**32), (5, 0, 2**40 + 1), (1, 2, 3, 4), (0, 2**32 + 7, 3, 0, 2**33)]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**64 + 3])
+@pytest.mark.parametrize("labels", LABELS)
+def test_keys_match_seedsequence(seed, labels):
+    key = KeyPool.of([RngStream(seed, labels)]).keys()[0]
+    assert key.dtype == np.uint64
+    assert np.array_equal(key, _seedsequence_key(seed, labels))
+
+
+def test_block_keys_absorb_shared_labels_incrementally():
+    # rows with different seeds and entropy word counts share one block
+    streams = [RngStream(seed, labels)
+               for seed in (0, 7, 2**64 + 3) for labels in LABELS]
+    step = KeyPool.of(streams).absorb(2**32 + 11)
+    keys = step.absorb((0, 1)).keys()
+    assert keys.shape == (2, len(streams), 2)
+    for r, s in enumerate(streams):
+        for k in (0, 1):
+            want = _seedsequence_key(s.master_seed, s.labels + (2**32 + 11, k))
+            assert np.array_equal(keys[k, r], want)
+
+
+def test_stream_generator_matches_seedsequence_generator():
+    want = np.random.Generator(np.random.Philox(np.random.SeedSequence(3, spawn_key=(4, 0))))
+    assert np.array_equal(RngStream(3, (4, 0)).gen.random(32), want.random(32))
+
+
+def _draws(gen):
+    p = np.array([0.1, 0.2, 0.3, 0.4])
+    return [gen.gamma(1.5, 2.0, 64), gen.multinomial(50, p), gen.multinomial(7, p),
+            gen.random(5), gen.standard_normal(9)]
+
+
+def test_rekeyed_generator_reproduces_a_fresh_one():
+    a, b = (KeyPool.of([RngStream(11, (r,))]).keys()[0] for r in (1, 2))
+    gen = generator(a)
+    _draws(gen)  # leave a part-used buffer, a binomial set-up and counter behind
+    gen.random(3)
+    for key in (b, a):
+        assert all(np.array_equal(x, y)
+                   for x, y in zip(_draws(rekey(gen, key)), _draws(generator(key))))
+
+
+def test_keyed_rows_yield_derived_streams_on_the_block_generator():
+    roots = [RngStream(5, (2, r)) for r in range(3)]
+    keys = KeyPool.of(roots).absorb(4).absorb(1).keys()
+    gen = generator(keys[0])
+    for root, stream in zip(roots, KeyedRows(gen, roots, (4, 1), keys)):
+        assert (stream.master_seed, stream.labels) == (5, root.labels + (4, 1))
+        assert stream.gen is gen
+        assert np.array_equal(stream.gen.random(4), root.derive(4, 1).gen.random(4))
+
+
+@pytest.mark.parametrize("seed, labels, bad", [(-1, (), -1), (3, (1, -2), -2)])
+def test_negative_seed_or_label_rejected(seed, labels, bad):
+    with pytest.raises(DomainError, match=f"got {bad}$"):
+        RngStream(seed, labels)
+
+
+def test_negative_derived_label_rejected():
+    with pytest.raises(DomainError, match="stream label"):
+        RngStream(3).derive(1, -4)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # a study's parent process never draws, so it should not pay for numpy.random
+    code = ("import sys, pfconv, pfconv.engine, pfconv.convergence, pfconv.cli; "
+            "print('numpy.random' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
