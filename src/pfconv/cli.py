@@ -158,12 +158,24 @@ def _grid_cells(args) -> int:
     return int(round(args.x_max / args.dx))
 
 
+def _histogram_cells(args, obs: ObservationSeries) -> int:
+    """The --svg overlay's grid cell count, once its flags are checked."""
+    if args.hist_step not in [t for t, _ in obs]:
+        raise DomainError(f"--hist-step must be an observation step, got {args.hist_step}")
+    if args.hist_bins < 1:
+        raise DomainError(f"--hist-bins must be >= 1, got {args.hist_bins}")
+    if not args.hist_min < args.hist_max:
+        raise DomainError(f"--hist-min must lie below --hist-max ({args.hist_max!r}), "
+                          f"got {args.hist_min!r}")
+    return _grid_cells(args)
+
+
 def _cmd_filter(args) -> int:
-    n_cells = _grid_cells(args) if args.svg else 0
+    obs = ObservationSeries.from_csv(args.observations)
+    n_cells = _histogram_cells(args, obs) if args.svg else 0
     params = CoxParams(args.c, args.eta)
     model, proposal = make_cox_model_and_proposal(params, args.proposal,
                                                   args.alpha, args.beta)
-    obs = ObservationSeries.from_csv(args.observations)
     phis = [make_test_function(name) for name in args.phi]
     run = run_filter(model, proposal, obs, args.n, get_scheme(args.resampler),
                      args.seed, phis, record_clouds=args.n if args.svg else 0)
@@ -291,6 +303,9 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_check_resampler(args) -> int:
+    for flag, value in (("--n", args.n), ("--trials", args.trials)):
+        if value < 1:
+            raise DomainError(f"{flag} must be >= 1, got {value}")
     scheme = get_scheme(args.resampler)
     root = RngStream(args.seed)
     n = args.n

@@ -203,7 +203,10 @@ def resolve_workers(workers: int | None = None) -> int:
     count = os.cpu_count() or 1
     env = os.environ.get(WORKERS_ENV)
     if env:
-        count = min(count, max(1, int(env)))
+        try:
+            count = min(count, max(1, int(env)))
+        except ValueError:
+            raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
     return count
 
 

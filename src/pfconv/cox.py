@@ -99,10 +99,17 @@ class ObservationSeries:
     def from_csv(cls, path) -> "ObservationSeries":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
+            header = next(reader, "an empty file")
             if header != ["t", "y"]:
-                raise DomainError(f"expected header t,y in {path}, got {header}")
-            rows = [(int(t), int(y)) for t, y in reader]
+                raise DomainError(f"{path}, line 1: expected header t,y, got {header}")
+            rows = []
+            for row in reader:
+                try:
+                    t, y = row
+                    rows.append((int(t), int(y)))
+                except ValueError:
+                    raise DomainError(f"{path}, line {reader.line_num}: expected "
+                                      f"integers t,y, got {row}") from None
         return cls(tuple(rows))
 
 

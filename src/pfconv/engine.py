@@ -7,12 +7,15 @@ its proposals from ``root_r.derive(t, 0)`` and then its resampling
 counts from ``root_r.derive(t, 1)``, exactly as a one-row run does.  A
 row's results therefore do not depend on which rows share its block.
 
-The streams' keys are SeedSequence-compatible and derived per block
-(`rng.KeyPool`): the rows' root labels are absorbed once per block, each
-step t once per step, and t's two branches (0 for propose, 1 for
-resample) together.  The block owns one Philox generator and re-keys it
-row by row (`rng.KeyedRows`) instead of building two generators per row
-and step, so every draw is the one a separately built stream would make.
+The streams' keys are derived per block (`rng.KeyPool`): numpy's
+SeedSequence fills the rows' root pools once per block.  Only the
+per-step absorb, which adds each step t once per step and t's two
+branches (0 for propose, 1 for resample) together, and the output hash
+that turns the pools into keys are vectorized copies of SeedSequence's
+code.  The block owns one Philox generator, row 0's prior stream, and
+re-keys it row by row (`rng.KeyedRows`) instead of building two
+generators per row and step, so every draw is the one a separately
+built stream would make.
 
 One step moves every row through propose -> weight -> normalize ->
 estimate -> resample; every row resamples at every step, the filter
@@ -46,7 +49,7 @@ from .model import Proposal, StateSpaceModel, TestFunction
 from .moments import row_ess
 from .particles import _NORMALIZATION_RTOL, FilterRun, StepCloud, StepReport
 from .resampling import ResampleScheme, repeat_by_counts
-from .rng import KeyedRows, KeyPool, RngStream, generator
+from .rng import KeyedRows, KeyPool, RngStream
 
 
 def _particles(values, n: int, source: str) -> np.ndarray:
@@ -211,7 +214,7 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
         raise ValueError("need at least one stream")
     pool = KeyPool.of(roots)
     keys = pool.absorb(0).keys()
-    gen = generator(keys[0])  # the block's one generator, re-keyed row by row
+    gen = roots[0].derive(0).gen  # the block's one generator, re-keyed row by row
     x = np.empty((len(roots), n))
     for r, rng in enumerate(KeyedRows(gen, roots, (0,), keys)):
         x[r] = _particles(model.prior_sample(rng, n), n, "prior_sample")

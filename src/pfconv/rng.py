@@ -6,19 +6,20 @@ reproduce the same draws, and streams with distinct labels are
 statistically independent, so replicates of an experiment can run on any
 number of workers and still produce byte-identical results.
 
-A stream draws from numpy's counter-based Philox generator under the
-128-bit key ``SeedSequence(master_seed, spawn_key=labels)
-.generate_state(2, np.uint64)`` (counter 0, empty buffer).  `KeyPool`
-derives that key bit for bit without building a SeedSequence.
+A stream draws from ``Generator(Philox(SeedSequence(master_seed,
+spawn_key=labels)))``, so its key is the SeedSequence's
+``generate_state(2, np.uint64)`` (counter 0, empty buffer).
 SeedSequence hashes its entropy words (the seed padded to four 32-bit
 words, then the labels) one at a time into a pool of four words, and the
 hash constant a word meets depends only on the word's position.  So the
-pools of a block of streams are one (4, M) uint32 array: each row's
-root labels are absorbed once per block, and a label every row shares,
-such as a filter step t, is absorbed by the whole block at once.  The
-engine then re-keys one generator per block row by row instead of
-building a generator per stream.  numpy.random is imported only when a
-generator is first built.
+pools of a block of streams are one (4, M) uint32 array (`KeyPool`):
+numpy's SeedSequence fills each row's pool from its root labels once per
+block, and a label every row shares, such as a filter step t, is
+absorbed by the whole block at once.  Only that per-step absorb and the
+output hash of `KeyPool.keys` are vectorized copies of SeedSequence's
+code.  The engine then re-keys one generator per block row by row
+instead of building a generator per stream.  numpy.random is imported
+only when a pool or generator is first built.
 """
 
 from __future__ import annotations
@@ -58,50 +59,10 @@ def _words(value: int) -> list[int]:
     return out
 
 
-def _hashmix(value: int, c: int) -> tuple[int, int]:
-    """SeedSequence's hashmix of one word under hash constant c: the
-    hashed word and the next constant."""
-    value ^= c
-    c = c * _MULT_A & _MASK
-    value = value * c & _MASK
-    return value ^ value >> 16, c
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _MASK
-    return r ^ r >> 16
-
-
-def _seed_pool(words: list[int]) -> tuple[list[int], int]:
-    """SeedSequence's pool after its first four entropy words: the four
-    pool words and the hash constant the next word meets."""
-    pool, c = [], _INIT_A
-    for w in words:
-        h, c = _hashmix(w, c)
-        pool.append(h)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                h, c = _hashmix(pool[src], c)
-                pool[dst] = _mix(pool[dst], h)
-    return pool, c
-
-
-def _mix_in(pool: list[int], c: int, words: list[int]) -> tuple[list[int], int]:
-    """One pool after it absorbs further entropy words, each mixed into
-    all four pool words; `_absorb` is this for a block."""
-    pool = list(pool)
-    for w in words:
-        for dst in range(_POOL):
-            h, c = _hashmix(w, c)
-            pool[dst] = _mix(pool[dst], h)
-    return pool, c
-
-
 def _absorb(pool: np.ndarray, const: np.ndarray, word: np.ndarray):
-    """`_mix_in` for a block: every row mixes one more entropy word into
-    each of its four pool words.  ``word`` is 0-d (the same word for
-    every row) or (B, 1, 1) (one branch per word)."""
+    """SeedSequence's mixing of one more entropy word, for a block: every
+    row mixes the word into each of its four pool words.  ``word`` is 0-d
+    (the same word for every row) or (B, 1, 1) (one branch per word)."""
     cs = const * _A_POWERS  # the word's five hashmix constants, (5, M)
     h = (word ^ cs[:-1]) * cs[1:]
     h ^= h >> _SHIFT
@@ -126,23 +87,19 @@ class KeyPool(NamedTuple):
 
     @classmethod
     def of(cls, streams: Sequence["RngStream"]) -> "KeyPool":
-        """One row per stream, its seed and labels absorbed.
+        """One row per stream, its seed and labels absorbed: row r's pool
+        is ``SeedSequence(seed, spawn_key=labels).pool``.
 
-        The seed, padded to four words (spawn keys start after a full
-        pool), fills the pool once per distinct seed; each row then
-        absorbs its remaining words, labels included.
+        SeedSequence hashes each of its w entropy words four times, where
+        w is the seed's word count (at least four) plus the labels', so
+        the next word meets the constant ``_INIT_A * _MULT_A**(4 w)``.
         """
-        seeds, rows = {}, []
-        for s in streams:
-            words = _words(s.master_seed)
-            words += [0] * (_POOL - len(words))
-            if s.master_seed not in seeds:
-                seeds[s.master_seed] = _seed_pool(words[:_POOL])
-            for label in s.labels:
-                words += _words(label)
-            rows.append(_mix_in(*seeds[s.master_seed], words[_POOL:]))
-        return cls(np.array([pool for pool, _ in rows], dtype=np.uint32).T,
-                   np.array([c for _, c in rows], dtype=np.uint32))
+        from numpy.random import SeedSequence  # on first draw, not at import
+        pools = [SeedSequence(s.master_seed, spawn_key=s.labels).pool for s in streams]
+        w = np.array([max(_POOL, len(_words(s.master_seed)))
+                      + sum(len(_words(l)) for l in s.labels) for s in streams],
+                     dtype=np.uint32)
+        return cls(np.array(pools).T, _INIT_A * _A_POWERS[_POOL] ** w)
 
     def absorb(self, label: int | Sequence[int]) -> "KeyPool":
         """Every row absorbs one more label, shared by all rows.
@@ -168,16 +125,10 @@ class KeyPool(NamedTuple):
         return words.view("<u8").astype(np.uint64, copy=False)
 
 
-def generator(key) -> "np.random.Generator":
-    """A fresh Philox generator under a 128-bit key: counter 0, empty buffer."""
-    from numpy.random import Generator, Philox  # on first draw, not at import
-    return Generator(Philox(key=key))
-
-
 def rekey(gen: "np.random.Generator", key) -> "np.random.Generator":
     """Reset a Philox generator to a fresh one under `key`, in place.
 
-    It then draws what ``generator(key)`` draws: every value the generator
+    It then draws what ``Generator(Philox(key=key))`` draws: every value it
     caches (the binomial set-up, for one) is recomputed whenever its
     inputs change, so nothing carries over from earlier keys.
     """
@@ -213,7 +164,9 @@ class RngStream:
     def gen(self) -> np.random.Generator:
         """The underlying numpy generator (created lazily)."""
         if self._gen is None:
-            self._gen = generator(KeyPool.of([self]).keys()[0])
+            from numpy.random import Generator, Philox, SeedSequence  # on first draw
+            self._gen = Generator(Philox(SeedSequence(self.master_seed,
+                                                      spawn_key=self.labels)))
         return self._gen
 
     def derive(self, *labels: int) -> "RngStream":

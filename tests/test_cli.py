@@ -26,6 +26,16 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_empty_observation_file_is_runtime_error_naming_it(tmp_path, capsys):
+    obs = tmp_path / "empty.csv"
+    obs.write_text("")
+    for argv in (["filter", "--seed", "1", "--n", "16", "--out", str(tmp_path / "est.csv")],
+                 ["grid", "--out", str(tmp_path / "g.csv")],
+                 ["converge", "--replicates", "2", "--particle-counts", "8,16"]):
+        assert cli_dispatch(argv + ["--observations", str(obs)]) == 2
+        assert f"error: {obs}, line 1" in capsys.readouterr().err
+
+
 def test_simulate_writes_observation_csv(tmp_path, capsys):
     out = tmp_path / "obs.csv"
     states = tmp_path / "states.csv"
@@ -124,6 +134,14 @@ def test_check_resampler_passes(capsys):
                              "--n", "32", "--trials", "300", "--seed", "1"]) == 0
 
 
+def test_check_resampler_rejects_empty_runs(capsys):
+    for flag, other in (("--n", "--trials"), ("--trials", "--n")):
+        assert cli_dispatch(["check-resampler", "--resampler", "multinomial",
+                             flag, "0", other, "8"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {flag} must be >= 1, got 0\n"
+
+
 def test_converge_with_config_and_overrides(tmp_path, fixture_obs_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(f"""
@@ -198,3 +216,16 @@ def test_grid_spacing_must_lie_inside_the_grid(tmp_path, fixture_obs_path, capsy
             assert cli_dispatch(argv + ["--dx", dx, "--x-max", "15"]) == 2
             assert "--dx" in capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()  # rejected before filtering
+
+
+def test_histogram_flags_are_checked_before_filtering(tmp_path, fixture_obs_path, capsys):
+    filt = ["filter", "--observations", str(fixture_obs_path), "--n", "16", "--seed", "1",
+            "--out", str(tmp_path / "est.csv"), "--svg", str(tmp_path / "hist.svg")]
+    for flags, named in ((["--hist-step", "99"], "--hist-step"),
+                         (["--hist-step", "0"], "--hist-step"),
+                         (["--hist-bins", "0"], "--hist-bins"),
+                         (["--hist-min", "6", "--hist-max", "6"], "--hist-min"),
+                         (["--hist-min", "nan"], "--hist-min")):
+        assert cli_dispatch(filt + flags) == 2
+        assert named in capsys.readouterr().err
+    assert not (tmp_path / "est.csv").exists()

@@ -221,6 +221,9 @@ def test_workers_env_cap(monkeypatch):
     monkeypatch.setenv(convergence.WORKERS_ENV, str(cores + 10))
     assert convergence.resolve_workers(None) == cores  # cap never raises it
     assert convergence.resolve_workers(2) == 2  # explicit argument wins
+    monkeypatch.setenv(convergence.WORKERS_ENV, "abc")
+    with pytest.raises(DomainError, match="PFCONV_WORKERS must be an integer, got 'abc'"):
+        convergence.resolve_workers(None)
     monkeypatch.delenv(convergence.WORKERS_ENV)
     assert convergence.resolve_workers(None) == cores
 

@@ -216,6 +216,15 @@ def test_observation_series_csv_roundtrip(tmp_path):
     assert header == "t,y"
 
 
+@pytest.mark.parametrize("text, line", [("", 1), ("t,y\n1,0\n\n", 3),
+                                        ("t,y\n1,0\n2\n", 3), ("t,y\n1,0.5\n", 2)])
+def test_observation_csv_errors_name_file_and_line(tmp_path, text, line):
+    path = tmp_path / "obs.csv"
+    path.write_text(text)
+    with pytest.raises(DomainError, match=f"obs.csv, line {line}: expected"):
+        ObservationSeries.from_csv(path)
+
+
 def test_states_csv_full_precision(tmp_path):
     states = np.array([0.1234567890123456789, 1.0 / 3.0])
     path = tmp_path / "states.csv"

@@ -19,8 +19,6 @@ from pfconv import (
     run_filters,
     simulate_lg,
 )
-from pfconv import engine as engine_module
-from pfconv import rng as rng_module
 from pfconv.engine import _estimate_rows, _normalize_rows, _raw_log_weights, _shift_rows
 from pfconv.errors import CountMismatch, DegenerateWeights, WeightNotFinite
 from pfconv.resampling import ResampleScheme, get_scheme
@@ -336,12 +334,14 @@ def test_run_filters_names_failing_row_and_step(request, cox_model, fixture_obs,
 def test_run_filters_builds_one_generator_per_block(monkeypatch, cox_model,
                                                     gamma_proposal, fixture_obs):
     built = []
+    build = RngStream.gen.fget
 
-    def counting(key):
-        built.append(key)
-        return rng_module.generator(key)
+    def counting(stream):
+        if stream._gen is None:
+            built.append(stream)
+        return build(stream)
 
-    monkeypatch.setattr(engine_module, "generator", counting)
+    monkeypatch.setattr(RngStream, "gen", property(counting))
     run_filters(cox_model, gamma_proposal, fixture_obs, 8, get_scheme("multinomial"),
                 [RngStream(3, (r,)) for r in range(6)])
     assert len(built) == 1
