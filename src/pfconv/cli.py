@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from .convergence import ExperimentConfig, run_convergence_study
-from .configfile import apply_overrides, load_config
-from .cox import CoxParams, GammaProposal, ObservationSeries, make_cox_model, \
+from .configfile import KEYS, apply_overrides, flag, int_list, load_config, str_list
+from .cox import PROPOSALS, CoxParams, GammaProposal, ObservationSeries, make_cox_model, \
     make_cox_model_and_proposal, make_gamma_proposal, simulate, states_to_csv
 from .engine import run_filter
 from .errors import DomainError, PfconvError
@@ -31,16 +32,8 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
-
-
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-def _str_list(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,11 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--c", type=float, default=0.5)
     p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--proposal", choices=["gamma", "bootstrap"], default="gamma")
+    p.add_argument("--proposal", choices=PROPOSALS, default="gamma")
     p.add_argument("--alpha", type=float, default=1.5)
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--resampler", choices=sorted(SCHEMES), default="multinomial")
-    p.add_argument("--phi", type=_str_list, default=("exp_neg",),
+    p.add_argument("--phi", type=str_list, default=("exp_neg",),
                    help="comma-separated registry test functions")
     p.add_argument("--out", required=True, help="per-step estimate CSV path")
     p.add_argument("--svg", help="optional histogram-vs-grid-density SVG")
@@ -94,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("moments", help="weight-moment verdicts for the Gamma proposal")
-    p.add_argument("--p", type=_int_list, default=(2, 4))
+    p.add_argument("--p", type=int_list, default=(2, 4))
     p.add_argument("--alpha", type=_float_list, default=(1.5,))
     p.add_argument("--beta", type=_float_list, default=(0.5,))
     p.add_argument("--c", type=float, default=0.5)
@@ -106,23 +99,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="run a convergence-rate study")
     p.add_argument("--config", help="study config file")
-    p.add_argument("--observations")
-    p.add_argument("--c", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--proposal", choices=["gamma", "bootstrap"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--particle-counts", type=_int_list)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--test-functions", type=_str_list)
-    p.add_argument("--moments", type=_int_list)
-    p.add_argument("--resampler", choices=sorted(SCHEMES))
-    p.add_argument("--master-seed", type=int)
-    p.add_argument("--dx", type=float)
-    p.add_argument("--x-max", type=float)
-    p.add_argument("--csv", dest="out_csv")
-    p.add_argument("--json", dest="out_json")
-    p.add_argument("--svg", dest="out_svg")
+    choices = {"proposal": PROPOSALS, "resampler": sorted(SCHEMES)}
+    for _, key, field, parse in KEYS:
+        p.add_argument(flag(key), dest=field, type=parse, choices=choices.get(field))
     p.add_argument("--workers", type=int, help="worker processes (default: PFCONV_WORKERS or cores)")
     p.set_defaults(func=_cmd_converge)
 
@@ -151,10 +130,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _grid_cells(args) -> int:
-    """The oracle grid's cell count for --x-max and --dx, once 0 < dx < x_max."""
-    if not 0 < args.dx < args.x_max:
-        raise DomainError(f"--dx must lie strictly between 0 and --x-max "
-                          f"({args.x_max!r}), got {args.dx!r}")
+    """The oracle grid's cell count for --x-max and --dx, once 0 < dx < x_max < inf."""
+    if not 0 < args.dx < args.x_max < math.inf:  # NaN fails too
+        raise DomainError(f"--dx must lie strictly between 0 and a finite --x-max, "
+                          f"got --dx {args.dx!r}, --x-max {args.x_max!r}")
     return int(round(args.x_max / args.dx))
 
 
@@ -279,16 +258,7 @@ def _cmd_converge(args) -> int:
     else:
         print("error: converge needs --config or --observations", file=sys.stderr)
         return 1
-    config = apply_overrides(
-        config,
-        observations=args.observations, c=args.c, eta=args.eta,
-        proposal=args.proposal, alpha=args.alpha, beta=args.beta,
-        particle_counts=args.particle_counts, replicates=args.replicates,
-        test_functions=args.test_functions, moments=args.moments,
-        resampler=args.resampler, master_seed=args.master_seed,
-        grid_dx=args.dx, grid_x_max=args.x_max,
-        out_csv=args.out_csv, out_json=args.out_json, out_svg=args.out_svg,
-    )
+    config = apply_overrides(config, **{field: getattr(args, field) for _, _, field, _ in KEYS})
     report = run_convergence_study(config, workers=args.workers)
     for fmt, path in (("csv", config.out_csv), ("json", config.out_json),
                       ("svg", config.out_svg)):
@@ -365,7 +335,9 @@ def cli_dispatch(argv) -> int:
     try:
         return int(args.func(args))
     except (PfconvError, OSError, KeyError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        # a KeyError's str() is the repr of its message, quotes included
+        message = err.args[0] if isinstance(err, KeyError) and err.args else err
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
 

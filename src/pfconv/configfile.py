@@ -1,8 +1,11 @@
 """Study configuration files.
 
 Line-oriented ``key = value`` text grouped under ``[section]`` headers
-(INI grammar, parsed with the standard library).  Every key is also a
-CLI flag; flags override file values.
+(INI grammar, parsed with the standard library).  `KEYS` is the one list
+of study keys: each sets one `ExperimentConfig` field and is also a
+``pfconv converge`` flag, ``--key`` with dashes (``kind`` is
+``--proposal``); flags override file values.  A section or key outside
+`KEYS` is an error, so a misspelt key cannot fall back to its default.
 
 ::
 
@@ -43,42 +46,66 @@ from .convergence import ExperimentConfig
 from .errors import DomainError
 
 
-def _split(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+def str_list(text: str) -> tuple[str, ...]:
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# (section, key, ExperimentConfig field, parser), one row per field in field order.
+KEYS = (
+    ("study", "observations", "observations", str),
+    ("model", "c", "c", float),
+    ("model", "eta", "eta", float),
+    ("proposal", "kind", "proposal", str),
+    ("proposal", "alpha", "alpha", float),
+    ("proposal", "beta", "beta", float),
+    ("study", "particle_counts", "particle_counts", int_list),
+    ("study", "replicates", "replicates", int),
+    ("study", "test_functions", "test_functions", str_list),
+    ("study", "moments", "moments", int_list),
+    ("study", "resampler", "resampler", str),
+    ("study", "master_seed", "master_seed", int),
+    ("oracle", "dx", "grid_dx", float),
+    ("oracle", "x_max", "grid_x_max", float),
+    ("output", "csv", "out_csv", str),
+    ("output", "json", "out_json", str),
+    ("output", "svg", "out_svg", str),
+)
+
+
+def flag(key: str) -> str:
+    """The ``converge`` flag that overrides a config key."""
+    return "--" + ("proposal" if key == "kind" else key).replace("_", "-")
 
 
 def load_config(path) -> ExperimentConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as err:
+        raise DomainError(f"{path}: {err}") from None
     if not read:
         raise DomainError(f"config file not found: {path}")
+    known = {(section, key): (field, parse) for section, key, field, parse in KEYS}
+    sections = {section for section, _ in known}
     kwargs: dict = {}
-
-    def take(section, key, field, convert):
-        if parser.has_option(section, key):
-            kwargs[field] = convert(parser.get(section, key))
-
-    take("model", "c", "c", float)
-    take("model", "eta", "eta", float)
-    take("proposal", "kind", "proposal", str)
-    take("proposal", "alpha", "alpha", float)
-    take("proposal", "beta", "beta", float)
-    take("study", "observations", "observations", str)
-    take("study", "particle_counts", "particle_counts",
-         lambda s: tuple(int(v) for v in _split(s)))
-    take("study", "replicates", "replicates", int)
-    take("study", "test_functions", "test_functions", _split)
-    take("study", "moments", "moments", lambda s: tuple(int(v) for v in _split(s)))
-    take("study", "resampler", "resampler", str)
-    take("study", "master_seed", "master_seed", int)
-    take("oracle", "dx", "grid_dx", float)
-    take("oracle", "x_max", "grid_x_max", float)
-    take("output", "csv", "out_csv", str)
-    take("output", "json", "out_json", str)
-    take("output", "svg", "out_svg", str)
+    for section in parser.sections():
+        if section not in sections:
+            raise DomainError(f"{path}: unknown section [{section}]")
+        for key, text in parser.items(section):
+            if (section, key) not in known:
+                raise DomainError(f"{path}: unknown key {key!r} in [{section}]")
+            field, parse = known[section, key]
+            try:
+                kwargs[field] = parse(text)
+            except ValueError as err:
+                raise DomainError(f"{path}: [{section}] {key}: {err}") from None
 
     if "observations" not in kwargs:
-        raise DomainError("config must set study.observations")
+        raise DomainError(f"{path}: config must set study.observations")
     return ExperimentConfig(**kwargs)
 
 

@@ -16,14 +16,16 @@ particles.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cox import CoxParams, GammaProposal, ObservationSeries, \
+from .cox import PROPOSALS, CoxParams, GammaProposal, ObservationSeries, \
     make_cox_model_and_proposal
 from .engine import _run_block
 from .errors import DomainError, InsufficientPoints, NonPositiveValue, PfconvError, \
@@ -47,7 +49,7 @@ class ExperimentConfig:
     observations: str
     c: float = 0.5
     eta: float = 0.1
-    proposal: str = "gamma"  # "gamma" or "bootstrap"
+    proposal: str = "gamma"  # one of cox.PROPOSALS
     alpha: float = 1.5
     beta: float = 0.5
     particle_counts: tuple[int, ...] = (128, 512, 2048, 8192)
@@ -77,43 +79,23 @@ class ExperimentConfig:
             raise DomainError("moments must be a nonempty subset of {2, 4}")
         if self.resampler not in SCHEMES:
             raise DomainError(f"unknown resampler {self.resampler!r}")
-        if self.proposal not in ("gamma", "bootstrap"):
+        if self.proposal not in PROPOSALS:
             raise DomainError(f"unknown proposal kind {self.proposal!r}")
         if self.proposal == "gamma":
             GammaProposal(self.alpha, self.beta)  # DomainError unless both are positive
         if self.master_seed < 0:
             raise DomainError("master seed must be >= 0")
-        if self.grid_dx <= 0 or self.grid_x_max <= self.grid_dx:
-            raise DomainError("oracle grid needs 0 < dx < x_max")
+        if not 0 < self.grid_dx < self.grid_x_max < math.inf:  # NaN fails too
+            raise DomainError(f"oracle grid needs finite 0 < dx < x_max (--dx, --x-max), "
+                              f"got dx={self.grid_dx!r}, x_max={self.grid_x_max!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "observations": self.observations,
-            "c": self.c,
-            "eta": self.eta,
-            "proposal": self.proposal,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "particle_counts": list(self.particle_counts),
-            "replicates": self.replicates,
-            "test_functions": list(self.test_functions),
-            "moments": list(self.moments),
-            "resampler": self.resampler,
-            "master_seed": self.master_seed,
-            "grid_dx": self.grid_dx,
-            "grid_x_max": self.grid_x_max,
-            "out_csv": self.out_csv,
-            "out_json": self.out_json,
-            "out_svg": self.out_svg,
-        }
+        """The fields in order, tuples as lists (the report's config echo)."""
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        kwargs = dict(data)
-        for key in ("particle_counts", "test_functions", "moments"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
 
 @dataclass(frozen=True)
@@ -351,19 +333,13 @@ def run_convergence_study(config: ExperimentConfig,
     n_workers = resolve_workers(workers)
     current = tasks[0]
     try:
-        if n_workers == 1:
-            for task in tasks:
+        with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+            results = map(_study_cell, tasks) if pool is None else \
+                pool.map(_study_cell, tasks, chunksize=max(1, len(tasks) // (4 * n_workers)))
+            for task in tasks:  # both maps yield in task order
                 current = task
-                i, block, cell_n, cell_r = _study_cell(task)
+                i, block, cell_n, cell_r = next(results)
                 est_n[i, block], est_r[i, block] = cell_n, cell_r
-        else:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                chunk = max(1, len(tasks) // (4 * n_workers))
-                results = pool.map(_study_cell, tasks, chunksize=chunk)
-                for task in tasks:  # map yields in task order
-                    current = task
-                    i, block, cell_n, cell_r = next(results)
-                    est_n[i, block], est_r[i, block] = cell_n, cell_r
     except Exception as err:
         with np.errstate(invalid="ignore"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # nan-only slices

@@ -208,6 +208,9 @@ def make_bootstrap_proposal(params: CoxParams) -> Proposal:
     )
 
 
+PROPOSALS = ("gamma", "bootstrap")  # the kinds make_cox_model_and_proposal builds
+
+
 def make_cox_model_and_proposal(params: CoxParams, proposal: str,
                                 alpha: float, beta: float
                                 ) -> tuple[StateSpaceModel, Proposal]:

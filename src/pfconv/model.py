@@ -121,7 +121,7 @@ def make_test_function(name: str) -> TestFunction:
     m = _NAME_RE.match(name)
     if m and m.group(1) in _PARAMETRIC:
         return _PARAMETRIC[m.group(1)](float(m.group(2)))
-    raise KeyError(f"unknown test function {name!r}")
+    raise KeyError(f"unknown test function {name!r}; choose from {registry_names()}")
 
 
 def registry_names() -> list[str]:

@@ -1,4 +1,5 @@
 import json
+import re
 
 from pfconv.cli import cli_dispatch
 from pfconv.cox import ObservationSeries
@@ -212,8 +213,9 @@ def test_grid_spacing_must_lie_inside_the_grid(tmp_path, fixture_obs_path, capsy
     filt = ["filter", "--observations", str(fixture_obs_path), "--n", "16", "--seed", "1",
             "--out", str(tmp_path / "est.csv"), "--svg", str(tmp_path / "hist.svg")]
     for argv in (grid, filt):
-        for dx in ("0", "-1", "15", "nan"):
-            assert cli_dispatch(argv + ["--dx", dx, "--x-max", "15"]) == 2
+        for dx, x_max in (("0", "15"), ("-1", "15"), ("15", "15"), ("nan", "15"),
+                          ("0.005", "inf")):
+            assert cli_dispatch(argv + ["--dx", dx, "--x-max", x_max]) == 2
             assert "--dx" in capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()  # rejected before filtering
 
@@ -229,3 +231,25 @@ def test_histogram_flags_are_checked_before_filtering(tmp_path, fixture_obs_path
         assert cli_dispatch(filt + flags) == 2
         assert named in capsys.readouterr().err
     assert not (tmp_path / "est.csv").exists()
+
+
+def test_unknown_test_function_message_lists_the_registry(tmp_path, fixture_obs_path, capsys):
+    for argv in (["grid", "--phi", "bogus", "--out", str(tmp_path / "g.csv")],
+                 ["converge", "--test-functions", "exp_neg,bogus", "--workers", "1"]):
+        assert cli_dispatch(argv + ["--observations", str(fixture_obs_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown test function 'bogus'; choose from "
+            "['exp_neg', 'one', 'indicator_leq(a)', 'min_cap(a)']\n")
+
+
+def test_converge_flags_keep_names_order_and_choices(capsys):
+    assert cli_dispatch(["converge", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^  (--[a-z-]+)", out, re.M) == [
+        "--config", "--observations", "--c", "--eta", "--proposal", "--alpha", "--beta",
+        "--particle-counts", "--replicates", "--test-functions", "--moments", "--resampler",
+        "--master-seed", "--dx", "--x-max", "--csv", "--json", "--svg", "--workers"]
+    assert "--proposal {gamma,bootstrap}" in out
+    assert "--resampler {multinomial,stratified,systematic}" in out
+    for bad in (["--proposal", "optimal"], ["--resampler", "residual"]):
+        assert cli_dispatch(["converge", "--observations", "obs.csv"] + bad) == 1

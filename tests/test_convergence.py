@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import pfconv.convergence as convergence
 from pfconv import ExperimentConfig, fit_loglog_slope, run_convergence_study
-from pfconv.configfile import apply_overrides, load_config
+from pfconv.cli import build_parser
+from pfconv.configfile import KEYS, apply_overrides, flag, load_config
 from pfconv.convergence import ConvergenceReport, _aggregate, _rate_fits
 from pfconv.errors import DomainError, InsufficientPoints, NonPositiveValue, StudyError
 from pfconv.model import Proposal, make_test_function
@@ -103,6 +105,10 @@ def test_config_validation(fixture_obs_path):
             small_config(fixture_obs_path, **bad).validate()
     # the bootstrap proposal ignores alpha and beta
     small_config(fixture_obs_path, proposal="bootstrap", alpha=-1.0).validate()
+    for grid in ({"grid_dx": float("nan")}, {"grid_x_max": float("inf")},
+                 {"grid_x_max": float("nan")}):
+        with pytest.raises(DomainError, match="--dx, --x-max"):
+            small_config(fixture_obs_path, **grid).validate()
 
 
 def test_config_file_roundtrip(tmp_path, fixture_obs_path):
@@ -131,7 +137,7 @@ x_max = 15.0
 
 [output]
 csv = out/a.csv
-json = out/a.json
+json = out/100%/a.json
 """
     path = tmp_path / "study.cfg"
     path.write_text(text)
@@ -142,6 +148,7 @@ json = out/a.json
     assert cfg.resampler == "systematic"
     assert cfg.master_seed == 99
     assert cfg.out_csv == "out/a.csv" and cfg.out_svg is None
+    assert cfg.out_json == "out/100%/a.json"  # values are taken as written
 
     overridden = apply_overrides(cfg, replicates=10, alpha=None)
     assert overridden.replicates == 10 and overridden.alpha == 1.25
@@ -166,6 +173,59 @@ def test_config_file_requires_observations(tmp_path):
         load_config(path)
     with pytest.raises(DomainError):
         load_config(tmp_path / "missing.cfg")
+
+
+def test_config_file_errors_name_file_section_and_key(tmp_path, fixture_obs_path):
+    study = f"[study]\nobservations = {fixture_obs_path}\n"
+    path = tmp_path / "typo.cfg"
+    for text, named in ((study + "replicate = 3\n", "unknown key 'replicate' in [study]"),
+                        (study + "[oracel]\ndx = 0.01\n", "unknown section [oracel]"),
+                        (study + "[model]\nreplicates = 3\n", "unknown key 'replicates' in [model]"),
+                        (study + "replicates = many\n", "[study] replicates: invalid literal"),
+                        ("replicates = 3\n", "no section headers")):
+        path.write_text(text)
+        with pytest.raises(DomainError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: ") and named in str(err.value)
+
+
+# field -> (its converge flag, a value other than the default)
+KEY_SAMPLES = {
+    "observations": ("--observations", "other.csv"),
+    "c": ("--c", "0.25"),
+    "eta": ("--eta", "0.2"),
+    "proposal": ("--proposal", "bootstrap"),
+    "alpha": ("--alpha", "1.25"),
+    "beta": ("--beta", "0.75"),
+    "particle_counts": ("--particle-counts", "8, 16"),
+    "replicates": ("--replicates", "3"),
+    "test_functions": ("--test-functions", "one, min_cap(2)"),
+    "moments": ("--moments", "2"),
+    "resampler": ("--resampler", "systematic"),
+    "master_seed": ("--master-seed", "11"),
+    "grid_dx": ("--dx", "0.01"),
+    "grid_x_max": ("--x-max", "12.5"),
+    "out_csv": ("--csv", "r.csv"),
+    "out_json": ("--json", "r.json"),
+    "out_svg": ("--svg", "r.svg"),
+}
+
+
+@pytest.mark.parametrize("section, key, field", [row[:3] for row in KEYS],
+                         ids=[row[1] for row in KEYS])
+def test_config_key_and_converge_flag_parse_alike(tmp_path, section, key, field):
+    fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert [row[2] for row in KEYS] == fields == list(KEY_SAMPLES)
+    flag_name, text = KEY_SAMPLES[field]
+    assert flag(key) == flag_name
+    sections = {"study": {"observations": "obs.csv"}}
+    sections.setdefault(section, {})[key] = text
+    path = tmp_path / "one.cfg"
+    path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                            for name, body in sections.items()))
+    from_file = getattr(load_config(path), field)
+    from_flag = getattr(build_parser().parse_args(["converge", flag_name, text]), field)
+    assert from_file == from_flag != getattr(ExperimentConfig("obs.csv"), field)
 
 
 # ---------------------------------------------------------------------------
