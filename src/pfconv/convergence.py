@@ -65,7 +65,10 @@ class ExperimentConfig:
     out_svg: str | None = None
 
     def validate(self) -> None:
-        if len(self.particle_counts) < 1 or any(n < 2 for n in self.particle_counts):
+        if len(self.particle_counts) < 3:  # fit_loglog_slope needs three points
+            raise DomainError(f"a rate fit needs at least 3 particle counts "
+                              f"(--particle-counts), got {len(self.particle_counts)}")
+        if any(n < 2 for n in self.particle_counts):
             raise DomainError("particle counts must all be >= 2")
         if list(self.particle_counts) != sorted(set(self.particle_counts)):
             raise DomainError("particle counts must be strictly increasing")

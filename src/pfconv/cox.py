@@ -117,17 +117,28 @@ class ObservationSeries:
 # densities and samplers
 
 
+def _negative(x: np.ndarray) -> bool:
+    return x.size > 0 and x.min() < 0
+
+
 def cox_transition_logdensity(x, x_prev, eta: float):
     """Log of the folded Gaussian transition kernel on the half-line."""
     if not eta > 0:
         raise DomainError("eta must be positive")
     x = np.asarray(x, dtype=float)
     x_prev = np.asarray(x_prev, dtype=float)
-    if np.any(x < 0) or np.any(x_prev < 0):
+    if _negative(x) or _negative(x_prev):
         raise DomainError("states must be nonnegative")
-    out = np.logaddexp(-((x - x_prev) ** 2) / (2 * eta),
-                       -((x + x_prev) ** 2) / (2 * eta))
-    out = out - 0.5 * math.log(2 * math.pi * eta)
+    # -(d ** 2) / (2 eta) for d = x - x_prev and for d = x + x_prev, in place
+    # (as d ** 2 / (-2 eta): negation is exact, so the quotient is the same)
+    shape = np.broadcast_shapes(x.shape, x_prev.shape)
+    out = np.subtract(x, x_prev, out=np.empty(shape))
+    far = np.add(x, x_prev, out=np.empty(shape))
+    for d in (out, far):
+        np.square(d, out=d)
+        d /= -2 * eta
+    np.logaddexp(out, far, out=out)
+    out -= 0.5 * math.log(2 * math.pi * eta)
     return out if out.ndim else float(out)
 
 
@@ -137,14 +148,17 @@ def cox_likelihood_logdensity(y: int, x, c: float):
     if y < 0:
         raise DomainError("counts must be nonnegative")
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
+    if _negative(x):
         raise DomainError("states must be nonnegative")
-    lam = c * x
+    lam = np.multiply(x, c, out=np.empty(x.shape))
     if y == 0:
-        out = -lam  # at x = 0 this is the limit value log 1 = 0
+        out = np.negative(lam, out=lam)  # at x = 0 this is the limit value log 1 = 0
     else:
         with np.errstate(divide="ignore"):
-            out = y * np.log(lam) - lam - math.lgamma(y + 1)
+            out = np.log(lam, out=np.empty(x.shape))
+        out *= y
+        out -= lam
+        out -= math.lgamma(y + 1)
     return out if out.ndim else float(out)
 
 
@@ -164,11 +178,14 @@ def gamma_logdensity(prop: GammaProposal, x):
     """Log Gamma density; -inf off the support (x <= 0 for alpha > 1)."""
     x = np.asarray(x, dtype=float)
     const = prop.alpha * math.log(prop.beta) - math.lgamma(prop.alpha)
+    inside = np.asarray(x > 0)
+    out = np.where(inside, x, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(x > 0,
-                       const + (prop.alpha - 1) * np.log(np.where(x > 0, x, 1.0))
-                       - prop.beta * x,
-                       -math.inf)
+        np.log(out, out=out)
+        out *= prop.alpha - 1
+        out += const
+        out -= np.multiply(x, prop.beta)
+    np.copyto(out, -math.inf, where=np.logical_not(inside, out=inside))
     return out if out.ndim else float(out)
 
 

@@ -23,6 +23,17 @@ the convergence guarantees are stated for.  Proposals and resampling
 counts are drawn row by row; weighting, normalization, the estimates,
 the effective sample size, the weight and count checks and the particle
 duplication are evaluated once on the whole block.
+
+A block allocates its (M, N) buffers once (`_Workspace`) and every step
+writes into them, so the steps of a large block allocate almost nothing
+at full size.  The stages that work entry by entry (drawing, the
+densities and log weights, the test functions, the duplication) run
+over slabs of at most `resampling.SLAB` entries of the flattened block,
+in order, and keep their temporaries slab-sized; a block of at most
+that many particles is one slab.  The row sums are taken over whole
+rows of the buffers, so the slabs change no bit of any result: the
+model callables are pointwise and draw one state per entry, in order
+(`model.StateSpaceModel`, `model.Proposal`).
 All weight arithmetic is done in the log domain with max-shifted
 summation because the shipped models produce weights spanning hundreds
 of orders of magnitude (the proposal density can vanish at points where
@@ -48,7 +59,7 @@ from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite
 from .model import Proposal, StateSpaceModel, TestFunction
 from .moments import row_ess
 from .particles import _NORMALIZATION_RTOL, FilterRun, StepCloud, StepReport
-from .resampling import ResampleScheme, repeat_by_counts
+from .resampling import ResampleScheme, repeat_by_counts, slabs
 from .rng import KeyedRows, KeyPool, RngStream
 
 
@@ -63,42 +74,74 @@ def _particles(values, n: int, source: str) -> np.ndarray:
 # row kernels: each works on an (M, N) block, row r being replicate r
 
 
-def _propose(parents: np.ndarray, proposal: Proposal, y, rngs) -> np.ndarray:
-    """Row r is drawn by the proposal from the parents of row r and rngs[r]."""
-    out = np.empty_like(parents)
+class _Workspace(NamedTuple):
+    """The (M, N) buffers every step of a block reuses.
+
+    ``x`` holds the parents and then the resampled particles, ``proposed``
+    the proposed particles, ``lw`` the log weights (and, once they are
+    dead, the products the row sums reduce) and ``w`` the weights.
+    """
+
+    x: np.ndarray
+    proposed: np.ndarray
+    lw: np.ndarray
+    w: np.ndarray
+
+
+def _propose(parents: np.ndarray, proposal: Proposal, y, rngs,
+             out: np.ndarray) -> np.ndarray:
+    """Row r of out is drawn by the proposal from the parents of row r and
+    rngs[r], slab by slab; a row's slabs draw from its stream in order."""
+    row_slabs = slabs(parents.shape[1])
     for r, rng in enumerate(rngs):
         try:
-            out[r] = _particles(proposal.propose(parents[r], y, rng), parents.shape[1],
-                                "proposal")
+            for s in row_slabs:
+                out[r, s] = _particles(proposal.propose(parents[r, s], y, rng),
+                                       s.stop - s.start, "proposal")
         except PfconvError as err:
             raise at_row(err, r)
     return out
 
 
-def _raw_log_weights(model, proposal, x_t, x_prev, y) -> np.ndarray:
-    lq = np.asarray(proposal.logdensity(x_t, x_prev, y), dtype=float)
-    lf = np.asarray(model.transition_logdensity(x_t, x_prev), dtype=float)
-    lg = np.asarray(model.likelihood_logdensity(y, x_t), dtype=float)
-    with np.errstate(invalid="ignore"):
-        lw = lg + (lf - lq)
-    bad = np.isnan(lw) | np.isposinf(lw)
-    if np.any(bad):
-        at = np.unravel_index(int(np.argmax(bad)), lw.shape)  # lowest row first
+def _raw_log_weights(model, proposal, x_t, x_prev, y,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The raw log weights of the points x_t proposed from the parents
+    x_prev (same shape), into out (a new array when None).
+
+    They are computed and checked slab by slab along the flattened block,
+    so the first non-finite weight found is the lowest one, and an (M, N)
+    block reports its row.
+    """
+    lw = np.empty(np.shape(x_t)) if out is None else out
+    flat_x, flat = np.ravel(x_t), lw.reshape(-1)
+    flat_prev = np.broadcast_to(x_prev, lw.shape).reshape(-1)
+    for s in slabs(flat.size):
+        x, xp, slab = flat_x[s], flat_prev[s], flat[s]
+        lq = np.asarray(proposal.logdensity(x, xp, y), dtype=float)
+        lf = np.asarray(model.transition_logdensity(x, xp), dtype=float)
+        lg = np.asarray(model.likelihood_logdensity(y, x), dtype=float)
+        with np.errstate(invalid="ignore"):
+            np.add(lg, lf - lq, out=slab)
+        if slab.max() < math.inf:  # False at NaN or +inf
+            continue
+        i = int(np.argmax(np.isnan(slab) | np.isposinf(slab)))
+        row, particle = divmod(s.start + i, lw.shape[-1])
 
         def value(a):
-            return np.broadcast_to(np.asarray(a, dtype=float), lw.shape)[at]
+            return np.broadcast_to(np.asarray(a, dtype=float), slab.shape)[i]
 
         err = WeightNotFinite(
-            f"non-finite log weight at particle {at[-1]}: x={value(x_t)!r} "
+            f"non-finite log weight at particle {particle}: x={value(x)!r} "
             f"(log q={value(lq)!r}, log f={value(lf)!r}, log g={value(lg)!r})"
         )
-        raise at_row(err, int(at[0])) if lw.ndim == 2 else err
+        raise at_row(err, row) if lw.ndim == 2 else err
     return lw
 
 
-def _shift_rows(lw: np.ndarray):
+def _shift_rows(lw: np.ndarray, out: np.ndarray | None = None):
     """Subtract each row's maximum from lw in place; return the maxima,
-    the exponentials of the shifted rows and their (pairwise) row sums.
+    the exponentials of the shifted rows (into out) and their (pairwise)
+    row sums.
 
     For the dominant weights the shift is exact in floating point, so the
     normalized weights sum to 1 to within a few ulps even when the raw
@@ -107,7 +150,7 @@ def _shift_rows(lw: np.ndarray):
     top = lw.max(axis=1)
     with np.errstate(invalid="ignore"):
         lw -= top[:, None]
-    e = np.exp(lw)
+    e = np.exp(lw, out=out)
     return top, e, e.sum(axis=1)
 
 
@@ -134,10 +177,18 @@ def _normalize_rows(lw: np.ndarray, top: np.ndarray, e: np.ndarray, sums: np.nda
     return w, total
 
 
-def _estimate_rows(w: np.ndarray, total, x: np.ndarray, phi: TestFunction) -> np.ndarray:
+def _estimate_rows(w, total, x: np.ndarray, phi: TestFunction,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Per row, sum(w * phi(x)) / total, with phi(x) evaluated slab by
+    slab into out (a new array when None) and multiplied there by w."""
     # Same pairwise reduction for numerator and denominator, so phi == 1
     # yields exactly 1.0 and |result| never exceeds the sup-norm.
-    return np.sum(w * phi(x), axis=1) / total
+    terms = np.empty(x.shape) if out is None else out
+    flat_x, flat = x.reshape(-1), terms.reshape(-1)
+    for s in slabs(flat.size):
+        flat[s] = phi(flat_x[s])
+    terms *= w
+    return np.sum(terms, axis=1) / total
 
 
 class _StepRows(NamedTuple):
@@ -162,34 +213,35 @@ class _StepRows(NamedTuple):
         )
 
 
-def _step(parents: np.ndarray, model: StateSpaceModel, proposal: Proposal, y,
+def _step(ws: _Workspace, model: StateSpaceModel, proposal: Proposal, y,
           resampler: ResampleScheme, rngs: tuple[KeyedRows, KeyedRows],
-          test_functions: Sequence[TestFunction], t: int,
-          record_cloud: int) -> tuple[np.ndarray, _StepRows]:
+          test_functions: Sequence[TestFunction], t: int, record_cloud: int,
+          resampled: tuple[float, float]) -> _StepRows:
     """One propose/weight/normalize/estimate/resample cycle of every row.
 
-    ``rngs`` holds the rows' propose and resample streams for this step.
-    Returns the resampled particles and the step's per-row results.
+    The parents in ``ws.x`` are replaced by the resampled particles.
+    ``rngs`` holds the rows' propose and resample streams for this step,
+    and ``resampled`` the weight of a resampled particle and its row sum.
+    Returns the step's per-row results.
     """
-    n = parents.shape[1]
+    x, proposed, lw, w = ws
+    n = x.shape[1]
     propose_rngs, resample_rngs = rngs
-    proposed = _propose(parents, proposal, y, propose_rngs)
-    lw = _raw_log_weights(model, proposal, proposed, parents, y)
-    top, w, sums = _shift_rows(lw)
+    _propose(x, proposal, y, propose_rngs, proposed)
+    _raw_log_weights(model, proposal, proposed, x, y, lw)
+    top, w, sums = _shift_rows(lw, w)
     log_mean = _log_mean_weights(top, sums, n)
     w, total = _normalize_rows(lw, top, w, sums)
-    ess = row_ess(lw, w)
-    del lw  # free the block before resampling
-    estimates = {phi.name: _estimate_rows(w, total, proposed, phi) for phi in test_functions}
+    ess = row_ess(lw, w)  # the log weights are dead from here on
+    estimates = {phi.name: _estimate_rows(w, total, proposed, phi, lw)
+                 for phi in test_functions}
 
-    out = repeat_by_counts(proposed, resampler.resample(w, n, resample_rngs))
-    uniform = np.exp(np.full(n, -math.log(n)))  # the weights of a resampled row
-    after = {phi.name: _estimate_rows(uniform, np.sum(uniform), out, phi)
-             for phi in test_functions}
+    repeat_by_counts(proposed, resampler.resample(w, n, resample_rngs), x)
+    after = {phi.name: _estimate_rows(*resampled, x, phi, lw) for phi in test_functions}
     k = min(record_cloud, n)
-    clouds = [StepCloud(proposed[r, :k].copy(), w[r, :k].copy(), out[r, :k].copy())
-              if k > 0 else None for r in range(len(parents))]
-    return out, _StepRows(t, ess, log_mean, estimates, after, clouds)
+    clouds = [StepCloud(proposed[r, :k].copy(), w[r, :k].copy(), x[r, :k].copy())
+              if k > 0 else None for r in range(len(x))]
+    return _StepRows(t, ess, log_mean, estimates, after, clouds)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +267,15 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
     pool = KeyPool.of(roots)
     keys = pool.absorb(0).keys()
     gen = roots[0].derive(0).gen  # the block's one generator, re-keyed row by row
-    x = np.empty((len(roots), n))
+    uniform = np.exp(np.full(n, -math.log(n)))  # the weights of a resampled row
+    resampled = (uniform[0], np.sum(uniform))  # all N entries are equal
+    del uniform  # not held while the block runs
+    ws = _Workspace(*(np.empty((len(roots), n)) for _ in _Workspace._fields))
+    row_slabs = slabs(n)
     for r, rng in enumerate(KeyedRows(gen, roots, (0,), keys)):
-        x[r] = _particles(model.prior_sample(rng, n), n, "prior_sample")
+        for s in row_slabs:
+            ws.x[r, s] = _particles(model.prior_sample(rng, s.stop - s.start),
+                                    s.stop - s.start, "prior_sample")
     steps = []
     for t, y in obs:
         t = int(t)
@@ -225,12 +283,11 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
         rngs = (KeyedRows(gen, roots, (t, 0), propose_keys),
                 KeyedRows(gen, roots, (t, 1), resample_keys))
         try:
-            x, step = _step(x, model, proposal, y, resampler, rngs, test_functions, t,
-                            record_clouds)
+            steps.append(_step(ws, model, proposal, y, resampler, rngs, test_functions,
+                               t, record_clouds, resampled))
         except PfconvError as err:
             row = "" if err.row is None else f", row {err.row}"
             raise at_row(type(err)(f"filter step t={t}{row}: {err}"), err.row) from err
-        steps.append(step)
     return steps
 
 

@@ -3,6 +3,13 @@
 All density callables work in the log domain and accept numpy arrays of
 states (the shipped models are one-dimensional, so a state batch is a
 1-D float array).  Log-densities may return ``-inf`` for zero density.
+
+The engine calls them slab by slab on consecutive pieces of a block
+(`engine`), so they must keep this contract: a density is pointwise
+(entry i of its value depends only on entry i of its state arguments),
+and a sampler draws one state per entry, in order, so that drawing a
+states and then b states from one stream gives the a + b states that a
+single call draws.
 """
 
 from __future__ import annotations
@@ -29,11 +36,13 @@ class StateSpaceModel:
         Dimension of the state (shipped models use 1).
     prior_sample : callable
         ``(rng, size) -> states``; draws ``size`` independent states from
-        the time-zero distribution.
+        the time-zero distribution, one state per entry, in order.
     transition_logdensity : callable
-        ``(x_t, x_prev) -> log density`` of the state transition.
+        ``(x_t, x_prev) -> log density`` of the state transition,
+        pointwise.
     likelihood_logdensity : callable
-        ``(y_t, x_t) -> log density`` of the observation given the state.
+        ``(y_t, x_t) -> log density`` of the observation given the state,
+        pointwise.
     likelihood_bound : float
         A constant c_g with ``likelihood <= c_g`` everywhere; the engine's
         mean-square guarantees require the likelihood to be bounded.
@@ -57,8 +66,9 @@ class Proposal:
     """Importance distribution used to move particles forward.
 
     ``propose(x_prev, y, rng)`` draws one new state per entry of
-    ``x_prev``; ``logdensity(x_t, x_prev, y)`` evaluates the proposal
-    density at the proposed points.  The proposal must dominate
+    ``x_prev``, in order; ``logdensity(x_t, x_prev, y)`` evaluates the
+    proposal density at the proposed points, pointwise (see the module
+    doc).  The proposal must dominate
     ``transition * likelihood``: wherever that product is positive the
     proposal density must be positive as well (checked statistically on
     the shipped models, not enforced here).

@@ -38,12 +38,16 @@ def row_ess(log_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Effective sample size 1 / sum(w_i^2) of each row of an (M, N) block
     of normalized log weights and their exponentials, in [1, N].
 
-    A row's value equals N exactly iff its weights are uniform (detected
-    exactly so the boundary case is not blurred by rounding).
+    A row's value equals N exactly iff its log weights are all equal
+    (detected exactly so the boundary case is not blurred by rounding).
+    The log weights are used as scratch: they hold the squared weights on
+    return.
     """
     n = log_weights.shape[1]
-    value = np.minimum(np.maximum(1.0 / np.sum(weights * weights, axis=1), 1.0), float(n))
-    value[np.all(log_weights == log_weights[:, :1], axis=1)] = n
+    uniform = log_weights.max(axis=1) == log_weights.min(axis=1)
+    squares = np.multiply(weights, weights, out=log_weights)
+    value = np.minimum(np.maximum(1.0 / np.sum(squares, axis=1), 1.0), float(n))
+    value[uniform] = n
     return value
 
 

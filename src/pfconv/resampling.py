@@ -15,10 +15,17 @@ one generator re-keyed row by row.  A 1-D weight vector with a single
 stream is the M = 1 case and gets a 1-D count vector back.  The weight
 checks run once per block and name the lowest failing row in
 ``err.row``, as `repeat_by_counts` does for the counts.
+
+A scheme writes every row's counts into one (M, K) count block.
+Systematic and stratified build a row's sorted positions slab by slab
+(`slabs`) and count each cell as a difference of searchsorted of its
+two edges in the positions, so besides the counts they hold one row of
+positions and slab-sized temporaries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,6 +34,8 @@ import numpy as np
 from .errors import CountMismatch, NotNormalized, at_row
 
 _SUM_TOL = 1e-9
+SLAB = 8192  # entries per slab: see `slabs`
+_STEP_MIN = 2048  # edges from which `_below` steps from a guess
 
 
 def _checked(weights, n: int, rngs):
@@ -56,45 +65,126 @@ def _checked(weights, n: int, rngs):
     return weights, total, rngs, one
 
 
-def _stacked(rows: list[np.ndarray], one: bool) -> np.ndarray:
-    """The rows' counts as one int64 block, or its only row for 1-D input.
+def slabs(size: int) -> list[slice]:
+    """Consecutive slices of at most `SLAB` entries that cover range(size).
 
-    The schemes draw row by row into a list, so each row's temporaries
-    are gone before the next row is drawn and no count block is held
-    while a row is counted.
+    Stages that work entry by entry run slab by slab, so their
+    temporaries stay small (64 KiB per float slab) whatever the block
+    size; a range of at most `SLAB` entries is one slab.
     """
-    counts = np.stack(rows).astype(np.int64, copy=False)
-    return counts[0] if one else counts
+    return [slice(a, min(a + SLAB, size)) for a in range(0, size, SLAB)]
 
 
 def multinomial_resample(weights, n: int, rngs) -> np.ndarray:
     """Counts ~ Multinomial(n, weights), row by row."""
     weights, total, rngs, one = _checked(weights, n, rngs)
+    counts = np.empty(weights.shape, dtype=np.int64)
     # Renormalize exactly so numpy's pval check cannot trip on 1e-10 drift.
-    pvals = weights / total[:, None]
-    return _stacked([rng.gen.multinomial(n, p) for p, rng in zip(pvals, rngs)], one)
+    # Each row's pvals sit in the row's own count slots until its draw
+    # replaces them.
+    pvals = np.divide(weights, total[:, None], out=counts.view(np.float64))
+    for p, row, rng in zip(pvals, counts, rngs):
+        row[:] = rng.gen.multinomial(n, p)
+    return counts[0] if one else counts
 
 
-def _counts_from_positions(weights: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Count how many grid positions land in each cumulative-weight cell."""
-    cum = np.cumsum(weights)
-    cum[-1] = max(cum[-1], 1.0)  # guard float drift at the last boundary
-    idx = np.searchsorted(cum, positions, side="right")
-    return np.bincount(idx, minlength=len(weights))
+def _counts_from_positions(weights: np.ndarray, positions: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """Count how many of the sorted positions land in each cumulative-weight
+    cell, into `out` when given.
+
+    Cell i is [cum[i-1], cum[i]), except that the first cell reaches down
+    to -inf and the last up to +inf: float drift can leave cum[-1] at or
+    below a position of 1.0.  Count i is the difference of
+    searchsorted(positions, edges, "left") at the cell's two edges.  The
+    edges are summed slab by slab, each slab continuing from the last sum
+    of the one before, which is the order np.cumsum adds them in.
+    """
+    k = len(weights)
+    counts = np.empty(k, dtype=np.int64) if out is None else out
+    carry = 0.0
+    for s in slabs(k):
+        edges = np.empty(s.stop - s.start + 1)
+        edges[0], edges[1:] = carry, weights[s]
+        np.add.accumulate(edges, out=edges)
+        carry = edges[-1]
+        if s.start == 0:
+            edges[0] = -math.inf
+        if s.stop == k:
+            edges[-1] = math.inf
+        below = _below(positions, edges)
+        np.subtract(below[1:], below[:-1], out=counts[s])
+    return counts
+
+
+def _below(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """searchsorted(positions, edges, "left"): how many of the sorted
+    positions lie below each of the sorted edges.
+
+    From `_STEP_MIN` edges on, each count starts from the guess n * edge
+    instead of a binary search: a scheme's n positions lie about evenly
+    over [0, 1], so the guess is within a position or two of the count.
+    All guesses step up, then down, one position at a time until each is
+    exact (other sorted positions take more steps).  The steps cost a
+    few vectorized passes, so they lose to the search on short slabs and
+    win on long ones (140 against 370 us at 8192 edges).
+    """
+    if len(edges) < _STEP_MIN:
+        return np.searchsorted(positions, edges, side="left")
+    n = len(positions)
+    below = np.clip(edges * n, 0, n).astype(np.int64)
+    while True:  # up while the next position lies below the edge
+        up = positions.take(below, mode="clip") < edges
+        up &= below < n
+        if not up.any():
+            break
+        below += up
+    while True:  # down while the last counted position does not
+        down = positions.take(below - 1, mode="clip") >= edges
+        down &= below > 0
+        if not down.any():
+            return below
+        below -= down
+
+
+def _counts_at(positions_of, weights, n: int, rngs) -> np.ndarray:
+    """Each row's counts at the n sorted positions that `positions_of(rng,
+    out)` draws from the row's stream into `out`."""
+    weights, _, rngs, one = _checked(weights, n, rngs)
+    counts = np.empty(weights.shape, dtype=np.int64)
+    positions = np.empty(n)  # one row's, reused
+    for w, row, rng in zip(weights, counts, rngs):
+        _counts_from_positions(w, positions_of(rng, positions), row)
+    return counts[0] if one else counts
+
+
+def _systematic_positions(rng, out: np.ndarray) -> np.ndarray:
+    """rng.gen.random() / n + j / n for every j < n = len(out)."""
+    n = len(out)
+    offset = rng.gen.random() / n
+    for s in slabs(n):
+        np.add(np.arange(s.start, s.stop, dtype=float) / n, offset, out=out[s])
+    return out
+
+
+def _stratified_positions(rng, out: np.ndarray) -> np.ndarray:
+    """(j + u_j) / n for every j < n = len(out), u_j uniform in order."""
+    n = len(out)
+    for s in slabs(n):
+        u = rng.gen.random(s.stop - s.start)
+        u += np.arange(s.start, s.stop, dtype=float)
+        np.divide(u, n, out=out[s])
+    return out
 
 
 def systematic_resample(weights, n: int, rngs) -> np.ndarray:
     """One shared uniform offset per row; count_i brackets n*w_i within one unit."""
-    weights, _, rngs, one = _checked(weights, n, rngs)
-    return _stacked([_counts_from_positions(w, rng.gen.random() / n + np.arange(n) / n)
-                     for w, rng in zip(weights, rngs)], one)
+    return _counts_at(_systematic_positions, weights, n, rngs)
 
 
 def stratified_resample(weights, n: int, rngs) -> np.ndarray:
     """One independent uniform per stratum of width 1/n."""
-    weights, _, rngs, one = _checked(weights, n, rngs)
-    return _stacked([_counts_from_positions(w, (np.arange(n) + rng.gen.random(n)) / n)
-                     for w, rng in zip(weights, rngs)], one)
+    return _counts_at(_stratified_positions, weights, n, rngs)
 
 
 @dataclass(frozen=True)
@@ -119,13 +209,14 @@ def get_scheme(name: str) -> ResampleScheme:
         raise KeyError(f"unknown resampler {name!r}; choose from {sorted(SCHEMES)}") from None
 
 
-def repeat_by_counts(particles: np.ndarray, counts) -> np.ndarray:
+def repeat_by_counts(particles: np.ndarray, counts,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Row r of the particles, particle i repeated counts[r, i] times, once
     the counts are checked: one nonnegative count per particle, each row
     summing to the row's particle count.  A 1-D particle vector is the
-    one-row case.  The rows are duplicated by one `np.repeat` of the
-    flattened block, which keeps every row in place because each row's
-    counts sum to its length.
+    one-row case.  The flattened block is repeated slab by slab into the
+    C-contiguous `out` (a new array when None), which keeps every row in
+    place because each row's counts sum to its length.
     """
     counts = np.asarray(counts)
     if counts.shape != particles.shape:
@@ -136,4 +227,11 @@ def repeat_by_counts(particles: np.ndarray, counts) -> np.ndarray:
     if not ok.all():
         raise at_row(CountMismatch(f"counts must be nonnegative and sum to {n}"),
                      int(np.argmin(ok)))
-    return np.repeat(particles.ravel(), counts.ravel()).reshape(particles.shape)
+    out = np.empty(particles.shape) if out is None else out
+    source, flat, target = particles.reshape(-1), counts.reshape(-1), out.reshape(-1)
+    at = 0
+    for s in slabs(len(source)):
+        part = np.repeat(source[s], flat[s])
+        target[at:at + len(part)] = part
+        at += len(part)
+    return out

@@ -263,14 +263,16 @@ def test_criterion_6_conditional_unbiasedness(cox_model_session,
 
 
 def test_criterion_7_resampler_contracts():
-    n, trials = 32, 10 ** 5
+    # 10^5 random inputs per scheme, resampled as (M, n) blocks whose rows
+    # all draw from one stream, in row order
+    n, trials, m = 32, 10 ** 5, 1000
     for label, name in enumerate(("multinomial", "stratified", "systematic")):
         scheme = get_scheme(name)
         rng = RngStream(71, (label,))
-        for _ in range(trials):
-            w = rng.gen.dirichlet(np.ones(n))
-            counts = scheme.resample(w, n, rng)
-            assert counts.sum() == n
+        for _ in range(trials // m):
+            w = rng.gen.dirichlet(np.ones(n), size=m)
+            counts = scheme.resample(w, n, [rng] * m)
+            assert np.all(counts.sum(axis=1) == n)
             if name == "systematic":
                 assert np.all(counts >= np.floor(n * w))
                 assert np.all(counts <= np.ceil(n * w))
@@ -281,8 +283,8 @@ def test_criterion_7_resampler_contracts():
     w = rng.gen.dirichlet(np.ones(n))
     scheme = get_scheme("multinomial")
     totals = np.zeros(n)
-    for _ in range(mean_trials):
-        totals += scheme.resample(w, n, rng)
+    for _ in range(mean_trials // m):
+        totals += scheme.resample(np.tile(w, (m, 1)), n, [rng] * m).sum(axis=0)
     mean_counts = totals / mean_trials
     sigma = np.sqrt(n * w * (1 - w) / mean_trials)
     assert np.all(np.abs(mean_counts - n * w) <= 3 * sigma)

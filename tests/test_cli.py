@@ -32,7 +32,7 @@ def test_empty_observation_file_is_runtime_error_naming_it(tmp_path, capsys):
     obs.write_text("")
     for argv in (["filter", "--seed", "1", "--n", "16", "--out", str(tmp_path / "est.csv")],
                  ["grid", "--out", str(tmp_path / "g.csv")],
-                 ["converge", "--replicates", "2", "--particle-counts", "8,16"]):
+                 ["converge", "--replicates", "2", "--particle-counts", "8,16,32"]):
         assert cli_dispatch(argv + ["--observations", str(obs)]) == 2
         assert f"error: {obs}, line 1" in capsys.readouterr().err
 
@@ -175,7 +175,7 @@ def test_converge_rejects_invalid_study_parameters(tmp_path, fixture_obs_path, c
     cfg.write_text(f"""
 [study]
 observations = {fixture_obs_path}
-particle_counts = 8, 16
+particle_counts = 8, 16, 32
 replicates = 2
 
 [oracle]
@@ -195,6 +195,16 @@ x_max = 12.0
 
 def test_converge_requires_config_or_observations(capsys):
     assert cli_dispatch(["converge"]) == 1
+
+
+def test_converge_needs_three_particle_counts(tmp_path, fixture_obs_path, capsys):
+    out_json = tmp_path / "r.json"
+    code = cli_dispatch(["converge", "--observations", str(fixture_obs_path),
+                         "--particle-counts", "8,16", "--replicates", "2", "--dx", "0.05",
+                         "--x-max", "12", "--json", str(out_json), "--workers", "1"])
+    assert code == 2
+    assert "--particle-counts" in capsys.readouterr().err
+    assert not out_json.exists()
 
 
 def test_negative_seed_is_runtime_error_naming_the_seed(tmp_path, fixture_obs_path, capsys):

@@ -86,9 +86,11 @@ def test_synthetic_error_injection_recovers_reference_slopes():
 def test_config_validation(fixture_obs_path):
     small_config(fixture_obs_path).validate()
     with pytest.raises(DomainError):
-        small_config(fixture_obs_path, particle_counts=(16, 8)).validate()
+        small_config(fixture_obs_path, particle_counts=(8, 32, 16)).validate()
     with pytest.raises(DomainError):
-        small_config(fixture_obs_path, particle_counts=(1, 8)).validate()
+        small_config(fixture_obs_path, particle_counts=(1, 8, 16)).validate()
+    with pytest.raises(DomainError, match="--particle-counts"):
+        small_config(fixture_obs_path, particle_counts=(8, 16)).validate()
     with pytest.raises(DomainError):
         small_config(fixture_obs_path, replicates=1).validate()
     with pytest.raises(DomainError):

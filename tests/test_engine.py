@@ -19,6 +19,7 @@ from pfconv import (
     run_filters,
     simulate_lg,
 )
+from pfconv import resampling
 from pfconv.engine import _estimate_rows, _normalize_rows, _raw_log_weights, _shift_rows
 from pfconv.errors import CountMismatch, DegenerateWeights, WeightNotFinite
 from pfconv.resampling import ResampleScheme, get_scheme
@@ -348,17 +349,92 @@ def test_run_filters_builds_one_generator_per_block(monkeypatch, cox_model,
 
 
 def test_run_filter_memory_stays_linear(cox_model, gamma_proposal, fixture_obs):
-    # N = 2^18 particles take 2 MiB per float array; a fused step that keeps
-    # all of its temporaries alive peaks near 36 MiB
-    for scheme in ("systematic", "multinomial"):
+    # N = 2^18 particles take 2 MiB per float array.  A step reuses four
+    # (M, N) buffers and adds the count vector and, for systematic, one
+    # row of positions: about 13.1 (systematic) and 12.0 MiB (multinomial)
+    # at the peak.  The limits are the peaks of the earlier engine, which
+    # allocated every temporary at full size.
+    for scheme, limit_mib in (("systematic", 14.7), ("multinomial", 14.0)):
         tracemalloc.start()
         try:
-            run_filter(cox_model, gamma_proposal, fixture_obs, 2 ** 18,
+            run_filter(cox_model, gamma_proposal, list(fixture_obs)[:10], 2 ** 18,
                        get_scheme(scheme), 3, [EXP_NEG])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2 ** 20, f"{scheme}: peak {peak / 2 ** 20:.1f} MiB"
+        assert peak <= limit_mib * 2 ** 20, f"{scheme}: peak {peak / 2 ** 20:.2f} MiB"
+
+
+# ---------------------------------------------------------------------------
+# slabs: a block's stages work slab by slab along the flattened block
+
+
+def _lg_case():
+    model = LinearGaussianModel(a=0.9, q_var=0.3, h=1.0, r_var=0.4, m0=0.0, p0=1.0)
+    return (make_lg_model(model), make_lg_bootstrap_proposal(model),
+            simulate_lg(model, 6, master_seed=12)[1])
+
+
+@pytest.mark.parametrize("m, n", [(1, 2 * 8192 + 3), (3, 3001)])
+@pytest.mark.parametrize("case", [
+    *((proposal, scheme) for proposal in ("gamma_proposal", "bootstrap_proposal")
+      for scheme in ("multinomial", "stratified", "systematic")),
+    ("linear_gaussian", "multinomial"),
+])
+def test_slabs_leave_every_bit_unchanged(monkeypatch, request, cox_model, fixture_obs,
+                                         m, n, case):
+    proposal, scheme = case
+    if proposal == "linear_gaussian":
+        model, prop, obs = _lg_case()
+    else:
+        model, prop, obs = cox_model, request.getfixturevalue(proposal), fixture_obs
+    assert len(resampling.slabs(m * n)) > 1
+
+    def runs():
+        return run_filters(model, prop, obs, n, get_scheme(scheme),
+                           [RngStream(4, (r,)) for r in range(m)], [ONE, EXP_NEG],
+                           record_clouds=n)
+
+    sliced = runs()
+    monkeypatch.setattr(resampling, "SLAB", m * n)  # every stage in one slab
+    for a, b in zip(sliced, runs()):
+        assert a.log_evidence == b.log_evidence
+        for sa, sb in zip(a.steps, b.steps):
+            assert (sa.ess, sa.log_mean_weight) == (sb.ess, sb.log_mean_weight)
+            assert (sa.estimates, sa.resampled_estimates) == (sb.estimates, sb.resampled_estimates)
+            for field in ("normalized_particles", "normalized_weights", "resampled_particles"):
+                assert np.array_equal(getattr(sa.cloud, field), getattr(sb.cloud, field))
+
+
+def test_non_finite_weight_in_a_later_slab_reports_as_in_one_slab(
+        monkeypatch, cox_model, gamma_proposal, fixture_obs):
+    m, n, row, particle = 3, 6000, 2, 5000  # flat index 17000: the third slab
+
+    def failure():
+        drawn = {}
+
+        def propose(x_prev, y, rng):  # row 2's particle 5000 lands on 0 at t = 2
+            x = gamma_proposal.propose(x_prev, y, rng)
+            key = rng.labels[-3:-1]
+            start = drawn[key] = drawn.get(key, 0)
+            drawn[key] += len(x)
+            if key == (row, 2) and start <= particle < start + len(x):
+                x[particle - start] = 0.0  # Gamma density 0: the log weight is +inf
+            return x
+
+        with pytest.raises(WeightNotFinite) as info:
+            run_filters(cox_model, Proposal(propose, gamma_proposal.logdensity),
+                        fixture_obs, n, get_scheme("systematic"),
+                        [RngStream(1, (r,)) for r in range(m)])
+        return info.value
+
+    sliced = failure()
+    monkeypatch.setattr(resampling, "SLAB", m * n)
+    whole = failure()
+    assert sliced.row == whole.row == row
+    assert str(sliced) == str(whole)
+    assert str(sliced).startswith(
+        f"filter step t=2, row {row}: non-finite log weight at particle {particle}: x=")
 
 
 def test_run_filter_rejects_zero_particles(cox_model, gamma_proposal, fixture_obs):

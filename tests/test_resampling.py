@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,6 +135,71 @@ def test_not_normalized_rejected(name):
         scheme.resample(np.array([0.5, 0.6]), 2, RngStream(0))
     with pytest.raises(NotNormalized):
         scheme.resample(np.array([0.7, -0.3, 0.6]), 3, RngStream(0))
+
+
+def _bincount_counts(weights, positions):
+    """The earlier counting, kept as the reference: each position's cell
+    by searchsorted(cum, position, "right"), then one bincount."""
+    cum = np.cumsum(weights)
+    cum[-1] = max(cum[-1], 1.0)
+    return np.bincount(np.searchsorted(cum, positions, side="right"),
+                       minlength=len(weights))
+
+
+BINCOUNT_POSITIONS = {  # the earlier position arrays, drawn from one generator
+    "systematic": lambda gen, n: gen.random() / n + np.arange(n) / n,
+    "stratified": lambda gen, n: (np.arange(n) + gen.random(n)) / n,
+}
+SIZES = st.integers(1, 40) | st.sampled_from([8191, 8192, 8193, 2 * 8192 + 3])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), k=SIZES, n=SIZES,
+       name=st.sampled_from(sorted(BINCOUNT_POSITIONS)))
+def test_counts_equal_the_bincount_counts(seed, k, n, name):
+    w = RngStream(seed, (0,)).gen.dirichlet(np.ones(k))
+    counts = get_scheme(name).resample(w, n, RngStream(seed, (1,)))
+    positions = BINCOUNT_POSITIONS[name](RngStream(seed, (1,)).gen, n)
+    assert np.array_equal(counts, _bincount_counts(w, positions))
+
+
+def test_positions_on_the_edges_count_as_at_the_cumsum_edges():
+    # a position equal to an edge counts in the cell above it, so each
+    # count moves if one edge of a later slab differs from np.cumsum's
+    w = RngStream(3).gen.dirichlet(np.ones(3 * 8192 + 5))
+    positions = np.cumsum(w)[:-1]
+    counts = _counts_from_positions(w, positions)
+    assert np.array_equal(counts, _bincount_counts(w, positions))
+    assert counts.tolist() == [0] + [1] * (len(w) - 1)
+
+
+def test_counts_of_uneven_positions_equal_the_bincount_counts():
+    # the counts step from n * edge: positions far from even take more steps
+    gen = RngStream(5).gen
+    w = gen.dirichlet(np.ones(5000))
+    positions = np.sort(gen.random(3000) ** 4)
+    assert np.array_equal(_counts_from_positions(w, positions),
+                          _bincount_counts(w, positions))
+
+
+class _TopStream:
+    """A stream whose every uniform is the largest double below 1."""
+
+    u = np.nextafter(1.0, 0.0)
+    gen = SimpleNamespace(random=lambda size=None: _TopStream.u if size is None
+                          else np.full(size, _TopStream.u))
+
+
+def test_position_one_lands_in_the_last_cell():
+    # the last position rounds to exactly 1.0 = cum[-1]: (1 + u) / 2 and u / 2 + 1 / 2
+    assert _counts_from_positions(np.array([0.5, 0.5]), np.array([0.25, 1.0])).tolist() \
+        == [1, 1]
+    w = np.array([[0.5, 0.5], [0.25, 0.75]])
+    for name in ("systematic", "stratified"):
+        scheme = get_scheme(name)
+        assert scheme.resample(w[0], 2, _TopStream()).tolist() == [1, 1]
+        assert scheme.resample(w, 2, [_TopStream(), _TopStream()]).tolist() \
+            == [[1, 1], [0, 2]]
 
 
 @settings(max_examples=100, deadline=None)
