@@ -118,7 +118,8 @@ class ObservationSeries:
 
 
 def _negative(x: np.ndarray) -> bool:
-    return x.size > 0 and x.min() < 0
+    """Whether any entry of x is below 0; fmin skips NaNs, as x < 0 does."""
+    return bool(np.fmin.reduce(x, axis=None, initial=0.0) < 0)
 
 
 def cox_transition_logdensity(x, x_prev, eta: float):

@@ -17,10 +17,11 @@ checks run once per block and name the lowest failing row in
 ``err.row``, as `repeat_by_counts` does for the counts.
 
 A scheme writes every row's counts into one (M, K) count block.
-Systematic and stratified build a row's sorted positions slab by slab
-(`slabs`) and count each cell as a difference of searchsorted of its
-two edges in the positions, so besides the counts they hold one row of
-positions and slab-sized temporaries.
+Systematic and stratified draw each row's sorted positions and count
+each cell as the difference of how many positions lie below its two
+edges, for a group of short rows at once or slab by slab of a long
+row, so besides the counts they hold one row of positions (or a group
+of at most `SLAB`) and slab-sized temporaries.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import CountMismatch, NotNormalized, at_row
 
 _SUM_TOL = 1e-9
 SLAB = 8192  # entries per slab: see `slabs`
-_STEP_MIN = 2048  # edges from which `_below` steps from a guess
 
 
 def _checked(weights, n: int, rngs):
@@ -91,70 +91,89 @@ def multinomial_resample(weights, n: int, rngs) -> np.ndarray:
 def _counts_from_positions(weights: np.ndarray, positions: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
     """Count how many of the sorted positions land in each cumulative-weight
-    cell, into `out` when given.
+    cell, row by row of a (G, K) weight block and its (G, n) positions
+    (a 1-D pair is one row), into `out` when given.
 
     Cell i is [cum[i-1], cum[i]), except that the first cell reaches down
     to -inf and the last up to +inf: float drift can leave cum[-1] at or
     below a position of 1.0.  Count i is the difference of
     searchsorted(positions, edges, "left") at the cell's two edges.  The
-    edges are summed slab by slab, each slab continuing from the last sum
-    of the one before, which is the order np.cumsum adds them in.
+    edges are summed slab by slab of the columns, each slab continuing
+    from the last sum of the one before, which is the order np.cumsum
+    adds them in.
     """
-    k = len(weights)
-    counts = np.empty(k, dtype=np.int64) if out is None else out
-    carry = 0.0
+    w = weights.reshape(-1, weights.shape[-1])
+    g, k = w.shape
+    counts = np.empty(weights.shape, dtype=np.int64) if out is None else out
+    rows = counts.reshape(g, k)
+    carry = np.zeros(g)
     for s in slabs(k):
-        edges = np.empty(s.stop - s.start + 1)
-        edges[0], edges[1:] = carry, weights[s]
-        np.add.accumulate(edges, out=edges)
-        carry = edges[-1]
+        edges = np.empty((g, s.stop - s.start + 1))
+        edges[:, 0], edges[:, 1:] = carry, w[:, s]
+        np.add.accumulate(edges, axis=1, out=edges)
+        carry = edges[:, -1].copy()
         if s.start == 0:
-            edges[0] = -math.inf
+            edges[:, 0] = -math.inf
         if s.stop == k:
-            edges[-1] = math.inf
-        below = _below(positions, edges)
-        np.subtract(below[1:], below[:-1], out=counts[s])
+            edges[:, -1] = math.inf
+        below = _below(positions.reshape(g, -1), edges)
+        np.subtract(below[:, 1:], below[:, :-1], out=rows[:, s])
     return counts
 
 
 def _below(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """searchsorted(positions, edges, "left"): how many of the sorted
-    positions lie below each of the sorted edges.
+    """searchsorted(positions[r], edges[r], "left") for every row r of the
+    (G, n) sorted positions and (G, E) sorted edges.
 
-    From `_STEP_MIN` edges on, each count starts from the guess n * edge
-    instead of a binary search: a scheme's n positions lie about evenly
-    over [0, 1], so the guess is within a position or two of the count.
-    All guesses step up, then down, one position at a time until each is
-    exact (other sorted positions take more steps).  The steps cost a
-    few vectorized passes, so they lose to the search on short slabs and
-    win on long ones (140 against 370 us at 8192 edges).
+    Each count starts from the guess n * edge and steps up, then down,
+    one position at a time until it is exact.  A scheme puts one position
+    in each stratum of width 1/n, so a guess is a step or two off and the
+    whole block takes a few vectorized passes, where a binary search pays
+    log2(n) mispredicted branches per edge (other sorted positions take
+    more steps).
     """
-    if len(edges) < _STEP_MIN:
-        return np.searchsorted(positions, edges, side="left")
-    n = len(positions)
+    g, n = positions.shape
+    flat = positions.reshape(-1)
+    start = np.arange(0, g * n, n)[:, None]  # each row's first position
+    stop = start + n
     below = np.clip(edges * n, 0, n).astype(np.int64)
+    below += start
     while True:  # up while the next position lies below the edge
-        up = positions.take(below, mode="clip") < edges
-        up &= below < n
+        up = flat.take(below, mode="clip") < edges
+        up &= below < stop
         if not up.any():
             break
         below += up
     while True:  # down while the last counted position does not
-        down = positions.take(below - 1, mode="clip") >= edges
-        down &= below > 0
+        down = flat.take(below - 1, mode="clip") >= edges
+        down &= below > start
         if not down.any():
-            return below
+            break
         below -= down
+    below -= start
+    return below
 
 
 def _counts_at(positions_of, weights, n: int, rngs) -> np.ndarray:
     """Each row's counts at the n sorted positions that `positions_of(rng,
-    out)` draws from the row's stream into `out`."""
+    out)` draws from the row's stream into `out`.
+
+    Rows are counted together in groups of at most `SLAB` positions (one
+    row when a row has more), each group's positions drawn row by row in
+    order into one reused buffer.
+    """
     weights, _, rngs, one = _checked(weights, n, rngs)
-    counts = np.empty(weights.shape, dtype=np.int64)
-    positions = np.empty(n)  # one row's, reused
-    for w, row, rng in zip(weights, counts, rngs):
-        _counts_from_positions(w, positions_of(rng, positions), row)
+    m, k = weights.shape
+    counts = np.empty((m, k), dtype=np.int64)
+    g = max(1, min(m, SLAB // max(n, k + 1)))  # rows per group
+    positions = np.empty((g, n))
+    streams = iter(rngs)
+    for a in range(0, m, g):
+        group = slice(a, min(a + g, m))
+        held = positions[:group.stop - a]
+        for row in held:
+            positions_of(next(streams), row)
+        _counts_from_positions(weights[group], held, counts[group])
     return counts[0] if one else counts
 
 
@@ -216,7 +235,9 @@ def repeat_by_counts(particles: np.ndarray, counts,
     summing to the row's particle count.  A 1-D particle vector is the
     one-row case.  The flattened block is repeated slab by slab into the
     C-contiguous `out` (a new array when None), which keeps every row in
-    place because each row's counts sum to its length.
+    place because each row's counts sum to its length.  A slab that owns
+    more than `SLAB` copies (degenerate weights) writes them in smaller
+    pieces (`_repeat_into`), so no step needs a full-size temporary.
     """
     counts = np.asarray(counts)
     if counts.shape != particles.shape:
@@ -231,7 +252,22 @@ def repeat_by_counts(particles: np.ndarray, counts,
     source, flat, target = particles.reshape(-1), counts.reshape(-1), out.reshape(-1)
     at = 0
     for s in slabs(len(source)):
-        part = np.repeat(source[s], flat[s])
-        target[at:at + len(part)] = part
-        at += len(part)
+        total = int(flat[s].sum())
+        _repeat_into(target[at:at + total], source[s], flat[s])
+        at += total
     return out
+
+
+def _repeat_into(target: np.ndarray, source: np.ndarray, reps: np.ndarray) -> None:
+    """target[:] = np.repeat(source, reps) with no temporary beyond `SLAB`
+    entries: more copies than that are split at half the particles until
+    they fit, or are copies of one particle, which fill their range."""
+    if len(source) == 1:
+        target[:] = source[0]
+    elif len(target) <= SLAB:
+        target[:] = np.repeat(source, reps)
+    else:
+        half = len(source) // 2
+        split = int(reps[:half].sum())
+        _repeat_into(target[:split], source[:half], reps[:half])
+        _repeat_into(target[split:], source[half:], reps[half:])

@@ -97,6 +97,17 @@ def test_likelihood_rejects_bad_inputs():
         cox_likelihood_logdensity(-1, 0.5, C)
 
 
+def test_negative_state_next_to_a_nan_is_rejected():
+    # a NaN entry must not hide a negative one from the sign check
+    states = np.array([np.nan, -1.0])
+    with pytest.raises(DomainError, match="states must be nonnegative"):
+        cox_transition_logdensity(states, 1.0, ETA)
+    with pytest.raises(DomainError, match="states must be nonnegative"):
+        cox_transition_logdensity(1.0, states, ETA)
+    with pytest.raises(DomainError, match="states must be nonnegative"):
+        cox_likelihood_logdensity(1, states, C)
+
+
 # ---------------------------------------------------------------------------
 # prior and proposal
 

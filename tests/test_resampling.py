@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,7 @@ from pfconv import RngStream, get_scheme, make_test_function, multinomial_resamp
     stratified_resample, systematic_resample
 from pfconv.engine import _estimate_rows
 from pfconv.errors import CountMismatch, NotNormalized
+from pfconv import resampling
 from pfconv.resampling import _counts_from_positions, repeat_by_counts
 
 ALL_SCHEMES = ["multinomial", "stratified", "systematic"]
@@ -150,17 +152,23 @@ BINCOUNT_POSITIONS = {  # the earlier position arrays, drawn from one generator
     "systematic": lambda gen, n: gen.random() / n + np.arange(n) / n,
     "stratified": lambda gen, n: (np.arange(n) + gen.random(n)) / n,
 }
-SIZES = st.integers(1, 40) | st.sampled_from([8191, 8192, 8193, 2 * 8192 + 3])
+SIZES = st.integers(1, 40) | st.sampled_from([3000, 8191, 8192, 8193, 2 * 8192 + 3])
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1), k=SIZES, n=SIZES,
+@given(seed=st.integers(0, 2**31 - 1), m=st.integers(0, 4), k=SIZES, n=SIZES,
        name=st.sampled_from(sorted(BINCOUNT_POSITIONS)))
-def test_counts_equal_the_bincount_counts(seed, k, n, name):
-    w = RngStream(seed, (0,)).gen.dirichlet(np.ones(k))
-    counts = get_scheme(name).resample(w, n, RngStream(seed, (1,)))
-    positions = BINCOUNT_POSITIONS[name](RngStream(seed, (1,)).gen, n)
-    assert np.array_equal(counts, _bincount_counts(w, positions))
+def test_counts_equal_the_bincount_counts(seed, m, k, n, name):
+    # m = 0 is a 1-D call; blocks of rows are counted in groups, which
+    # split a block when its rows hold more than a slab together
+    gen = RngStream(seed, (0,)).gen
+    w = gen.dirichlet(np.ones(k), size=max(m, 1))
+    streams = [RngStream(seed, (1, r)) for r in range(len(w))]
+    counts = get_scheme(name).resample(w[0] if m == 0 else w, n,
+                                       streams[0] if m == 0 else streams)
+    for r, (row, weights) in enumerate(zip(np.atleast_2d(counts), w)):
+        positions = BINCOUNT_POSITIONS[name](RngStream(seed, (1, r)).gen, n)
+        assert np.array_equal(row, _bincount_counts(weights, positions))
 
 
 def test_positions_on_the_edges_count_as_at_the_cumsum_edges():
@@ -174,7 +182,7 @@ def test_positions_on_the_edges_count_as_at_the_cumsum_edges():
 
 
 def test_counts_of_uneven_positions_equal_the_bincount_counts():
-    # the counts step from n * edge: positions far from even take more steps
+    # positions far from even take more steps; fewer of them than cells
     gen = RngStream(5).gen
     w = gen.dirichlet(np.ones(5000))
     positions = np.sort(gen.random(3000) ** 4)
@@ -296,6 +304,40 @@ def test_block_check_names_lowest_failing_row(name):
 def test_block_needs_one_stream_per_row():
     with pytest.raises(ValueError):
         multinomial_resample(_weight_block(3, 4), 4, [RngStream(0), RngStream(1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 40), st.integers(1, 9),
+       st.floats(0.01, 2.0), st.integers(0, 2 ** 32 - 1))
+def test_repeat_by_counts_equals_np_repeat_at_any_slab(m, n, slab, alpha, seed):
+    # small slabs split the block and each slab's copies into many pieces;
+    # a small alpha piles a row's counts onto a few particles
+    gen = np.random.default_rng(seed)
+    particles = gen.random((m, n))
+    counts = np.array([gen.multinomial(n, gen.dirichlet(np.full(n, alpha)))
+                       for _ in range(m)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resampling, "SLAB", slab)
+        out = repeat_by_counts(particles, counts)
+    expected = [np.repeat(p, c) for p, c in zip(particles, counts)]
+    assert np.array_equal(out, np.array(expected))
+
+
+def test_repeat_by_counts_of_degenerate_counts_needs_no_full_size_temporary():
+    # every copy from one particle: the slab that owns it writes 2^18 copies
+    n = 2 ** 18
+    particles = np.arange(float(n))
+    counts = np.zeros(n, dtype=np.int64)
+    counts[5] = n
+    out = np.empty(n)
+    tracemalloc.start()
+    try:
+        repeat_by_counts(particles, counts, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (out == 5.0).all()
+    assert peak <= 8 * resampling.SLAB * 8  # a few slabs; one copy of out is 2 MiB
 
 
 def test_repeat_by_counts_block_keeps_rows_in_place():
