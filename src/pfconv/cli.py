@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ from .cox import PROPOSALS, CoxParams, GammaProposal, ObservationSeries, make_co
     make_cox_model_and_proposal, make_gamma_proposal, simulate, states_to_csv
 from .engine import run_filter
 from .errors import DomainError, PfconvError
-from .gridfilter import run_cox_grid_filter
+from .gridfilter import grid_cells, run_cox_grid_filter
 from .model import make_test_function
 from .moments import MomentCondition, check_cox_moment_condition, \
     quadrature_weight_moment
@@ -102,7 +101,9 @@ def build_parser() -> argparse.ArgumentParser:
     choices = {"proposal": PROPOSALS, "resampler": sorted(SCHEMES)}
     for _, key, field, parse in KEYS:
         p.add_argument(flag(key), dest=field, type=parse, choices=choices.get(field))
-    p.add_argument("--workers", type=int, help="worker processes (default: PFCONV_WORKERS or cores)")
+    p.add_argument("--workers", type=int,
+                   help="worker processes, and threads of the grid oracle "
+                        "(default: usable cores, capped by PFCONV_WORKERS)")
     p.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("check-resampler", help="statistical contract checks for one scheme")
@@ -129,14 +130,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _grid_cells(args) -> int:
-    """The oracle grid's cell count for --x-max and --dx, once 0 < dx < x_max < inf."""
-    if not 0 < args.dx < args.x_max < math.inf:  # NaN fails too
-        raise DomainError(f"--dx must lie strictly between 0 and a finite --x-max, "
-                          f"got --dx {args.dx!r}, --x-max {args.x_max!r}")
-    return int(round(args.x_max / args.dx))
-
-
 def _histogram_cells(args, obs: ObservationSeries) -> int:
     """The --svg overlay's grid cell count, once its flags are checked."""
     if args.hist_step not in [t for t, _ in obs]:
@@ -146,7 +139,7 @@ def _histogram_cells(args, obs: ObservationSeries) -> int:
     if not args.hist_min < args.hist_max:
         raise DomainError(f"--hist-min must lie below --hist-max ({args.hist_max!r}), "
                           f"got {args.hist_min!r}")
-    return _grid_cells(args)
+    return grid_cells(args.x_max, args.dx)
 
 
 def _cmd_filter(args) -> int:
@@ -195,7 +188,7 @@ def _cmd_grid(args) -> int:
     params = CoxParams(args.c, args.eta)
     obs = ObservationSeries.from_csv(args.observations)
     phi = make_test_function(args.phi)
-    n_cells = _grid_cells(args)
+    n_cells = grid_cells(args.x_max, args.dx)
     run = run_cox_grid_filter(params, obs, args.x_max, n_cells, [phi])
     with open(args.out, "w", newline="") as fh:
         fh.write("t,estimate_phi,grid_mean,grid_var\n")

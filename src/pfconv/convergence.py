@@ -16,8 +16,6 @@ particles.
 
 from __future__ import annotations
 
-import math
-import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -27,16 +25,16 @@ import numpy as np
 
 from .cox import PROPOSALS, CoxParams, GammaProposal, ObservationSeries, \
     make_cox_model_and_proposal
+from .cores import resolve_workers
 from .engine import _run_block
 from .errors import DomainError, InsufficientPoints, NonPositiveValue, PfconvError, \
     StudyError
-from .gridfilter import run_cox_grid_filter
+from .gridfilter import grid_cells, run_cox_grid_filter
 from .model import make_test_function
 from .resampling import SCHEMES, get_scheme
 from .rng import RngStream
 
 SCHEMA_VERSION = 1
-WORKERS_ENV = "PFCONV_WORKERS"
 # Particles per study task (replicates x N): the largest N in the
 # committed configs, so no block outgrows the largest single replicate.
 BLOCK_PARTICLES = 8192
@@ -88,9 +86,7 @@ class ExperimentConfig:
             GammaProposal(self.alpha, self.beta)  # DomainError unless both are positive
         if self.master_seed < 0:
             raise DomainError("master seed must be >= 0")
-        if not 0 < self.grid_dx < self.grid_x_max < math.inf:  # NaN fails too
-            raise DomainError(f"oracle grid needs finite 0 < dx < x_max (--dx, --x-max), "
-                              f"got dx={self.grid_dx!r}, x_max={self.grid_x_max!r}")
+        grid_cells(self.grid_x_max, self.grid_dx)
 
     def to_dict(self) -> dict:
         """The fields in order, tuples as lists (the report's config echo)."""
@@ -180,21 +176,6 @@ class ConvergenceReport:
         raise KeyError(f"no rate fit for ({stage}, {phi}, t={t}, p={moment})")
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """Explicit argument wins; otherwise logical cores, capped by the
-    PFCONV_WORKERS environment variable."""
-    if workers is not None:
-        return max(1, int(workers))
-    count = os.cpu_count() or 1
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            count = min(count, max(1, int(env)))
-        except ValueError:
-            raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    return count
-
-
 def _study_cell(args):
     """Run one block of replicates at one N as a single batched filter.
 
@@ -225,20 +206,21 @@ def _study_cell(args):
     return n_idx, replicates, est_n, est_r
 
 
-def _oracle_tables(config: ExperimentConfig, obs, phis):
-    """Grid-filter truth plus a halved-dx self-consistency check."""
-    n_cells = int(round(config.grid_x_max / config.grid_dx))
+def _oracle_tables(config: ExperimentConfig, obs, phis, workers: int | None):
+    """Grid-filter truth plus a halved-dx self-consistency check; the
+    grids predict on ``workers`` threads (see `run_cox_grid_filter`)."""
+    n_cells = grid_cells(config.grid_x_max, config.grid_dx)
     coarse = run_cox_grid_filter(CoxParams(config.c, config.eta), obs,
-                                 config.grid_x_max, n_cells, phis)
+                                 config.grid_x_max, n_cells, phis, workers)
     fine = run_cox_grid_filter(CoxParams(config.c, config.eta), obs,
-                               config.grid_x_max, 2 * n_cells, phis)
+                               config.grid_x_max, 2 * n_cells, phis, workers)
     delta = max(
         abs(a - b)
         for phi in phis
         for a, b in zip(coarse.estimates[phi.name], fine.estimates[phi.name])
     )
     check = {
-        "dx": config.grid_dx,
+        "dx": config.grid_x_max / n_cells,
         "x_max": config.grid_x_max,
         "fine_dx": config.grid_x_max / (2 * n_cells),
         "max_abs_delta": delta,
@@ -321,7 +303,7 @@ def run_convergence_study(config: ExperimentConfig,
     obs = ObservationSeries.from_csv(config.observations)
     obs_rows = tuple(obs)
     phis = [make_test_function(name) for name in config.test_functions]
-    oracle, check = _oracle_tables(config, obs_rows, phis)
+    oracle, check = _oracle_tables(config, obs_rows, phis, workers)
     truth_map = {name: list(vals) for name, vals in oracle.estimates.items()}
     steps = list(oracle.steps)
 

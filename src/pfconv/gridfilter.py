@@ -12,7 +12,12 @@ On midpoints x_i = (i + 1/2) dx the kernel splits into a Toeplitz part
 f(x_i - x_j) and a Hankel part f(x_i + x_j), so prediction is one direct
 convolution plus one correlation of length-(2n - 1) lag vectors with the
 grid values (Kitagawa's numerical filter with that structure exploited):
-O(n) memory and O(n^2) flops per step, with no kernel matrix.
+O(n) memory and O(n^2) flops per step, with no kernel matrix.  Each
+output row is one dot product of n lags with the n grid values, so the
+rows split into contiguous ranges that run on threads (numpy releases
+the GIL in these loops); a row's dot product, and so its bits, is the
+same whatever the range or thread count.  Hankel rows whose lags are all
+exactly zero are skipped: they add exactly 0.0.
 
 The grid ends at x_max, so it is only truth when the posterior has
 negligible mass near that edge: `run_cox_grid_filter` fails when the top
@@ -22,11 +27,14 @@ negligible mass near that edge: `run_cox_grid_filter` fails when the top
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .cores import resolve_workers
 from .cox import CoxParams, cox_likelihood_logdensity
 from .errors import DomainError, ZeroMass
 from .model import TestFunction
@@ -81,6 +89,19 @@ def _renormalized(values: np.ndarray, dx: float) -> np.ndarray:
     return values / mass
 
 
+def grid_cells(x_max: float, dx: float) -> int:
+    """Cell count round(x_max / dx) of the grid on [0, x_max] whose
+    spacing is closest to ``dx``; the grid's own spacing is x_max over it."""
+    if not 0 < dx < x_max < math.inf:  # NaN fails too
+        raise DomainError(f"oracle grid needs finite 0 < dx < x_max (--dx, --x-max), "
+                          f"got dx={dx!r}, x_max={x_max!r}")
+    n_cells = int(round(x_max / dx))
+    if n_cells < 10:
+        raise DomainError(f"--x-max {x_max!r} / --dx {dx!r} gives {n_cells} cells; "
+                          f"the oracle grid needs at least 10")
+    return n_cells
+
+
 def grid_init(prior_density: Callable[[np.ndarray], np.ndarray],
               x_max: float, n_cells: int) -> GridDensity:
     """Evaluate a prior density at cell midpoints and renormalize."""
@@ -92,12 +113,27 @@ def grid_init(prior_density: Callable[[np.ndarray], np.ndarray],
     return GridDensity(x_max, _renormalized(values, dx))
 
 
-def grid_predict(grid: GridDensity, eta: float) -> GridDensity:
+def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """At most ``parts`` contiguous, nonempty, near-equal ranges covering 0..n-1."""
+    edges = [n * k // parts for k in range(parts + 1)]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+
+
+def grid_predict(grid: GridDensity, eta: float, *,
+                 pool: ThreadPoolExecutor | None = None) -> GridDensity:
     """One prediction step under the folded Gaussian transition with
     increment variance ``eta``: values' = K @ values * dx, renormalized.
 
     Every lag is kept and the sums are direct, not FFT-based: FFT
     rounding can turn the ~1e-45 tail cells negative.
+
+    The Toeplitz rows and the Hankel rows are each split into one
+    contiguous range per thread of ``pool`` (one range when it is None,
+    run inline).  Row i of a range is the same dot product of the lags
+    i..i+n-1 with the grid values that the whole convolution computes,
+    so the result has the same bits for any thread count.  The Hankel
+    lags decrease to exact zeros (x > 12.2 at eta = 0.1); rows past the
+    last nonzero lag are skipped and keep 0.0, which adds nothing.
     """
     if not eta > 0:
         raise DomainError("eta must be positive")
@@ -105,8 +141,19 @@ def grid_predict(grid: GridDensity, eta: float) -> GridDensity:
     scale = math.sqrt(2 * math.pi * eta)
     toe = np.exp(-(np.arange(1 - n, n) * dx) ** 2 / (2 * eta)) / scale
     han = np.exp(-(np.arange(1, 2 * n) * dx) ** 2 / (2 * eta)) / scale
-    values = (np.convolve(toe, grid.values, "valid")
-              + np.correlate(han, grid.values, "valid")) * dx
+    nonzero = np.flatnonzero(han)
+    live = min(n, int(nonzero[-1]) + 1) if nonzero.size else 0
+    conv, corr = np.empty(n), np.zeros(n)
+    parts = 1 if pool is None else pool._max_workers
+    jobs = [(np.convolve, toe, conv, lo, hi) for lo, hi in _ranges(n, parts)] \
+        + [(np.correlate, han, corr, lo, hi) for lo, hi in _ranges(live, parts)]
+
+    def rows(job):
+        op, lags, out, lo, hi = job
+        out[lo:hi] = op(lags[lo:hi + n - 1], grid.values, "valid")
+
+    list((map if pool is None else pool.map)(rows, jobs))  # raises a job's error
+    values = (conv + corr) * dx
     return GridDensity(grid.x_max, _renormalized(values, dx))
 
 
@@ -156,32 +203,37 @@ class GridFilterRun:
 
 def run_cox_grid_filter(params: CoxParams, observations,
                         x_max: float = 15.0, n_cells: int = 3000,
-                        test_functions: Sequence[TestFunction] = ()) -> GridFilterRun:
+                        test_functions: Sequence[TestFunction] = (),
+                        workers: int | None = None) -> GridFilterRun:
     """Run the grid filter over a (t, y) sequence and record posteriors.
 
-    Raises DomainError when x_max truncates a filtered posterior (see the
-    module docstring).
+    Prediction runs on ``resolve_workers(workers)`` threads of one pool
+    that lives for this call only; the results do not depend on the
+    thread count.  Raises DomainError when x_max truncates a filtered
+    posterior (see the module docstring).
     """
     grid = grid_init(folded_normal_prior, x_max, n_cells)
     tail = max(1, int(n_cells * _TAIL_FRACTION))
     grids, steps, means, variances = [], [], [], []
     estimates: dict[str, list[float]] = {phi.name: [] for phi in test_functions}
     log_evidence = 0.0
-    for t, y in observations:
-        grid = grid_predict(grid, params.eta)
-        grid, increment = _update_with_evidence(
-            grid, lambda yy, x: cox_likelihood_logdensity(yy, x, params.c), y)
-        log_evidence += math.log(increment)
-        tail_mass = float(np.sum(grid.values[-tail:]) * grid.dx)
-        if tail_mass > _TAIL_MASS_TOL:
-            raise DomainError(f"x_max={x_max} truncates the posterior at t={t}: the top "
-                              f"{tail} cells hold mass {tail_mass:.3g}")
-        grids.append(grid)
-        steps.append(int(t))
-        means.append(grid.mean())
-        variances.append(grid.variance())
-        for phi in test_functions:
-            estimates[phi.name].append(grid_estimate(grid, phi))
+    threads = resolve_workers(workers)
+    with ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for t, y in observations:
+            grid = grid_predict(grid, params.eta, pool=pool)
+            grid, increment = _update_with_evidence(
+                grid, lambda yy, x: cox_likelihood_logdensity(yy, x, params.c), y)
+            log_evidence += math.log(increment)
+            tail_mass = float(np.sum(grid.values[-tail:]) * grid.dx)
+            if tail_mass > _TAIL_MASS_TOL:
+                raise DomainError(f"x_max={x_max} truncates the posterior at t={t}: the "
+                                  f"top {tail} cells hold mass {tail_mass:.3g}")
+            grids.append(grid)
+            steps.append(int(t))
+            means.append(grid.mean())
+            variances.append(grid.variance())
+            for phi in test_functions:
+                estimates[phi.name].append(grid_estimate(grid, phi))
     return GridFilterRun(
         grids=tuple(grids),
         steps=tuple(steps),

@@ -230,6 +230,19 @@ def test_grid_spacing_must_lie_inside_the_grid(tmp_path, fixture_obs_path, capsy
     assert not (tmp_path / "est.csv").exists()  # rejected before filtering
 
 
+def test_grid_spacing_must_leave_ten_cells(tmp_path, fixture_obs_path, capsys):
+    # --x-max 15 / --dx 2 rounds to 8 cells
+    out_json = tmp_path / "r.json"
+    for argv in (["converge", "--particle-counts", "8,16,32", "--replicates", "2",
+                  "--json", str(out_json), "--workers", "1"],
+                 ["grid", "--out", str(tmp_path / "g.csv")]):
+        assert cli_dispatch(argv + ["--observations", str(fixture_obs_path),
+                                    "--dx", "2", "--x-max", "15"]) == 2
+        err = capsys.readouterr().err
+        assert "--dx" in err and "--x-max" in err and "8 cells" in err
+    assert not out_json.exists() and not (tmp_path / "g.csv").exists()
+
+
 def test_histogram_flags_are_checked_before_filtering(tmp_path, fixture_obs_path, capsys):
     filt = ["filter", "--observations", str(fixture_obs_path), "--n", "16", "--seed", "1",
             "--out", str(tmp_path / "est.csv"), "--svg", str(tmp_path / "hist.svg")]

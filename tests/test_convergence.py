@@ -9,6 +9,7 @@ from pfconv import ExperimentConfig, fit_loglog_slope, run_convergence_study
 from pfconv.cli import build_parser
 from pfconv.configfile import KEYS, apply_overrides, flag, load_config
 from pfconv.convergence import ConvergenceReport, _aggregate, _rate_fits
+from pfconv.cores import WORKERS_ENV
 from pfconv.errors import DomainError, InsufficientPoints, NonPositiveValue, StudyError
 from pfconv.model import Proposal, make_test_function
 from pfconv.report import emit_report
@@ -111,6 +112,8 @@ def test_config_validation(fixture_obs_path):
                  {"grid_x_max": float("nan")}):
         with pytest.raises(DomainError, match="--dx, --x-max"):
             small_config(fixture_obs_path, **grid).validate()
+    with pytest.raises(DomainError, match="--x-max 12.0 / --dx 2.0 gives 6 cells"):
+        small_config(fixture_obs_path, grid_dx=2.0).validate()
 
 
 def test_config_file_roundtrip(tmp_path, fixture_obs_path):
@@ -275,19 +278,48 @@ def test_worker_count_does_not_change_results(tmp_path, fixture_obs_path, small_
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_oracle_runs_on_the_study_workers_and_echoes_its_spacing(fixture_obs_path,
+                                                                  monkeypatch):
+    # dx 0.049 on [0, 12] rounds to 245 cells, so the grid's spacing is 12 / 245
+    seen = []
+    oracle = convergence.run_cox_grid_filter
+
+    def recording(params, obs, x_max, n_cells, phis, workers):
+        seen.append((n_cells, workers))
+        return oracle(params, obs, x_max, n_cells, phis, workers)
+
+    monkeypatch.setattr(convergence, "run_cox_grid_filter", recording)
+    report = run_convergence_study(small_config(fixture_obs_path, grid_dx=0.049), workers=1)
+    assert seen == [(245, 1), (490, 1)]
+    assert report.oracle_check["dx"] == 12.0 / 245
+    assert report.oracle_check["fine_dx"] == 12.0 / 490
+
+
 def test_workers_env_cap(monkeypatch):
     import os
-    cores = os.cpu_count() or 1
-    monkeypatch.setenv(convergence.WORKERS_ENV, "1")
+    cores = len(os.sched_getaffinity(0))
+    monkeypatch.setenv(WORKERS_ENV, "1")
     assert convergence.resolve_workers(None) == 1  # env caps the default
-    monkeypatch.setenv(convergence.WORKERS_ENV, str(cores + 10))
+    monkeypatch.setenv(WORKERS_ENV, str(cores + 10))
     assert convergence.resolve_workers(None) == cores  # cap never raises it
     assert convergence.resolve_workers(2) == 2  # explicit argument wins
-    monkeypatch.setenv(convergence.WORKERS_ENV, "abc")
+    monkeypatch.setenv(WORKERS_ENV, "abc")
     with pytest.raises(DomainError, match="PFCONV_WORKERS must be an integer, got 'abc'"):
         convergence.resolve_workers(None)
-    monkeypatch.delenv(convergence.WORKERS_ENV)
+    monkeypatch.delenv(WORKERS_ENV)
     assert convergence.resolve_workers(None) == cores
+
+
+def test_workers_default_counts_the_cpu_affinity_set(monkeypatch):
+    # a process pinned to one core (taskset, a cpuset) gets one worker
+    # however many cores the machine has
+    import os
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert convergence.resolve_workers(None) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert convergence.resolve_workers(None) == 3
 
 
 def test_partial_flush_on_failure(tmp_path, fixture_obs_path, monkeypatch):

@@ -1,5 +1,7 @@
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from pfconv import GridDensity, grid_estimate, grid_init, grid_predict, \
     grid_update, make_test_function, run_cox_grid_filter
 from pfconv.cox import CoxParams, cox_likelihood_logdensity, cox_transition_logdensity
 from pfconv.errors import DomainError, ZeroMass
+from pfconv import gridfilter
 from pfconv.gridfilter import density_in_bins, folded_normal_prior
 
 EXP_NEG = make_test_function("exp_neg")
@@ -117,6 +120,86 @@ def test_grid_predict_matches_dense_kernel(eta):
         dense /= np.sum(dense) * grid.dx
         out = grid_predict(grid, eta).values
         assert np.allclose(out, dense, rtol=1e-12, atol=0)
+
+
+def _whole_rows_predict(grid, eta):
+    """Reference: both lag sums over all n rows in one call each."""
+    n, dx = grid.n_cells, grid.dx
+    scale = math.sqrt(2 * math.pi * eta)
+    toe = np.exp(-(np.arange(1 - n, n) * dx) ** 2 / (2 * eta)) / scale
+    han = np.exp(-(np.arange(1, 2 * n) * dx) ** 2 / (2 * eta)) / scale
+    values = (np.convolve(toe, grid.values, "valid")
+              + np.correlate(han, grid.values, "valid")) * dx
+    return values / (np.sum(values) * dx)
+
+
+def _hankel_first_zero(n, x_max, eta):
+    x = np.arange(1, 2 * n) * (x_max / n)
+    zero = np.flatnonzero(np.exp(-x ** 2 / (2 * eta)) / math.sqrt(2 * math.pi * eta) == 0)
+    return int(zero[0]) if zero.size else None
+
+
+# (x_max, eta): at 0.1 about 19% of the Hankel rows are exactly zero; at
+# 1e-6 all but the first few (at 10 cells all of them); at 5.0 none; at
+# x_max = 30, eta = 1 the first zero lag lies past the last row
+@pytest.mark.parametrize("x_max, eta", [(15.0, 0.1), (15.0, 1e-6), (15.0, 5.0), (30.0, 1.0)])
+@pytest.mark.parametrize("n", [10, 11, 600, 3001])
+def test_grid_predict_bits_do_not_depend_on_the_thread_count(n, x_max, eta):
+    first_zero = _hankel_first_zero(n, x_max, eta)
+    if eta == 5.0:
+        assert first_zero is None
+    elif eta == 1.0:
+        assert n <= first_zero
+    else:
+        assert first_zero < n
+    rough = 1.0 + np.sin(np.arange(n) * 1.7) ** 2  # every cell different
+    # with all mass in cell 0, the last nonzero Hankel lag changes the bits
+    # of its row, so skipping one row too many fails
+    corner = np.zeros(n)
+    corner[0] = n / x_max
+    for grid in (grid_init(lambda x: folded_normal_prior(x) * rough, x_max, n),
+                 GridDensity(x_max, corner)):
+        inline = grid_predict(grid, eta).values
+        assert np.array_equal(inline, _whole_rows_predict(grid, eta))
+        for threads in (1, 2, 3, 4):
+            with ThreadPoolExecutor(threads) as pool:
+                assert np.array_equal(grid_predict(grid, eta, pool=pool).values, inline)
+
+
+def test_run_cox_grid_filter_same_run_on_any_thread_count(fixture_obs):
+    params = CoxParams(0.5, 0.1)
+    one = run_cox_grid_filter(params, fixture_obs, 15.0, 1201, [EXP_NEG, ONE], workers=1)
+    three = run_cox_grid_filter(params, fixture_obs, 15.0, 1201, [EXP_NEG, ONE], workers=3)
+    assert len(one.grids) == len(three.grids) == len(fixture_obs)
+    for a, b in zip(one.grids, three.grids):
+        assert a.x_max == b.x_max and np.array_equal(a.values, b.values)
+    assert (one.steps, one.estimates, one.means, one.variances, one.log_evidence) == \
+        (three.steps, three.estimates, three.means, three.variances, three.log_evidence)
+
+
+def test_run_cox_grid_filter_leaves_no_thread_behind(fixture_obs):
+    before = threading.active_count()
+    run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800, workers=3)
+    assert threading.active_count() == before
+    with pytest.raises(DomainError, match="truncates the posterior"):
+        run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 4.0, 800, workers=3)
+    assert threading.active_count() == before
+
+
+def test_grid_predict_runs_once_per_step_on_the_calling_thread(fixture_obs, monkeypatch):
+    # the benchmark's tracer wraps gridfilter.grid_predict, reads the grid
+    # from its first positional argument and keeps a span stack that is
+    # not thread-safe
+    calls = []
+    predict = gridfilter.grid_predict
+
+    def recording(*args, **kwargs):
+        calls.append((threading.get_ident(), args[0].n_cells))
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(gridfilter, "grid_predict", recording)
+    run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800, workers=3)
+    assert calls == [(threading.get_ident(), 800)] * len(fixture_obs)
 
 
 def test_run_cox_grid_filter_normalized_every_step(fixture_obs):
