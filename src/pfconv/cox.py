@@ -179,14 +179,17 @@ def gamma_logdensity(prop: GammaProposal, x):
     """Log Gamma density; -inf off the support (x <= 0 for alpha > 1)."""
     x = np.asarray(x, dtype=float)
     const = prop.alpha * math.log(prop.beta) - math.lgamma(prop.alpha)
-    inside = np.asarray(x > 0)
-    out = np.where(inside, x, 1.0)
+    # Gamma draws are all positive and need no mask; np.min propagates a
+    # NaN, so an array that holds one takes the masked path.
+    outside = None if x.size and x.min() > 0 else np.asarray(~(x > 0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.log(out, out=out)
+        out = np.log(x if outside is None else np.where(outside, 1.0, x),
+                     out=np.empty(x.shape))
         out *= prop.alpha - 1
         out += const
         out -= np.multiply(x, prop.beta)
-    np.copyto(out, -math.inf, where=np.logical_not(inside, out=inside))
+    if outside is not None:
+        np.copyto(out, -math.inf, where=outside)
     return out if out.ndim else float(out)
 
 
@@ -207,7 +210,7 @@ def make_cox_model(params: CoxParams) -> StateSpaceModel:
 def make_gamma_proposal(prop: GammaProposal) -> Proposal:
     """State- and observation-independent Gamma proposal."""
     return Proposal(
-        propose=lambda x_prev, y, rng: gamma_propose(prop, rng, size=len(np.atleast_1d(x_prev))),
+        propose=lambda x_prev, y, rng: gamma_propose(prop, rng, size=np.size(x_prev)),
         logdensity=lambda x, x_prev, y: gamma_logdensity(prop, x),
     )
 
@@ -217,7 +220,7 @@ def make_bootstrap_proposal(params: CoxParams) -> Proposal:
 
     def propose(x_prev, y, rng):
         x_prev = np.asarray(x_prev, dtype=float)
-        eps = rng.gen.standard_normal(len(x_prev))
+        eps = rng.gen.standard_normal(np.size(x_prev))
         return np.abs(x_prev + math.sqrt(params.eta) * eps)
 
     return Proposal(

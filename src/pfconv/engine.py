@@ -25,15 +25,18 @@ the effective sample size, the weight and count checks and the particle
 duplication are evaluated once on the whole block.
 
 A block allocates its (M, N) buffers once (`_Workspace`) and every step
-writes into them, so the steps of a large block allocate almost nothing
-at full size.  The stages that work entry by entry (drawing, the
-densities and log weights, the test functions, the duplication) run
-over slabs of at most `resampling.SLAB` entries of the flattened block,
-in order, and keep their temporaries slab-sized; a block of at most
-that many particles is one slab.  The row sums are taken over whole
-rows of the buffers, so the slabs change no bit of any result: the
-model callables are pointwise and draw one state per entry, in order
-(`model.StateSpaceModel`, `model.Proposal`).
+writes into them; the resampling counts go into the log-weight buffer,
+which is dead between the estimates before and after resampling.  So a
+step of a large block allocates nothing at full size with systematic
+resampling, whose counts need no row of positions, and only numpy's own
+count vector with multinomial.  The stages that work entry by entry
+(drawing, the densities and log weights, the test functions, the
+duplication) run over slabs of at most `resampling.SLAB` entries of the
+flattened block, in order, and keep their temporaries slab-sized; a
+block of at most that many particles is one slab.  The row sums are
+taken over whole rows of the buffers, so the slabs change no bit of any
+result: the model callables are pointwise and draw one state per entry,
+in order (`model.StateSpaceModel`, `model.Proposal`).
 All weight arithmetic is done in the log domain with max-shifted
 summation because the shipped models produce weights spanning hundreds
 of orders of magnitude (the proposal density can vanish at points where
@@ -79,7 +82,8 @@ class _Workspace(NamedTuple):
 
     ``x`` holds the parents and then the resampled particles, ``proposed``
     the proposed particles, ``lw`` the log weights (and, once they are
-    dead, the products the row sums reduce) and ``w`` the weights.
+    dead, the products the row sums reduce and, as int64, the resampling
+    counts) and ``w`` the weights.
     """
 
     x: np.ndarray
@@ -236,7 +240,8 @@ def _step(ws: _Workspace, model: StateSpaceModel, proposal: Proposal, y,
     estimates = {phi.name: _estimate_rows(w, total, proposed, phi, lw)
                  for phi in test_functions}
 
-    repeat_by_counts(proposed, resampler.resample(w, n, resample_rngs), x)
+    counts = resampler.resample(w, n, resample_rngs, out=lw.view(np.int64))
+    repeat_by_counts(proposed, counts, x)
     after = {phi.name: _estimate_rows(*resampled, x, phi, lw) for phi in test_functions}
     k = min(record_cloud, n)
     clouds = [StepCloud(proposed[r, :k].copy(), w[r, :k].copy(), x[r, :k].copy())

@@ -16,8 +16,10 @@ O(n) memory and O(n^2) flops per step, with no kernel matrix.  Each
 output row is one dot product of n lags with the n grid values, so the
 rows split into contiguous ranges that run on threads (numpy releases
 the GIL in these loops); a row's dot product, and so its bits, is the
-same whatever the range or thread count.  Hankel rows whose lags are all
-exactly zero are skipped: they add exactly 0.0.
+same whatever the range or thread count.  Above `BLAS_THREADED_DOT`
+cells each dot product is threaded by BLAS already, and the rows run as
+one range.  Hankel rows whose lags are all exactly zero are skipped:
+they add exactly 0.0.
 
 The grid ends at x_max, so it is only truth when the posterior has
 negligible mass near that edge: `run_cox_grid_filter` fails when the top
@@ -42,6 +44,11 @@ from .model import TestFunction
 _NORM_TOL = 1e-9
 _TAIL_FRACTION = 0.05  # share of the grid, at its upper edge, checked for mass
 _TAIL_MASS_TOL = 1e-9
+
+# OpenBLAS threads every ddot longer than 10^4 entries over its own
+# threads, so above this many cells one prediction row already keeps the
+# cores busy and row ranges on more threads only oversubscribe them.
+BLAS_THREADED_DOT = 10_000
 
 
 @dataclass(frozen=True)
@@ -128,12 +135,14 @@ def grid_predict(grid: GridDensity, eta: float, *,
     rounding can turn the ~1e-45 tail cells negative.
 
     The Toeplitz rows and the Hankel rows are each split into one
-    contiguous range per thread of ``pool`` (one range when it is None,
-    run inline).  Row i of a range is the same dot product of the lags
-    i..i+n-1 with the grid values that the whole convolution computes,
-    so the result has the same bits for any thread count.  The Hankel
-    lags decrease to exact zeros (x > 12.2 at eta = 0.1); rows past the
-    last nonzero lag are skipped and keep 0.0, which adds nothing.
+    contiguous range per thread of ``pool``; one range, run inline, when
+    it is None or the grid has more than `BLAS_THREADED_DOT` cells (each
+    row's dot product is threaded then).  Row i of a range is the same dot
+    product of the lags i..i+n-1 with the grid values that the whole
+    convolution computes, so the result has the same bits for any thread
+    count.  The Hankel lags decrease to exact zeros (x > 12.2 at
+    eta = 0.1); rows past the last nonzero lag are skipped and keep 0.0,
+    which adds nothing.
     """
     if not eta > 0:
         raise DomainError("eta must be positive")
@@ -144,7 +153,7 @@ def grid_predict(grid: GridDensity, eta: float, *,
     nonzero = np.flatnonzero(han)
     live = min(n, int(nonzero[-1]) + 1) if nonzero.size else 0
     conv, corr = np.empty(n), np.zeros(n)
-    parts = 1 if pool is None else pool._max_workers
+    parts = 1 if pool is None or n > BLAS_THREADED_DOT else pool._max_workers
     jobs = [(np.convolve, toe, conv, lo, hi) for lo, hi in _ranges(n, parts)] \
         + [(np.correlate, han, corr, lo, hi) for lo, hi in _ranges(live, parts)]
 
@@ -152,7 +161,7 @@ def grid_predict(grid: GridDensity, eta: float, *,
         op, lags, out, lo, hi = job
         out[lo:hi] = op(lags[lo:hi + n - 1], grid.values, "valid")
 
-    list((map if pool is None else pool.map)(rows, jobs))  # raises a job's error
+    list((map if parts == 1 else pool.map)(rows, jobs))  # raises a job's error
     values = (conv + corr) * dx
     return GridDensity(grid.x_max, _renormalized(values, dx))
 

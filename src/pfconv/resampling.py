@@ -6,28 +6,35 @@ count invariants stay visible to tests.  Multinomial is the reference
 scheme for the convergence experiments; systematic is the usual
 low-variance default.
 
-A scheme resamples a block: ``resample(weights, n, rngs)`` takes an
-(M, K) weight block and M streams, and returns (M, K) counts, row r
-drawn from ``rngs[r]`` exactly as a one-row call would draw it.  The
-filter engine passes the block's `rng.KeyedRows`: the rows' keys are
+A scheme resamples a block: ``resample(weights, n, rngs, out=None)``
+takes an (M, K) weight block and M streams, and returns (M, K) counts,
+row r drawn from ``rngs[r]`` exactly as a one-row call would draw it.
+The counts go into ``out`` when it is given (an int64 array of the
+weights' shape, which is returned), else into a new array.  The filter
+engine passes the block's `rng.KeyedRows`: the rows' keys are
 SeedSequence-compatible and derived per block, and the rows draw from
 one generator re-keyed row by row.  A 1-D weight vector with a single
 stream is the M = 1 case and gets a 1-D count vector back.  The weight
 checks run once per block and name the lowest failing row in
 ``err.row``, as `repeat_by_counts` does for the counts.
 
-A scheme writes every row's counts into one (M, K) count block.
-Systematic and stratified draw each row's sorted positions and count
-each cell as the difference of how many positions lie below its two
-edges, for a group of short rows at once or slab by slab of a long
-row, so besides the counts they hold one row of positions (or a group
-of at most `SLAB`) and slab-sized temporaries.
+Systematic and stratified count each cell as the difference of how many
+positions lie below its two edges (`_count_cells`), for a group of short
+rows at once or slab by slab of a long row.  Position j of a systematic
+row is j / n + offset, so its counts come from that formula and the
+row's one offset, and the scheme holds no row of positions; stratified
+holds its row of n positions (or a group of at most `SLAB`).  With the
+counts in a given ``out`` (the engine's dead log-weight buffer),
+systematic resampling of a large block allocates nothing at full size,
+only slab-sized temporaries; multinomial allocates only the count
+vector numpy's draw of a row returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -38,23 +45,28 @@ _SUM_TOL = 1e-9
 SLAB = 8192  # entries per slab: see `slabs`
 
 
-def _checked(weights, n: int, rngs):
-    """The weights as an (M, K) block with its row sums, and the M
-    streams; whether a 1-D vector and a single stream came in.
+def _checked(weights, n: int, rngs, out):
+    """The weights as an (M, K) block with its row sums, the M streams,
+    the (M, K) rows the counts go into (a view of ``out`` when given),
+    and what the scheme returns: ``out``, or the new counts in the shape
+    of the weights (1-D when a 1-D vector and a single stream came in).
 
     n is the number of draws per row; it equals K in the filter loop but
     may differ (e.g. statistical checks drawing many times from few
     categories).
     """
     weights = np.asarray(weights, dtype=float)
-    one = weights.ndim == 1
-    if one:
+    shape = weights.shape
+    if weights.ndim == 1:
         weights, rngs = weights[None], (rngs,)
     if weights.ndim != 2 or weights.shape[1] < 1 or n < 1:
         raise NotNormalized(f"need a weight vector or block and n >= 1, "
                             f"got {weights.shape}")
     if len(rngs) != len(weights):
         raise ValueError(f"{len(rngs)} streams for {len(weights)} weight rows")
+    if out is not None and (out.shape != shape or out.dtype != np.int64):
+        raise ValueError(f"counts need an int64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
     low, total = weights.min(axis=1), weights.sum(axis=1)
     ok = (low >= 0) & (np.abs(total - 1.0) <= _SUM_TOL)  # NaN fails both
     if not ok.all():
@@ -62,7 +74,8 @@ def _checked(weights, n: int, rngs):
         err = NotNormalized("weights must be nonnegative") if not low[r] >= 0 \
             else NotNormalized(f"weights sum to {float(total[r])!r}")
         raise at_row(err, r)
-    return weights, total, rngs, one
+    result = np.empty(shape, dtype=np.int64) if out is None else out
+    return weights, total, rngs, result.reshape(weights.shape), result
 
 
 def slabs(size: int) -> list[slice]:
@@ -75,24 +88,25 @@ def slabs(size: int) -> list[slice]:
     return [slice(a, min(a + SLAB, size)) for a in range(0, size, SLAB)]
 
 
-def multinomial_resample(weights, n: int, rngs) -> np.ndarray:
+def multinomial_resample(weights, n: int, rngs, out=None) -> np.ndarray:
     """Counts ~ Multinomial(n, weights), row by row."""
-    weights, total, rngs, one = _checked(weights, n, rngs)
-    counts = np.empty(weights.shape, dtype=np.int64)
+    weights, total, rngs, counts, result = _checked(weights, n, rngs, out)
     # Renormalize exactly so numpy's pval check cannot trip on 1e-10 drift.
     # Each row's pvals sit in the row's own count slots until its draw
     # replaces them.
     pvals = np.divide(weights, total[:, None], out=counts.view(np.float64))
     for p, row, rng in zip(pvals, counts, rngs):
         row[:] = rng.gen.multinomial(n, p)
-    return counts[0] if one else counts
+    return result
 
 
-def _counts_from_positions(weights: np.ndarray, positions: np.ndarray,
-                           out: np.ndarray | None = None) -> np.ndarray:
-    """Count how many of the sorted positions land in each cumulative-weight
-    cell, row by row of a (G, K) weight block and its (G, n) positions
-    (a 1-D pair is one row), into `out` when given.
+def _count_cells(weights: np.ndarray, at, offsets, n: int, out: np.ndarray) -> None:
+    """Count into the (G, K) int64 ``out`` how many of each row's n sorted
+    positions land in each cumulative-weight cell of the (G, K) weights.
+
+    ``at(j)`` gives the positions at the (G, E) int64 indices j, row by
+    row; an index of -1 or n may give any value.  ``offsets`` (one per
+    row, or a scalar) starts each count at its guess (`_below`).
 
     Cell i is [cum[i-1], cum[i]), except that the first cell reaches down
     to -inf and the last up to +inf: float drift can leave cum[-1] at or
@@ -102,88 +116,104 @@ def _counts_from_positions(weights: np.ndarray, positions: np.ndarray,
     from the last sum of the one before, which is the order np.cumsum
     adds them in.
     """
-    w = weights.reshape(-1, weights.shape[-1])
-    g, k = w.shape
-    counts = np.empty(weights.shape, dtype=np.int64) if out is None else out
-    rows = counts.reshape(g, k)
+    g, k = weights.shape
     carry = np.zeros(g)
     for s in slabs(k):
         edges = np.empty((g, s.stop - s.start + 1))
-        edges[:, 0], edges[:, 1:] = carry, w[:, s]
+        edges[:, 0], edges[:, 1:] = carry, weights[:, s]
         np.add.accumulate(edges, axis=1, out=edges)
         carry = edges[:, -1].copy()
         if s.start == 0:
             edges[:, 0] = -math.inf
         if s.stop == k:
             edges[:, -1] = math.inf
-        below = _below(positions.reshape(g, -1), edges)
-        np.subtract(below[:, 1:], below[:, :-1], out=rows[:, s])
-    return counts
+        below = _below(at, edges, offsets, n)
+        np.subtract(below[:, 1:], below[:, :-1], out=out[:, s])
 
 
-def _below(positions: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    """searchsorted(positions[r], edges[r], "left") for every row r of the
-    (G, n) sorted positions and (G, E) sorted edges.
+def _below(at, edges: np.ndarray, offsets, n: int) -> np.ndarray:
+    """For every row r and edge e of the (G, E) sorted edges, the number of
+    row r's n sorted positions below e: the least j in 0..n with
+    at(j) >= e (n when there is none), as searchsorted(positions, e,
+    "left") gives it.
 
-    Each count starts from the guess n * edge and steps up, then down,
-    one position at a time until it is exact.  A scheme puts one position
-    in each stratum of width 1/n, so a guess is a step or two off and the
+    Each count starts from the guess ceil((e - offset) * n), clipped to
+    [0, n], and steps up, then down, one position at a time until
+    at(j - 1) < e <= at(j) holds.  Position j of a systematic row is
+    j / n + offset, so its guess misses only where rounding decides a
+    tie; a stratified row puts one position in each stratum of width
+    1/n, and its guess (offset 0) is a step off at most.  Either way the
     whole block takes a few vectorized passes, where a binary search pays
-    log2(n) mispredicted branches per edge (other sorted positions take
-    more steps).
+    log2(n) mispredicted branches per edge.
     """
-    g, n = positions.shape
-    flat = positions.reshape(-1)
-    start = np.arange(0, g * n, n)[:, None]  # each row's first position
-    stop = start + n
-    below = np.clip(edges * n, 0, n).astype(np.int64)
-    below += start
+    guess = np.subtract(edges, offsets)
+    guess *= n
+    np.ceil(guess, out=guess)
+    np.maximum(guess, 0, out=guess)  # (np.clip costs more on short rows)
+    np.minimum(guess, n, out=guess)
+    below = guess.astype(np.int64)
     while True:  # up while the next position lies below the edge
-        up = flat.take(below, mode="clip") < edges
-        up &= below < stop
-        if not up.any():
+        up = at(below) < edges
+        up &= below < n
+        if not np.count_nonzero(up):
             break
         below += up
     while True:  # down while the last counted position does not
-        down = flat.take(below - 1, mode="clip") >= edges
-        down &= below > start
-        if not down.any():
+        down = at(below - 1) >= edges
+        down &= below > 0
+        if not np.count_nonzero(down):
             break
         below -= down
-    below -= start
     return below
 
 
-def _counts_at(positions_of, weights, n: int, rngs) -> np.ndarray:
-    """Each row's counts at the n sorted positions that `positions_of(rng,
-    out)` draws from the row's stream into `out`.
+def _counts_from_positions(weights: np.ndarray, positions: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
+    """`_count_cells` of a (G, K) weight block at its (G, n) sorted
+    positions (a 1-D pair is one row), into ``out`` when given."""
+    w = weights.reshape(-1, weights.shape[-1])
+    rows = positions.reshape(len(w), -1)
+    counts = np.empty(weights.shape, dtype=np.int64) if out is None else out
+    flat = rows.reshape(-1)
+    start = np.arange(0, flat.size, rows.shape[1])[:, None]  # each row's first
 
-    Rows are counted together in groups of at most `SLAB` positions (one
-    row when a row has more), each group's positions drawn row by row in
-    order into one reused buffer.
+    def at(j):
+        return flat.take(j + start, mode="clip")
+
+    _count_cells(w, at, 0.0, rows.shape[1], counts.reshape(w.shape))
+    return counts
+
+
+def _counts_in_groups(count, weights, n: int, rngs, out) -> np.ndarray:
+    """Every row's counts, drawn and counted a group of rows at a time by
+    ``count(weights, streams, n, counts)``.
+
+    A group holds at most `SLAB` positions or edges (one row when a row
+    has more).  ``count`` gets the group's streams as an iterator, since
+    taking a row's stream re-keys the generator the block's rows share
+    (`rng.KeyedRows`): each row draws before the next row is taken.
     """
-    weights, _, rngs, one = _checked(weights, n, rngs)
+    weights, _, rngs, counts, result = _checked(weights, n, rngs, out)
     m, k = weights.shape
-    counts = np.empty((m, k), dtype=np.int64)
     g = max(1, min(m, SLAB // max(n, k + 1)))  # rows per group
-    positions = np.empty((g, n))
     streams = iter(rngs)
     for a in range(0, m, g):
         group = slice(a, min(a + g, m))
-        held = positions[:group.stop - a]
-        for row in held:
-            positions_of(next(streams), row)
-        _counts_from_positions(weights[group], held, counts[group])
-    return counts[0] if one else counts
+        count(weights[group], islice(streams, group.stop - a), n, counts[group])
+    return result
 
 
-def _systematic_positions(rng, out: np.ndarray) -> np.ndarray:
-    """rng.gen.random() / n + j / n for every j < n = len(out)."""
-    n = len(out)
-    offset = rng.gen.random() / n
-    for s in slabs(n):
-        np.add(np.arange(s.start, s.stop, dtype=float) / n, offset, out=out[s])
-    return out
+def _systematic_group(weights, streams, n: int, counts) -> None:
+    """Counts at the positions rng.gen.random() / n + j / n, j < n, of each
+    row, computed from that formula wherever `_below` looks."""
+    offsets = np.array([rng.gen.random() / n for rng in streams])[:, None]
+
+    def at(j):
+        positions = np.divide(j, n)
+        positions += offsets
+        return positions
+
+    _count_cells(weights, at, offsets, n, counts)
 
 
 def _stratified_positions(rng, out: np.ndarray) -> np.ndarray:
@@ -196,22 +226,31 @@ def _stratified_positions(rng, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def systematic_resample(weights, n: int, rngs) -> np.ndarray:
+def _stratified_group(weights, streams, n: int, counts) -> None:
+    """Counts at each row's n stratified positions, drawn row by row."""
+    positions = np.empty((len(weights), n))
+    for rng, row in zip(streams, positions):
+        _stratified_positions(rng, row)
+    _counts_from_positions(weights, positions, counts)
+
+
+def systematic_resample(weights, n: int, rngs, out=None) -> np.ndarray:
     """One shared uniform offset per row; count_i brackets n*w_i within one unit."""
-    return _counts_at(_systematic_positions, weights, n, rngs)
+    return _counts_in_groups(_systematic_group, weights, n, rngs, out)
 
 
-def stratified_resample(weights, n: int, rngs) -> np.ndarray:
+def stratified_resample(weights, n: int, rngs, out=None) -> np.ndarray:
     """One independent uniform per stratum of width 1/n."""
-    return _counts_at(_stratified_positions, weights, n, rngs)
+    return _counts_in_groups(_stratified_group, weights, n, rngs, out)
 
 
 @dataclass(frozen=True)
 class ResampleScheme:
-    """A named scheme; ``resample(weights, n, rngs)`` as in the module doc."""
+    """A named scheme; ``resample(weights, n, rngs, out=None)`` as in the
+    module doc."""
 
     kind: str
-    resample: Callable[[np.ndarray, int, object], np.ndarray]
+    resample: Callable[..., np.ndarray]
 
 
 SCHEMES = {

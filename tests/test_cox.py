@@ -146,6 +146,20 @@ def test_gamma_density_vanishes_at_origin_when_singular():
     assert gamma_logdensity(prop, -1.0) == -math.inf
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 3.0])
+def test_gamma_density_of_positive_draws_has_the_masked_bits(alpha):
+    # all-positive input skips the support mask; one entry off the support
+    # (or NaN) masks the rest, which must keep every bit
+    prop = GammaProposal(alpha, 0.5)
+    x = RngStream(2).gen.gamma(alpha, 2.0, 500)
+    fast = gamma_logdensity(prop, x)
+    for off in (0.0, -1.0, math.nan):
+        masked = gamma_logdensity(prop, np.append(x, off))
+        assert np.array_equal(masked[:-1], fast) and masked[-1] == -math.inf
+    assert gamma_logdensity(prop, x[0]) == fast[0]
+    assert gamma_logdensity(prop, math.nan) == -math.inf
+
+
 def test_gamma_rejects_bad_parameters():
     with pytest.raises(DomainError):
         GammaProposal(0.0, 0.5)

@@ -166,6 +166,29 @@ def test_grid_predict_bits_do_not_depend_on_the_thread_count(n, x_max, eta):
                 assert np.array_equal(grid_predict(grid, eta, pool=pool).values, inline)
 
 
+class _RowsInline(ThreadPoolExecutor):
+    """A pool that fails if a grid_predict row range is sent to it."""
+
+    def map(self, *args, **kwargs):
+        raise AssertionError("prediction rows ran on the pool")
+
+
+def test_grid_predict_runs_one_range_above_the_blas_threaded_size(monkeypatch):
+    # above BLAS_THREADED_DOT cells BLAS threads each row's dot product, so
+    # the rows run as one range on the calling thread, with the same bits
+    assert gridfilter.BLAS_THREADED_DOT == 10_000
+    grid = grid_init(folded_normal_prior, 15.0, 600)
+    inline = grid_predict(grid, 0.1).values
+    with _RowsInline(2) as pool:
+        with pytest.raises(AssertionError, match="ran on the pool"):
+            grid_predict(grid, 0.1, pool=pool)  # 600 cells: split
+        monkeypatch.setattr(gridfilter, "BLAS_THREADED_DOT", 600)
+        with pytest.raises(AssertionError, match="ran on the pool"):
+            grid_predict(grid, 0.1, pool=pool)
+        monkeypatch.setattr(gridfilter, "BLAS_THREADED_DOT", 599)
+        assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, inline)
+
+
 def test_run_cox_grid_filter_same_run_on_any_thread_count(fixture_obs):
     params = CoxParams(0.5, 0.1)
     one = run_cox_grid_filter(params, fixture_obs, 15.0, 1201, [EXP_NEG, ONE], workers=1)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pfconv import RngStream, get_scheme, make_test_function, multinomial_resample, \
@@ -153,22 +153,86 @@ BINCOUNT_POSITIONS = {  # the earlier position arrays, drawn from one generator
     "stratified": lambda gen, n: (np.arange(n) + gen.random(n)) / n,
 }
 SIZES = st.integers(1, 40) | st.sampled_from([3000, 8191, 8192, 8193, 2 * 8192 + 3])
+SLAB = resampling.SLAB
+
+
+def _zeros_at_slab_edges(gen, m, k, n):
+    # zero-weight cells on both sides of each column-slab boundary and at
+    # the two outer cells, whenever a positive cell is left
+    w = gen.dirichlet(np.ones(k), size=m)
+    zero = [c for c in (0, SLAB - 2, SLAB - 1, SLAB, SLAB + 1, 2 * SLAB - 1, 2 * SLAB,
+                        k - 1) if c < k]
+    if len(set(zero)) < k:
+        w[:, zero] = 0.0
+    return w / w.sum(axis=1, keepdims=True)
+
+
+BINCOUNT_WEIGHTS = {
+    "dirichlet": lambda gen, m, k, n: gen.dirichlet(np.ones(k), size=m),
+    # multiples of 1/n: with n a power of two every edge is exact, and at a
+    # zero offset (`_ZeroStream`) the edges land exactly on positions
+    "multiples": lambda gen, m, k, n: gen.multinomial(n, np.ones(k) / k, size=m) / n,
+    "slab_zeros": _zeros_at_slab_edges,
+}
+
+
+class _ZeroStream:
+    """A stream whose every uniform is 0.0: position j is exactly j / n."""
+
+    gen = SimpleNamespace(random=lambda size=None: 0.0 if size is None else np.zeros(size))
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), m=st.integers(0, 4), k=SIZES, n=SIZES,
-       name=st.sampled_from(sorted(BINCOUNT_POSITIONS)))
-def test_counts_equal_the_bincount_counts(seed, m, k, n, name):
+       name=st.sampled_from(sorted(BINCOUNT_POSITIONS)),
+       weights=st.sampled_from(sorted(BINCOUNT_WEIGHTS)), zero=st.booleans())
+@example(seed=1, m=2, k=SLAB + 1, n=2 * SLAB, name="systematic", weights="multiples",
+         zero=True)  # ties at every edge, in both column slabs
+@example(seed=1, m=2, k=SLAB + 1, n=2 * SLAB, name="stratified", weights="multiples",
+         zero=True)
+@example(seed=2, m=1, k=2 * SLAB + 3, n=2 * SLAB + 3, name="systematic",
+         weights="slab_zeros", zero=False)
+@example(seed=3, m=2, k=3, n=5 * SLAB + 1, name="systematic", weights="dirichlet",
+         zero=False)  # n >> K
+@example(seed=3, m=0, k=1, n=5 * SLAB + 1, name="stratified", weights="dirichlet",
+         zero=False)
+@example(seed=4, m=9, k=2000, n=2000, name="systematic", weights="slab_zeros",
+         zero=False)  # groups of 4, 4 and 1 rows
+@example(seed=4, m=60, k=40, n=300, name="stratified", weights="multiples",
+         zero=True)  # groups of 27, 27 and 6 rows
+def test_counts_equal_the_bincount_counts(seed, m, k, n, name, weights, zero):
     # m = 0 is a 1-D call; blocks of rows are counted in groups, which
     # split a block when its rows hold more than a slab together
-    gen = RngStream(seed, (0,)).gen
-    w = gen.dirichlet(np.ones(k), size=max(m, 1))
-    streams = [RngStream(seed, (1, r)) for r in range(len(w))]
+    w = BINCOUNT_WEIGHTS[weights](RngStream(seed, (0,)).gen, max(m, 1), k, n)
+    streams = [_ZeroStream() if zero else RngStream(seed, (1, r)) for r in range(len(w))]
     counts = get_scheme(name).resample(w[0] if m == 0 else w, n,
                                        streams[0] if m == 0 else streams)
-    for r, (row, weights) in enumerate(zip(np.atleast_2d(counts), w)):
-        positions = BINCOUNT_POSITIONS[name](RngStream(seed, (1, r)).gen, n)
-        assert np.array_equal(row, _bincount_counts(weights, positions))
+    for r, (row, row_weights) in enumerate(zip(np.atleast_2d(counts), w)):
+        gen = _ZeroStream.gen if zero else RngStream(seed, (1, r)).gen
+        positions = BINCOUNT_POSITIONS[name](gen, n)
+        assert np.array_equal(row, _bincount_counts(row_weights, positions))
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+@pytest.mark.parametrize("m, k, n", [(0, 12, 12), (0, 5, 40), (5, 12, 12), (3, 40, 300),
+                                     (2, SLAB + 3, SLAB + 3)])
+def test_counts_go_into_the_given_buffer(name, m, k, n):
+    scheme = get_scheme(name)
+    w = _weight_block(max(m, 1), k)
+
+    def call(**out):  # fresh streams, so every call makes the same draws
+        streams = [RngStream(8, (r,)) for r in range(len(w))]
+        return scheme.resample(w[0] if m == 0 else w, n,
+                               streams[0] if m == 0 else streams, **out)
+
+    expected = call()
+    buffer = np.full(expected.shape, np.nan)  # int64 view of a float buffer,
+    out = buffer.view(np.int64)               # as the engine passes it
+    assert call(out=out) is out
+    assert out.dtype == np.int64 and np.array_equal(out, expected)
+    for wrong in (np.empty(expected.shape), np.empty(expected.shape + (1,), np.int64)):
+        with pytest.raises(ValueError, match="int64 array of shape"):
+            call(out=wrong)
 
 
 def test_positions_on_the_edges_count_as_at_the_cumsum_edges():
