@@ -185,7 +185,8 @@ def _study_cell(args):
     names row r, rows 0..r-1 are rerun on their own first: a lower
     replicate that fails at a later step is the one reported.  The
     error's ``row`` indexes ``replicates``.  The estimates are read off
-    the block's arrays; no per-replicate `FilterRun` is built.
+    the block's arrays; no per-replicate `FilterRun` is built.  The block
+    runs on this thread alone: a study spreads its cells over processes.
     """
     config, obs_rows, n_idx, replicates = args
     model, proposal = make_cox_model_and_proposal(
@@ -194,7 +195,7 @@ def _study_cell(args):
     streams = [RngStream(config.master_seed, labels=(n_idx, r)) for r in replicates]
     try:
         steps = _run_block(model, proposal, obs_rows, config.particle_counts[n_idx],
-                           get_scheme(config.resampler), streams, phis)
+                           get_scheme(config.resampler), streams, phis, workers=1)
     except PfconvError as err:
         if err.row:
             _study_cell((config, obs_rows, n_idx, replicates[:err.row]))

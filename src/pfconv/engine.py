@@ -37,6 +37,23 @@ block of at most that many particles is one slab.  The row sums are
 taken over whole rows of the buffers, so the slabs change no bit of any
 result: the model callables are pointwise and draw one state per entry,
 in order (`model.StateSpaceModel`, `model.Proposal`).
+
+A block of more than one slab draws its proposals on a helper thread
+when the run may use two cores (`cores.resolve_workers`; a study passes
+1, since its cells already run in processes).  The helper runs
+`_propose` as the inline path does, row by row and slab by slab, and is
+the only thread that re-keys the block's generator during the draws; it
+publishes the flat offset it has drawn up to (`_Drawn`).  The calling
+thread runs `_raw_log_weights`, which waits before each flat slab until
+that slab is drawn, then normalizes, estimates, resamples and
+duplicates as before.  The bits do not depend on the thread: one thread
+makes every draw from the same streams in the same order, the weights
+are computed entry by entry, and every row reduction runs whole-row on
+the caller once the draws are done.  Errors keep the inline order too:
+the caller waits for the helper before it raises, so a proposal error
+in any slab wins over a weight error, which names the lowest particle
+as before.  The thread lives for one run.
+
 All weight arithmetic is done in the log domain with max-shifted
 summation because the shipped models produce weights spanning hundreds
 of orders of magnitude (the proposal density can vanish at points where
@@ -53,10 +70,14 @@ to f) cancels exactly, bit for bit, leaving the log likelihood.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .cores import resolve_workers
 from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite, \
     at_row
 from .model import Proposal, StateSpaceModel, TestFunction
@@ -93,33 +114,76 @@ class _Workspace(NamedTuple):
 
 
 def _propose(parents: np.ndarray, proposal: Proposal, y, rngs,
-             out: np.ndarray) -> np.ndarray:
+             out: np.ndarray, drawn: Callable[[int], None] | None = None) -> np.ndarray:
     """Row r of out is drawn by the proposal from the parents of row r and
-    rngs[r], slab by slab; a row's slabs draw from its stream in order."""
-    row_slabs = slabs(parents.shape[1])
+    rngs[r], slab by slab; a row's slabs draw from its stream in order.
+    After each slab, ``drawn`` (when given) gets the offset into the
+    flattened out below which every entry is drawn."""
+    n = parents.shape[1]
+    row_slabs = slabs(n)
     for r, rng in enumerate(rngs):
         try:
             for s in row_slabs:
                 out[r, s] = _particles(proposal.propose(parents[r, s], y, rng),
                                        s.stop - s.start, "proposal")
+                if drawn is not None:
+                    drawn(r * n + s.stop)
         except PfconvError as err:
             raise at_row(err, r)
     return out
 
 
+class _Drawn:
+    """How far a helper thread's `_propose` has drawn a block: the flat
+    offset it published last, or the error that stopped it."""
+
+    def __init__(self):
+        self._changed = threading.Condition()
+        self._upto = 0
+        self._error: BaseException | None = None
+
+    def run(self, *args) -> None:
+        """`_propose` on the helper thread, publishing its progress."""
+        try:
+            _propose(*args, drawn=self._publish)
+        except BaseException as err:
+            with self._changed:
+                self._error = err
+                self._changed.notify()
+            raise
+
+    def _publish(self, upto: int) -> None:
+        with self._changed:
+            self._upto = upto
+            self._changed.notify()
+
+    def wait(self, upto: int) -> None:
+        """Return once the entries below flat offset upto are drawn; raise
+        the draws' error when they stopped short of it."""
+        with self._changed:
+            self._changed.wait_for(lambda: self._upto >= upto or self._error is not None)
+            if self._upto < upto:
+                raise self._error
+
+
 def _raw_log_weights(model, proposal, x_t, x_prev, y,
-                     out: np.ndarray | None = None) -> np.ndarray:
+                     out: np.ndarray | None = None,
+                     ready: Callable[[int], None] | None = None) -> np.ndarray:
     """The raw log weights of the points x_t proposed from the parents
     x_prev (same shape), into out (a new array when None).
 
     They are computed and checked slab by slab along the flattened block,
     so the first non-finite weight found is the lowest one, and an (M, N)
-    block reports its row.
+    block reports its row.  Before each slab, ``ready`` (when given) gets
+    the flat offset the slab ends at and returns once x_t is drawn up to
+    it (`_Drawn.wait`).
     """
     lw = np.empty(np.shape(x_t)) if out is None else out
     flat_x, flat = np.ravel(x_t), lw.reshape(-1)
     flat_prev = np.broadcast_to(x_prev, lw.shape).reshape(-1)
     for s in slabs(flat.size):
+        if ready is not None:
+            ready(s.stop)
         x, xp, slab = flat_x[s], flat_prev[s], flat[s]
         lq = np.asarray(proposal.logdensity(x, xp, y), dtype=float)
         lf = np.asarray(model.transition_logdensity(x, xp), dtype=float)
@@ -220,19 +284,29 @@ class _StepRows(NamedTuple):
 def _step(ws: _Workspace, model: StateSpaceModel, proposal: Proposal, y,
           resampler: ResampleScheme, rngs: tuple[KeyedRows, KeyedRows],
           test_functions: Sequence[TestFunction], t: int, record_cloud: int,
-          resampled: tuple[float, float]) -> _StepRows:
+          resampled: tuple[float, float],
+          pool: ThreadPoolExecutor | None = None) -> _StepRows:
     """One propose/weight/normalize/estimate/resample cycle of every row.
 
     The parents in ``ws.x`` are replaced by the resampled particles.
     ``rngs`` holds the rows' propose and resample streams for this step,
     and ``resampled`` the weight of a resampled particle and its row sum.
-    Returns the step's per-row results.
+    With a ``pool``, its one thread draws the proposals while this one
+    weighs the slabs already drawn.  Returns the step's per-row results.
     """
     x, proposed, lw, w = ws
     n = x.shape[1]
     propose_rngs, resample_rngs = rngs
-    _propose(x, proposal, y, propose_rngs, proposed)
-    _raw_log_weights(model, proposal, proposed, x, y, lw)
+    if pool is None:
+        _propose(x, proposal, y, propose_rngs, proposed)
+        _raw_log_weights(model, proposal, proposed, x, y, lw)
+    else:
+        drawn = _Drawn()
+        draws = pool.submit(drawn.run, x, proposal, y, propose_rngs, proposed)
+        try:
+            _raw_log_weights(model, proposal, proposed, x, y, lw, drawn.wait)
+        finally:  # the draws end before anything is raised, and their error wins
+            draws.result()
     top, w, sums = _shift_rows(lw, w)
     log_mean = _log_mean_weights(top, sums, n)
     w, total = _normalize_rows(lw, top, w, sums)
@@ -257,9 +331,11 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
                observations: Iterable[tuple[int, object]], n: int,
                resampler: ResampleScheme, roots: Sequence[RngStream],
                test_functions: Sequence[TestFunction] = (),
-               record_clouds: int = 0) -> list[_StepRows]:
+               record_clouds: int = 0, workers: int | None = None) -> list[_StepRows]:
     """Every step of one filter per root stream, run as one (M, N) block;
-    errors as in `run_filters`."""
+    a block of more than one slab draws its proposals on a helper thread
+    when ``resolve_workers(workers)`` allows two threads.  Errors as in
+    `run_filters`."""
     obs = list(observations)
     if not obs:
         raise ValueError("observations must be nonempty")
@@ -282,17 +358,20 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
             ws.x[r, s] = _particles(model.prior_sample(rng, s.stop - s.start),
                                     s.stop - s.start, "prior_sample")
     steps = []
-    for t, y in obs:
-        t = int(t)
-        propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()
-        rngs = (KeyedRows(gen, roots, (t, 0), propose_keys),
-                KeyedRows(gen, roots, (t, 1), resample_keys))
-        try:
-            steps.append(_step(ws, model, proposal, y, resampler, rngs, test_functions,
-                               t, record_clouds, resampled))
-        except PfconvError as err:
-            row = "" if err.row is None else f", row {err.row}"
-            raise at_row(type(err)(f"filter step t={t}{row}: {err}"), err.row) from err
+    threaded = len(slabs(ws.x.size)) > 1 and resolve_workers(workers) > 1
+    with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
+        for t, y in obs:
+            t = int(t)
+            propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()
+            rngs = (KeyedRows(gen, roots, (t, 0), propose_keys),
+                    KeyedRows(gen, roots, (t, 1), resample_keys))
+            try:
+                steps.append(_step(ws, model, proposal, y, resampler, rngs,
+                                   test_functions, t, record_clouds, resampled, helper))
+            except PfconvError as err:
+                row = "" if err.row is None else f", row {err.row}"
+                raise at_row(type(err)(f"filter step t={t}{row}: {err}"),
+                             err.row) from err
     return steps
 
 
@@ -300,17 +379,21 @@ def run_filters(model: StateSpaceModel, proposal: Proposal,
                 observations: Iterable[tuple[int, object]], n: int,
                 resampler: ResampleScheme, streams: Sequence[int | RngStream],
                 test_functions: Sequence[TestFunction] = (),
-                record_clouds: int = 0) -> tuple[FilterRun, ...]:
+                record_clouds: int = 0, workers: int | None = None
+                ) -> tuple[FilterRun, ...]:
     """Run one filter per root stream over a (t, y) sequence, as one block.
 
     ``streams[r]`` (a stream or a master seed) is row r's root stream, and
     row r's run is the run `run_filter` gives for that stream alone.  A
-    step error carries the failing step in its message and, when one row
-    raised it, that row in the message and in ``err.row``.
+    block of more than `resampling.SLAB` particles draws its proposals on
+    a second thread unless ``resolve_workers(workers)`` is 1; the results
+    do not depend on it.  A step error carries the failing step in its
+    message and, when one row raised it, that row in the message and in
+    ``err.row``.
     """
     roots = [s if isinstance(s, RngStream) else RngStream(s) for s in streams]
     steps = _run_block(model, proposal, observations, n, resampler, roots,
-                       test_functions, record_clouds)
+                       test_functions, record_clouds, workers)
     runs = []
     for r, root in enumerate(roots):
         reports = tuple(step.report(r) for step in steps)
@@ -326,11 +409,12 @@ def run_filter(model: StateSpaceModel, proposal: Proposal,
                observations: Iterable[tuple[int, object]], n: int,
                resampler: ResampleScheme, master_seed: int | RngStream,
                test_functions: Sequence[TestFunction] = (),
-               record_clouds: int = 0) -> FilterRun:
+               record_clouds: int = 0, workers: int | None = None) -> FilterRun:
     """Run the filter over a (t, y) sequence, resampling at every step.
 
-    Deterministic in (master_seed, n): the same seed always yields the
-    same run.  Step errors propagate with the failing step attached.
+    Deterministic in (master_seed, n), whatever ``workers`` (as in
+    `run_filters`): the same seed always yields the same run.  Step
+    errors propagate with the failing step attached.
     """
     return run_filters(model, proposal, observations, n, resampler, [master_seed],
-                       test_functions, record_clouds)[0]
+                       test_functions, record_clouds, workers)[0]

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import pfconv.convergence as convergence
-from pfconv import ExperimentConfig, fit_loglog_slope, run_convergence_study
+from pfconv import engine
+from pfconv import ExperimentConfig, ObservationSeries, fit_loglog_slope, \
+    run_convergence_study
 from pfconv.cli import build_parser
 from pfconv.configfile import KEYS, apply_overrides, flag, load_config
 from pfconv.convergence import ConvergenceReport, _aggregate, _rate_fits
@@ -13,6 +15,7 @@ from pfconv.cores import WORKERS_ENV
 from pfconv.errors import DomainError, InsufficientPoints, NonPositiveValue, StudyError
 from pfconv.model import Proposal, make_test_function
 from pfconv.report import emit_report
+from pfconv.resampling import SLAB
 
 
 def small_config(fixture_obs_path, **overrides):
@@ -320,6 +323,23 @@ def test_workers_default_counts_the_cpu_affinity_set(monkeypatch):
     assert convergence.resolve_workers(None) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
     assert convergence.resolve_workers(None) == 3
+
+
+def test_study_cell_starts_no_thread(monkeypatch, fixture_obs_path):
+    # a study spreads its cells over processes, so even a block of more
+    # than one slab runs on the cell's own thread, however many cores
+    import os
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a study cell started a thread")
+
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", no_thread)
+    config = small_config(fixture_obs_path, particle_counts=(8, 16, 2 * SLAB))
+    obs_rows = tuple(ObservationSeries.from_csv(fixture_obs_path))
+    _, _, est_n, est_r = convergence._study_cell((config, obs_rows, 2, range(1)))
+    assert est_n.shape == est_r.shape == (1, len(obs_rows), 1)
 
 
 def test_partial_flush_on_failure(tmp_path, fixture_obs_path, monkeypatch):

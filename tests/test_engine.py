@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,8 +21,10 @@ from pfconv import (
     simulate_lg,
 )
 from pfconv import resampling
+from pfconv.cores import WORKERS_ENV
 from pfconv.engine import _estimate_rows, _normalize_rows, _raw_log_weights, _shift_rows
-from pfconv.errors import CountMismatch, DegenerateWeights, WeightNotFinite
+from pfconv.errors import CountMismatch, DegenerateWeights, DomainError, \
+    WeightNotFinite
 from pfconv.resampling import ResampleScheme, get_scheme
 
 ONE = make_test_function("one")
@@ -441,6 +444,127 @@ def test_non_finite_weight_in_a_later_slab_reports_as_in_one_slab(
     assert str(sliced) == str(whole)
     assert str(sliced).startswith(
         f"filter step t=2, row {row}: non-finite log weight at particle {particle}: x=")
+
+
+# ---------------------------------------------------------------------------
+# the draw thread: a block of more than one slab draws on a helper thread
+
+SLAB = resampling.SLAB
+
+
+def _watched(base: Proposal, change=None):
+    """base, recording the threads that draw; change(x, labels, slab), when
+    given, may alter or refuse each slab a row draws at a step."""
+    threads, slab = set(), {}
+
+    def propose(x_prev, y, rng):
+        threads.add(threading.get_ident())
+        x = base.propose(x_prev, y, rng)
+        slab[rng.labels] = slab.get(rng.labels, -1) + 1
+        if change is not None:
+            change(x, rng.labels, slab[rng.labels])
+        return x
+
+    return Proposal(propose, base.logdensity), threads
+
+
+@pytest.mark.parametrize("m, n", [(1, SLAB), (2, 2 * SLAB), (2, 3 * SLAB + 5)])
+@pytest.mark.parametrize("scheme", ["multinomial", "stratified", "systematic"])
+@pytest.mark.parametrize("proposal", ["gamma_proposal", "bootstrap_proposal"])
+def test_draw_thread_leaves_every_bit_unchanged(request, cox_model, fixture_obs,
+                                                m, n, scheme, proposal):
+    base = request.getfixturevalue(proposal)
+    runs, drew_on = {}, {}
+    for workers in (1, 2):
+        prop, drew_on[workers] = _watched(base)
+        runs[workers] = run_filters(cox_model, prop, fixture_obs, n, get_scheme(scheme),
+                                    [RngStream(6, (r,)) for r in range(m)],
+                                    [ONE, EXP_NEG], record_clouds=n, workers=workers)
+    caller = threading.get_ident()
+    assert drew_on[1] == {caller}  # one worker: the caller draws
+    assert len(drew_on[2]) == 1 and (caller in drew_on[2]) == (m * n <= SLAB)
+    for a, b in zip(runs[1], runs[2]):
+        assert a.log_evidence == b.log_evidence
+        for sa, sb in zip(a.steps, b.steps):
+            assert (sa.ess, sa.log_mean_weight) == (sb.ess, sb.log_mean_weight)
+            assert (sa.estimates, sa.resampled_estimates) == (sb.estimates, sb.resampled_estimates)
+            for field in ("normalized_particles", "normalized_weights", "resampled_particles"):
+                assert np.array_equal(getattr(sa.cloud, field), getattr(sb.cloud, field))
+
+
+def test_draw_thread_follows_the_workers_setting(monkeypatch, cox_model, gamma_proposal,
+                                                fixture_obs):
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller = threading.get_ident()
+    for env, on_caller in (("1", True), ("2", False)):
+        monkeypatch.setenv(WORKERS_ENV, env)
+        prop, drew_on = _watched(gamma_proposal)
+        run_filter(cox_model, prop, list(fixture_obs)[:2], 2 * SLAB,
+                   get_scheme("systematic"), 5)
+        assert len(drew_on) == 1 and (caller in drew_on) == on_caller
+
+
+def test_draw_thread_proposal_error_wins_over_an_earlier_weight_error(
+        cox_model, gamma_proposal, fixture_obs):
+    # M = 2 rows of 2 slabs: flat slab 0 is row 0's first, flat slab 3 row 1's second
+
+    def change(x, labels, slab):
+        if labels == (0, 2, 0) and slab == 0:
+            x[7] = 0.0  # Gamma density 0: the log weight is +inf
+        if labels == (1, 2, 0) and slab == 1:
+            raise DomainError("no draw")
+
+    for workers in (1, 2):
+        prop, _ = _watched(gamma_proposal, change)
+        with pytest.raises(DomainError) as info:
+            run_filters(cox_model, prop, fixture_obs, 2 * SLAB, get_scheme("systematic"),
+                        [RngStream(1, (r,)) for r in range(2)], workers=workers)
+        assert not isinstance(info.value, WeightNotFinite)
+        assert info.value.row == 1
+        assert str(info.value) == "filter step t=2, row 1: no draw"
+
+
+def test_draw_thread_names_the_non_finite_weight_of_the_inline_run(
+        cox_model, gamma_proposal, fixture_obs):
+    n = 3 * SLAB + 5  # row 1's particle 10 sits in flat slab 3, which spans both rows
+
+    def change(x, labels, slab):
+        if labels == (1, 3, 0) and slab == 0:
+            x[10] = 0.0
+
+    errors = []
+    for workers in (1, 2):
+        prop, _ = _watched(gamma_proposal, change)
+        with pytest.raises(WeightNotFinite) as info:
+            run_filters(cox_model, prop, fixture_obs, n, get_scheme("multinomial"),
+                        [RngStream(2, (r,)) for r in range(2)], workers=workers)
+        errors.append(info.value)
+    assert errors[0].row == errors[1].row == 1
+    assert str(errors[0]) == str(errors[1])
+    assert str(errors[1]).startswith(
+        "filter step t=3, row 1: non-finite log weight at particle 10: x=")
+
+
+def test_draw_thread_ends_with_the_run(cox_model, gamma_proposal, fixture_obs):
+    def change(x, labels, slab):
+        if labels == (4, 0) and slab == 1:  # run_filter's root stream has no labels
+            x[0] = 0.0
+
+    def run(prop):
+        return run_filter(cox_model, prop, fixture_obs, 2 * SLAB,
+                          get_scheme("systematic"), 3, workers=2)
+
+    before = threading.active_count()
+    prop, drew_on = _watched(gamma_proposal)
+    run(prop)
+    assert drew_on and threading.get_ident() not in drew_on
+    assert threading.active_count() == before
+    prop, drew_on = _watched(gamma_proposal, change)
+    with pytest.raises(WeightNotFinite, match="filter step t=4"):
+        run(prop)
+    assert drew_on and threading.get_ident() not in drew_on
+    assert threading.active_count() == before
 
 
 def test_run_filter_rejects_zero_particles(cox_model, gamma_proposal, fixture_obs):

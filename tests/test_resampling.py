@@ -365,6 +365,23 @@ def test_block_check_names_lowest_failing_row(name):
     assert info.value.row == 1
 
 
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "weights must be nonnegative"),
+    (-0.01, "weights must be nonnegative"),
+    (0.75, "weights sum to 1.5"),
+])
+def test_block_check_names_the_failing_row_after_the_block_test(name, bad, message):
+    # the whole block fails one test, and only then the rows are told apart
+    w = np.full((5, 4), 0.25)
+    w[3, 0] = bad
+    streams = [RngStream(0, (r,)) for r in range(5)]
+    with pytest.raises(NotNormalized, match=message) as info:
+        get_scheme(name).resample(w, 4, streams)
+    assert info.value.row == 3
+    assert get_scheme(name).resample(np.empty((0, 4)), 4, []).shape == (0, 4)
+
+
 def test_block_needs_one_stream_per_row():
     with pytest.raises(ValueError):
         multinomial_resample(_weight_block(3, 4), 4, [RngStream(0), RngStream(1)])
