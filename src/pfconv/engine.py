@@ -38,9 +38,10 @@ taken over whole rows of the buffers, so the slabs change no bit of any
 result: the model callables are pointwise and draw one state per entry,
 in order (`model.StateSpaceModel`, `model.Proposal`).
 
-A block of more than one slab draws its proposals on a helper thread
-when the run may use two cores (`cores.resolve_workers`; a study passes
-1, since its cells already run in processes).  The helper runs
+A block of at least `DRAW_THREAD_SLABS` slabs draws its proposals on a
+helper thread when the run may use two cores (`cores.resolve_workers`,
+so ``PFCONV_WORKERS=1`` turns it off; a study passes 1, since its cells
+already run in processes).  The helper runs
 `_propose` as the inline path does, row by row and slab by slab, and is
 the only thread that re-keys the block's generator during the draws; it
 publishes the flat offset it has drawn up to (`_Drawn`).  The calling
@@ -85,6 +86,15 @@ from .moments import row_ess
 from .particles import _NORMALIZATION_RTOL, FilterRun, StepCloud, StepReport
 from .resampling import ResampleScheme, repeat_by_counts, slabs
 from .rng import KeyedRows, KeyPool, RngStream
+
+# The fewest slabs a block needs before its proposals are drawn on a
+# helper thread.  Below it the thread gained no wall time: on 2 vCPUs
+# (numpy 2.4.6, Python 3.11), 50 Gamma/systematic steps at N = 10000
+# to 65536 ran 2-10% slower with it and N = 98304 (12 slabs) 5% faster,
+# inside the runs' spread; from 16 slabs (N = 131072) they ran 12-27%
+# faster (medians over alternating fresh processes, each timing 4-5
+# runs after a warm-up run).
+DRAW_THREAD_SLABS = 16
 
 
 def _particles(values, n: int, source: str) -> np.ndarray:
@@ -333,9 +343,9 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
                test_functions: Sequence[TestFunction] = (),
                record_clouds: int = 0, workers: int | None = None) -> list[_StepRows]:
     """Every step of one filter per root stream, run as one (M, N) block;
-    a block of more than one slab draws its proposals on a helper thread
-    when ``resolve_workers(workers)`` allows two threads.  Errors as in
-    `run_filters`."""
+    a block of at least `DRAW_THREAD_SLABS` slabs draws its proposals on
+    a helper thread when ``resolve_workers(workers)`` allows two threads.
+    Errors as in `run_filters`."""
     obs = list(observations)
     if not obs:
         raise ValueError("observations must be nonempty")
@@ -358,7 +368,8 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
             ws.x[r, s] = _particles(model.prior_sample(rng, s.stop - s.start),
                                     s.stop - s.start, "prior_sample")
     steps = []
-    threaded = len(slabs(ws.x.size)) > 1 and resolve_workers(workers) > 1
+    threaded = (len(slabs(ws.x.size)) >= DRAW_THREAD_SLABS
+                and resolve_workers(workers) > 1)
     with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
         for t, y in obs:
             t = int(t)
@@ -379,21 +390,18 @@ def run_filters(model: StateSpaceModel, proposal: Proposal,
                 observations: Iterable[tuple[int, object]], n: int,
                 resampler: ResampleScheme, streams: Sequence[int | RngStream],
                 test_functions: Sequence[TestFunction] = (),
-                record_clouds: int = 0, workers: int | None = None
-                ) -> tuple[FilterRun, ...]:
+                record_clouds: int = 0) -> tuple[FilterRun, ...]:
     """Run one filter per root stream over a (t, y) sequence, as one block.
 
     ``streams[r]`` (a stream or a master seed) is row r's root stream, and
-    row r's run is the run `run_filter` gives for that stream alone.  A
-    block of more than `resampling.SLAB` particles draws its proposals on
-    a second thread unless ``resolve_workers(workers)`` is 1; the results
-    do not depend on it.  A step error carries the failing step in its
-    message and, when one row raised it, that row in the message and in
-    ``err.row``.
+    row r's run is the run `run_filter` gives for that stream alone,
+    whether or not its proposals are drawn on a second thread.  A step
+    error carries the failing step in its message and, when one row
+    raised it, that row in the message and in ``err.row``.
     """
     roots = [s if isinstance(s, RngStream) else RngStream(s) for s in streams]
     steps = _run_block(model, proposal, observations, n, resampler, roots,
-                       test_functions, record_clouds, workers)
+                       test_functions, record_clouds)
     runs = []
     for r, root in enumerate(roots):
         reports = tuple(step.report(r) for step in steps)
@@ -409,12 +417,11 @@ def run_filter(model: StateSpaceModel, proposal: Proposal,
                observations: Iterable[tuple[int, object]], n: int,
                resampler: ResampleScheme, master_seed: int | RngStream,
                test_functions: Sequence[TestFunction] = (),
-               record_clouds: int = 0, workers: int | None = None) -> FilterRun:
+               record_clouds: int = 0) -> FilterRun:
     """Run the filter over a (t, y) sequence, resampling at every step.
 
-    Deterministic in (master_seed, n), whatever ``workers`` (as in
-    `run_filters`): the same seed always yields the same run.  Step
-    errors propagate with the failing step attached.
+    Deterministic in (master_seed, n): the same seed always yields the
+    same run.  Step errors propagate with the failing step attached.
     """
     return run_filters(model, proposal, observations, n, resampler, [master_seed],
-                       test_functions, record_clouds, workers)[0]
+                       test_functions, record_clouds)[0]

@@ -68,12 +68,8 @@ def _checked(weights, n: int, rngs, out):
         raise ValueError(f"counts need an int64 array of shape {shape}, "
                          f"got {out.dtype} {out.shape}")
     low, total = weights.min(axis=1), weights.sum(axis=1)
-    # One test accepts the whole block (a NaN fails it, an empty block
-    # passes); the mask that names the lowest failing row is built only
-    # when it fails.
-    if not (low.min(initial=0.0) >= 0
-            and np.abs(total - 1.0).max(initial=0.0) <= _SUM_TOL):
-        ok = (low >= 0) & (np.abs(total - 1.0) <= _SUM_TOL)  # NaN fails both
+    ok = (low >= 0) & (np.abs(total - 1.0) <= _SUM_TOL)  # NaN fails both
+    if not ok.all():
         r = int(np.argmin(ok))
         err = NotNormalized("weights must be nonnegative") if not low[r] >= 0 \
             else NotNormalized(f"weights sum to {float(total[r])!r}")

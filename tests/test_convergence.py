@@ -326,8 +326,8 @@ def test_workers_default_counts_the_cpu_affinity_set(monkeypatch):
 
 
 def test_study_cell_starts_no_thread(monkeypatch, fixture_obs_path):
-    # a study spreads its cells over processes, so even a block of more
-    # than one slab runs on the cell's own thread, however many cores
+    # a study spreads its cells over processes, so even a block large
+    # enough for the draw thread runs on the cell's own thread
     import os
 
     def no_thread(*args, **kwargs):
@@ -336,6 +336,7 @@ def test_study_cell_starts_no_thread(monkeypatch, fixture_obs_path):
     monkeypatch.delenv(WORKERS_ENV, raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(engine, "ThreadPoolExecutor", no_thread)
+    monkeypatch.setattr(engine, "DRAW_THREAD_SLABS", 2)
     config = small_config(fixture_obs_path, particle_counts=(8, 16, 2 * SLAB))
     obs_rows = tuple(ObservationSeries.from_csv(fixture_obs_path))
     _, _, est_n, est_r = convergence._study_cell((config, obs_rows, 2, range(1)))

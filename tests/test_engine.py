@@ -20,7 +20,7 @@ from pfconv import (
     run_filters,
     simulate_lg,
 )
-from pfconv import resampling
+from pfconv import engine, resampling
 from pfconv.cores import WORKERS_ENV
 from pfconv.engine import _estimate_rows, _normalize_rows, _raw_log_weights, _shift_rows
 from pfconv.errors import CountMismatch, DegenerateWeights, DomainError, \
@@ -447,9 +447,20 @@ def test_non_finite_weight_in_a_later_slab_reports_as_in_one_slab(
 
 
 # ---------------------------------------------------------------------------
-# the draw thread: a block of more than one slab draws on a helper thread
+# the draw thread: a large block draws its proposals on a helper thread
 
 SLAB = resampling.SLAB
+
+
+@pytest.fixture
+def draw_thread(monkeypatch):
+    """Two cores visible and a block of two slabs enough for the helper
+    thread (the thread works the same at any slab count); returns a
+    setter for the cores the run may use (PFCONV_WORKERS)."""
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(engine, "DRAW_THREAD_SLABS", 2)
+    return lambda workers: monkeypatch.setenv(WORKERS_ENV, str(workers))
 
 
 def _watched(base: Proposal, change=None):
@@ -471,15 +482,16 @@ def _watched(base: Proposal, change=None):
 @pytest.mark.parametrize("m, n", [(1, SLAB), (2, 2 * SLAB), (2, 3 * SLAB + 5)])
 @pytest.mark.parametrize("scheme", ["multinomial", "stratified", "systematic"])
 @pytest.mark.parametrize("proposal", ["gamma_proposal", "bootstrap_proposal"])
-def test_draw_thread_leaves_every_bit_unchanged(request, cox_model, fixture_obs,
-                                                m, n, scheme, proposal):
+def test_draw_thread_leaves_every_bit_unchanged(request, draw_thread, cox_model,
+                                                fixture_obs, m, n, scheme, proposal):
     base = request.getfixturevalue(proposal)
     runs, drew_on = {}, {}
     for workers in (1, 2):
+        draw_thread(workers)
         prop, drew_on[workers] = _watched(base)
         runs[workers] = run_filters(cox_model, prop, fixture_obs, n, get_scheme(scheme),
                                     [RngStream(6, (r,)) for r in range(m)],
-                                    [ONE, EXP_NEG], record_clouds=n, workers=workers)
+                                    [ONE, EXP_NEG], record_clouds=n)
     caller = threading.get_ident()
     assert drew_on[1] == {caller}  # one worker: the caller draws
     assert len(drew_on[2]) == 1 and (caller in drew_on[2]) == (m * n <= SLAB)
@@ -492,21 +504,25 @@ def test_draw_thread_leaves_every_bit_unchanged(request, cox_model, fixture_obs,
                 assert np.array_equal(getattr(sa.cloud, field), getattr(sb.cloud, field))
 
 
-def test_draw_thread_follows_the_workers_setting(monkeypatch, cox_model, gamma_proposal,
-                                                fixture_obs):
+def test_draw_thread_starts_at_its_slab_count(monkeypatch, cox_model, gamma_proposal,
+                                              fixture_obs):
     import os
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    caller = threading.get_ident()
-    for env, on_caller in (("1", True), ("2", False)):
-        monkeypatch.setenv(WORKERS_ENV, env)
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    caller, least = threading.get_ident(), engine.DRAW_THREAD_SLABS
+    for env, m, n, on_caller in ((None, 1, (least - 1) * SLAB, True),
+                                 (None, 2, least // 2 * SLAB, False),
+                                 ("1", 2, least // 2 * SLAB, True)):
+        if env is not None:
+            monkeypatch.setenv(WORKERS_ENV, env)
         prop, drew_on = _watched(gamma_proposal)
-        run_filter(cox_model, prop, list(fixture_obs)[:2], 2 * SLAB,
-                   get_scheme("systematic"), 5)
+        run_filters(cox_model, prop, list(fixture_obs)[:1], n, get_scheme("systematic"),
+                    [RngStream(5, (r,)) for r in range(m)])
         assert len(drew_on) == 1 and (caller in drew_on) == on_caller
 
 
 def test_draw_thread_proposal_error_wins_over_an_earlier_weight_error(
-        cox_model, gamma_proposal, fixture_obs):
+        draw_thread, cox_model, gamma_proposal, fixture_obs):
     # M = 2 rows of 2 slabs: flat slab 0 is row 0's first, flat slab 3 row 1's second
 
     def change(x, labels, slab):
@@ -516,17 +532,18 @@ def test_draw_thread_proposal_error_wins_over_an_earlier_weight_error(
             raise DomainError("no draw")
 
     for workers in (1, 2):
+        draw_thread(workers)
         prop, _ = _watched(gamma_proposal, change)
         with pytest.raises(DomainError) as info:
             run_filters(cox_model, prop, fixture_obs, 2 * SLAB, get_scheme("systematic"),
-                        [RngStream(1, (r,)) for r in range(2)], workers=workers)
+                        [RngStream(1, (r,)) for r in range(2)])
         assert not isinstance(info.value, WeightNotFinite)
         assert info.value.row == 1
         assert str(info.value) == "filter step t=2, row 1: no draw"
 
 
 def test_draw_thread_names_the_non_finite_weight_of_the_inline_run(
-        cox_model, gamma_proposal, fixture_obs):
+        draw_thread, cox_model, gamma_proposal, fixture_obs):
     n = 3 * SLAB + 5  # row 1's particle 10 sits in flat slab 3, which spans both rows
 
     def change(x, labels, slab):
@@ -535,10 +552,11 @@ def test_draw_thread_names_the_non_finite_weight_of_the_inline_run(
 
     errors = []
     for workers in (1, 2):
+        draw_thread(workers)
         prop, _ = _watched(gamma_proposal, change)
         with pytest.raises(WeightNotFinite) as info:
             run_filters(cox_model, prop, fixture_obs, n, get_scheme("multinomial"),
-                        [RngStream(2, (r,)) for r in range(2)], workers=workers)
+                        [RngStream(2, (r,)) for r in range(2)])
         errors.append(info.value)
     assert errors[0].row == errors[1].row == 1
     assert str(errors[0]) == str(errors[1])
@@ -546,15 +564,17 @@ def test_draw_thread_names_the_non_finite_weight_of_the_inline_run(
         "filter step t=3, row 1: non-finite log weight at particle 10: x=")
 
 
-def test_draw_thread_ends_with_the_run(cox_model, gamma_proposal, fixture_obs):
+def test_draw_thread_ends_with_the_run(draw_thread, cox_model, gamma_proposal,
+                                       fixture_obs):
     def change(x, labels, slab):
         if labels == (4, 0) and slab == 1:  # run_filter's root stream has no labels
             x[0] = 0.0
 
     def run(prop):
         return run_filter(cox_model, prop, fixture_obs, 2 * SLAB,
-                          get_scheme("systematic"), 3, workers=2)
+                          get_scheme("systematic"), 3)
 
+    draw_thread(2)
     before = threading.active_count()
     prop, drew_on = _watched(gamma_proposal)
     run(prop)

@@ -371,8 +371,7 @@ def test_block_check_names_lowest_failing_row(name):
     (-0.01, "weights must be nonnegative"),
     (0.75, "weights sum to 1.5"),
 ])
-def test_block_check_names_the_failing_row_after_the_block_test(name, bad, message):
-    # the whole block fails one test, and only then the rows are told apart
+def test_block_check_names_a_failing_middle_row(name, bad, message):
     w = np.full((5, 4), 0.25)
     w[3, 0] = bad
     streams = [RngStream(0, (r,)) for r in range(5)]
