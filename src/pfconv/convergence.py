@@ -82,8 +82,9 @@ class ExperimentConfig:
             raise DomainError(f"unknown resampler {self.resampler!r}")
         if self.proposal not in PROPOSALS:
             raise DomainError(f"unknown proposal kind {self.proposal!r}")
+        CoxParams(self.c, self.eta)  # DomainError unless both are finite and positive
         if self.proposal == "gamma":
-            GammaProposal(self.alpha, self.beta)  # DomainError unless both are positive
+            GammaProposal(self.alpha, self.beta)  # likewise
         if self.master_seed < 0:
             raise DomainError("master seed must be >= 0")
         grid_cells(self.grid_x_max, self.grid_dx)

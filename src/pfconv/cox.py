@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 from .model import Proposal, StateSpaceModel
 from .rng import RngStream
 
@@ -39,10 +39,7 @@ class CoxParams:
     eta: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise DomainError("intensity slope c must be positive")
-        if not self.eta > 0:
-            raise DomainError("increment variance eta must be positive")
+        require_positive(c=self.c, eta=self.eta)
 
 
 @dataclass(frozen=True)
@@ -57,8 +54,7 @@ class GammaProposal:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise DomainError("alpha and beta must be positive")
+        require_positive(alpha=self.alpha, beta=self.beta)
 
     @property
     def singular(self) -> bool:

@@ -52,6 +52,14 @@ class StudyError(PfconvError):
     """A convergence-study cell failed; carries (N, replicate) context."""
 
 
+def require_positive(**values: float) -> None:
+    """Raise DomainError naming the first of ``values`` that is not a
+    finite number > 0 (inf and NaN fail)."""
+    for name, value in values.items():
+        if not 0 < value < float("inf"):
+            raise DomainError(f"{name} must be finite and positive, got {value!r}")
+
+
 def at_row(err: PfconvError, row: int) -> PfconvError:
     """``err`` with the replicate row that raised it attached."""
     err.row = row

@@ -13,13 +13,27 @@ f(x_i - x_j) and a Hankel part f(x_i + x_j), so prediction is one direct
 convolution plus one correlation of length-(2n - 1) lag vectors with the
 grid values (Kitagawa's numerical filter with that structure exploited):
 O(n) memory and O(n^2) flops per step, with no kernel matrix.  Each
-output row is one dot product of n lags with the n grid values, so the
-rows split into contiguous ranges that run on threads (numpy releases
-the GIL in these loops); a row's dot product, and so its bits, is the
-same whatever the range or thread count.  Above `BLAS_THREADED_DOT`
-cells each dot product is threaded by BLAS already, and the rows run as
-one range.  Hankel rows whose lags are all exactly zero are skipped:
-they add exactly 0.0.
+output row is one dot product of lags with the grid values, so the rows
+split into contiguous ranges that run on threads (numpy releases the GIL
+in these loops); a row's dot product, and so its bits, is the same
+whatever the range or thread count.  Above `BLAS_THREADED_DOT` cells
+each dot product is threaded by BLAS already, and the rows run as one
+range.
+
+Two kinds of terms are left out, and neither changes a bit of the
+every-lag sums.  Lags below the smallest normal double (2^-1022) are set
+to 0, because their subnormal products are slow to form.  Each such
+product is below 2^-1022 of the largest cell, and every row holds its own
+cell times the lag-0 weight, so on a grid whose cells all lie within
+2^-900 of its largest the products vanish into their rows.  A grid with
+a smaller cell (a point mass, say) keeps every lag.  The Hankel lags
+decrease, so row i's terms past its last nonzero lag are exact zeros,
+and the row is dotted only over the values up to there, rounded up to a
+multiple of 32 terms.  OpenBLAS's ddot adds term j into the same
+accumulator lane at any length up to the last multiple of 32 below it
+(16 or 32 terms a pass, then a tail), so cutting only exact zeros at such
+a length keeps the bits.  Above `BLAS_THREADED_DOT` cells the rows stay
+whole, since BLAS splits a long dot at points that depend on its length.
 
 The grid ends at x_max, so it is only truth when the posterior has
 negligible mass near that edge: `run_cox_grid_filter` fails when the top
@@ -38,7 +52,7 @@ import numpy as np
 
 from .cores import resolve_workers
 from .cox import CoxParams, cox_likelihood_logdensity
-from .errors import DomainError, ZeroMass
+from .errors import DomainError, ZeroMass, require_positive
 from .model import TestFunction
 
 _NORM_TOL = 1e-9
@@ -49,6 +63,12 @@ _TAIL_MASS_TOL = 1e-9
 # threads, so above this many cells one prediction row already keeps the
 # cores busy and row ranges on more threads only oversubscribe them.
 BLAS_THREADED_DOT = 10_000
+
+_TINY = np.finfo(float).tiny
+# below this share of its largest cell a grid keeps its subnormal lags
+_KEEP_EVERY_LAG = 2.0 ** -900
+_DOT_LANES = 32  # a cut Hankel dot's length is a multiple of this
+_HANKEL_BLOCKS = 16
 
 
 @dataclass(frozen=True)
@@ -126,40 +146,79 @@ def _ranges(n: int, parts: int) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
 
 
+def _lags(grid: GridDensity, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The folded kernel's Toeplitz lags f(k dx), k = 1-n..n-1, and Hankel
+    lags f(k dx), k = 1..2n-1, for increment variance ``eta``.
+
+    Lags below the smallest normal double are 0 unless a cell of the grid
+    lies below 2^-900 of its largest (see the module docstring).
+    """
+    n, dx = grid.n_cells, grid.dx
+    scale = math.sqrt(2 * math.pi * eta)
+    toe = np.exp(-(np.arange(1 - n, n) * dx) ** 2 / (2 * eta)) / scale
+    han = np.exp(-(np.arange(1, 2 * n) * dx) ** 2 / (2 * eta)) / scale
+    if grid.values.min() >= _KEEP_EVERY_LAG * grid.values.max():
+        toe[toe < _TINY] = 0.0
+        han[han < _TINY] = 0.0
+    return toe, han
+
+
+def _hankel_jobs(n: int, nonzero: int, parts: int) -> list[list[tuple[int, int, int]]]:
+    """The live Hankel rows as about `_HANKEL_BLOCKS` row blocks (lo, hi, k),
+    grouped into at most ``parts`` contiguous jobs of near-equal work.
+
+    Only the first ``nonzero`` Hankel lags are nonzero, so row i has terms
+    on values[:nonzero - i].  A block dots each of its rows with values[:k],
+    k its first row's term count rounded up to a multiple of `_DOT_LANES`,
+    or n once that passes the last such multiple below n.  Above
+    `BLAS_THREADED_DOT` cells k is always n: BLAS splits a long dot over
+    its threads at points that depend on the length.
+    """
+    last = n & -_DOT_LANES if n <= BLAS_THREADED_DOT else 0
+    blocks = []
+    for lo, hi in _ranges(min(n, nonzero), _HANKEL_BLOCKS):
+        k = -(-(nonzero - lo) // _DOT_LANES) * _DOT_LANES
+        blocks.append((lo, hi, n if k > last else k))
+    total = sum((hi - lo) * k for lo, hi, k in blocks)
+    jobs: list[list[tuple[int, int, int]]] = [[] for _ in range(parts)]
+    done = 0
+    for lo, hi, k in blocks:  # each block to the job its middle falls in
+        work = (hi - lo) * k
+        jobs[(2 * done + work) * parts // (2 * total)].append((lo, hi, k))
+        done += work
+    return [job for job in jobs if job]
+
+
 def grid_predict(grid: GridDensity, eta: float, *,
                  pool: ThreadPoolExecutor | None = None) -> GridDensity:
     """One prediction step under the folded Gaussian transition with
     increment variance ``eta``: values' = K @ values * dx, renormalized.
 
-    Every lag is kept and the sums are direct, not FFT-based: FFT
-    rounding can turn the ~1e-45 tail cells negative.
+    The sums are direct, not FFT-based: FFT rounding can turn the ~1e-45
+    tail cells negative.  Lags below the smallest normal double are 0 and
+    each Hankel row stops at a multiple of 32 terms past its last nonzero
+    lag; neither changes a bit of the every-lag sums (module docstring).
 
-    The Toeplitz rows and the Hankel rows are each split into one
-    contiguous range per thread of ``pool``; one range, run inline, when
-    it is None or the grid has more than `BLAS_THREADED_DOT` cells (each
-    row's dot product is threaded then).  Row i of a range is the same dot
-    product of the lags i..i+n-1 with the grid values that the whole
-    convolution computes, so the result has the same bits for any thread
-    count.  The Hankel lags decrease to exact zeros (x > 12.2 at
-    eta = 0.1); rows past the last nonzero lag are skipped and keep 0.0,
-    which adds nothing.
+    The Toeplitz rows are split into one contiguous range per thread of
+    ``pool``, and the Hankel row blocks into one job of near-equal work
+    per thread; one range, run inline, when ``pool`` is None or the grid
+    has more than `BLAS_THREADED_DOT` cells (each row's dot product is
+    threaded then).  Row i is the same dot product whatever its range or
+    job, so the result has the same bits for any thread count.
     """
-    if not eta > 0:
-        raise DomainError("eta must be positive")
+    require_positive(eta=eta)
     n, dx = grid.n_cells, grid.dx
-    scale = math.sqrt(2 * math.pi * eta)
-    toe = np.exp(-(np.arange(1 - n, n) * dx) ** 2 / (2 * eta)) / scale
-    han = np.exp(-(np.arange(1, 2 * n) * dx) ** 2 / (2 * eta)) / scale
-    nonzero = np.flatnonzero(han)
-    live = min(n, int(nonzero[-1]) + 1) if nonzero.size else 0
+    toe, han = _lags(grid, eta)
     conv, corr = np.empty(n), np.zeros(n)
     parts = 1 if pool is None or n > BLAS_THREADED_DOT else pool._max_workers
-    jobs = [(np.convolve, toe, conv, lo, hi) for lo, hi in _ranges(n, parts)] \
-        + [(np.correlate, han, corr, lo, hi) for lo, hi in _ranges(live, parts)]
+    jobs = [(np.convolve, toe, conv, [(lo, hi, n)]) for lo, hi in _ranges(n, parts)] \
+        + [(np.correlate, han, corr, blocks)
+           for blocks in _hankel_jobs(n, int(np.count_nonzero(han)), parts)]
 
     def rows(job):
-        op, lags, out, lo, hi = job
-        out[lo:hi] = op(lags[lo:hi + n - 1], grid.values, "valid")
+        op, lags, out, blocks = job
+        for lo, hi, k in blocks:
+            out[lo:hi] = op(lags[lo:hi + k - 1], grid.values[:k], "valid")
 
     list((map if parts == 1 else pool.map)(rows, jobs))  # raises a job's error
     values = (conv + corr) * dx

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 from .model import Proposal, StateSpaceModel
 from .rng import RngStream
 
@@ -74,8 +74,7 @@ class MomentCondition:
     def __post_init__(self):
         if self.p not in (2, 4):
             raise DomainError("moment order p must be 2 or 4")
-        if min(self.alpha, self.beta, self.c, self.eta) <= 0:
-            raise DomainError("alpha, beta, c, eta must all be positive")
+        require_positive(alpha=self.alpha, beta=self.beta, c=self.c, eta=self.eta)
 
 
 @dataclass(frozen=True)

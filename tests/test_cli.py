@@ -276,3 +276,20 @@ def test_converge_flags_keep_names_order_and_choices(capsys):
     assert "--resampler {multinomial,stratified,systematic}" in out
     for bad in (["--proposal", "optimal"], ["--resampler", "residual"]):
         assert cli_dispatch(["converge", "--observations", "obs.csv"] + bad) == 1
+
+
+def test_infinite_model_parameters_are_runtime_errors_naming_them(tmp_path, fixture_obs_path,
+                                                                 capsys):
+    # each used to run: moments printed a `satisfied` verdict with bound 0.0
+    # and exited 0; grid and filter failed on a lost grid or zero weights
+    out = tmp_path / "out.csv"
+    obs = ["--observations", str(fixture_obs_path), "--out", str(out)]
+    for argv, name in ((["moments", "--eta", "inf"], "eta"),
+                       (["grid", "--eta", "inf"] + obs, "eta"),
+                       (["grid", "--c", "inf"] + obs, "c"),
+                       (["filter", "--eta", "inf", "--n", "64", "--seed", "1"] + obs, "eta")):
+        assert cli_dispatch(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name} must be finite and positive, got inf\n"
+        assert "satisfied" not in captured.out
+        assert not out.exists(), argv

@@ -87,6 +87,22 @@ def test_synthetic_error_injection_recovers_reference_slopes():
 # config validation and files
 
 
+@pytest.mark.parametrize("bad", [{"c": float("inf")}, {"eta": float("inf")},
+                                 {"c": float("nan")}, {"eta": 0.0}])
+def test_bad_model_parameter_fails_before_the_oracle_runs(fixture_obs_path, monkeypatch, bad):
+    def oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran")
+
+    monkeypatch.setattr(convergence, "run_cox_grid_filter", oracle)
+    name = next(iter(bad))
+    for config in (small_config(fixture_obs_path, **bad),
+                   small_config(fixture_obs_path, proposal="bootstrap", **bad)):
+        with pytest.raises(DomainError, match=f"^{name} must be finite and positive"):
+            config.validate()
+        with pytest.raises(DomainError, match=f"^{name} must be finite and positive"):
+            run_convergence_study(config, workers=1)
+
+
 def test_config_validation(fixture_obs_path):
     small_config(fixture_obs_path).validate()
     with pytest.raises(DomainError):

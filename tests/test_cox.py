@@ -178,6 +178,18 @@ def test_params_validation():
         CoxParams(c=0.0, eta=0.1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: CoxParams(c=v, eta=ETA), "c"),
+    (lambda v: CoxParams(c=C, eta=v), "eta"),
+    (lambda v: GammaProposal(v, 0.5), "alpha"),
+    (lambda v: GammaProposal(1.5, v), "beta"),
+])
+def test_model_and_proposal_parameters_must_be_finite_and_positive(make, name, bad):
+    with pytest.raises(DomainError, match=f"^{name} must be finite and positive, got {bad!r}$"):
+        make(bad)
+
+
 def test_simulate_deterministic():
     params = CoxParams(C, ETA)
     s1, o1 = simulate(params, 12, 54)

@@ -189,6 +189,119 @@ def test_grid_predict_runs_one_range_above_the_blas_threaded_size(monkeypatch):
         assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, inline)
 
 
+TINY = np.finfo(float).tiny
+
+
+def _every_lag(n, x_max, eta):
+    """The Toeplitz and Hankel lag vectors with no lag set to 0."""
+    dx = x_max / n
+    scale = math.sqrt(2 * math.pi * eta)
+    toe = np.exp(-(np.arange(1 - n, n) * dx) ** 2 / (2 * eta)) / scale
+    han = np.exp(-(np.arange(1, 2 * n) * dx) ** 2 / (2 * eta)) / scale
+    return toe, han
+
+
+@pytest.mark.parametrize("n", [3000, 6000])
+def test_grid_predict_has_the_every_lag_bits_on_the_fixture_grids(fixture_obs, n):
+    # the prior and every filtered grid of the committed fixture: the grids
+    # the acceptance studies predict from
+    run = run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, n)
+    for grid in (grid_init(folded_normal_prior, 15.0, n),) + run.grids:
+        expected = _whole_rows_predict(grid, 0.1)
+        assert np.array_equal(grid_predict(grid, 0.1).values, expected)
+        for threads in (1, 2, 3, 4):
+            with ThreadPoolExecutor(threads) as pool:
+                assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, expected)
+
+
+def test_lags_below_tiny_are_zeroed_and_no_others():
+    grid = grid_init(folded_normal_prior, 15.0, 3000)
+    every_toe, every_han = _every_lag(3000, 15.0, 0.1)
+    toe, han = gridfilter._lags(grid, 0.1)
+    assert np.array_equal(toe, np.where(every_toe < TINY, 0.0, every_toe))
+    assert np.array_equal(han, np.where(every_han < TINY, 0.0, every_han))
+    # the subnormal lags at 3000 cells: 61 on each side of the Toeplitz
+    # vector, 61 of the Hankel one
+    assert np.count_nonzero(every_toe) - np.count_nonzero(toe) == 122
+    assert np.count_nonzero(every_han) - np.count_nonzero(han) == 61
+
+
+def _steep(n, x_max, eta):
+    """A grid that grows like the inverse of the lags up to e^650: its
+    smallest cell is e^-750 of its largest, below 2^-900 of it, and the
+    products of the largest cells with subnormal lags reach the rows of
+    the small cells."""
+    x = (np.arange(n) + 0.5) * (x_max / n)
+    return GridDensity(x_max, np.exp(np.minimum(x * x / (2 * eta) - 100.0, 650.0)))
+
+
+@pytest.mark.parametrize("n", [600, 3001])
+def test_grid_with_a_cell_below_2_pow_minus_900_of_its_largest_keeps_every_lag(n):
+    every = _every_lag(n, 15.0, 0.1)
+    corner = np.zeros(n)
+    corner[0] = n / 15.0
+    steep = _steep(n, 15.0, 0.1)
+    for grid in (GridDensity(15.0, corner), steep):
+        assert all(np.array_equal(a, b) for a, b in zip(gridfilter._lags(grid, 0.1), every))
+        expected = _whole_rows_predict(grid, 0.1)
+        assert np.array_equal(grid_predict(grid, 0.1).values, expected)
+        with ThreadPoolExecutor(2) as pool:
+            assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, expected)
+    # on the steep grid zeroing the subnormal lags would change the bits
+    toe, han = (np.where(lags < TINY, 0.0, lags) for lags in every)
+    zeroed = (np.convolve(toe, steep.values, "valid")
+              + np.correlate(han, steep.values, "valid")) * steep.dx
+    zeroed /= np.sum(zeroed) * steep.dx
+    assert not np.array_equal(zeroed, _whole_rows_predict(steep, 0.1))
+
+
+# n = 10: below one 32-term block, no cut; 33: one block and a one-term
+# tail; 10_001: above BLAS_THREADED_DOT, where BLAS splits a dot at
+# length-dependent points, so no cut
+@pytest.mark.parametrize("n", [10, 33, 100, 600, 3001, 6000, 10_001])
+def test_hankel_rows_are_cut_only_where_the_bits_hold(monkeypatch, n):
+    # random lags and cells: every term counts, so a cut that drops a nonzero
+    # term or moves one into another accumulator lane changes the bits
+    rng = np.random.default_rng(n)
+    grid = GridDensity(15.0, rng.uniform(0.5, 2.0, n))
+    toe = rng.uniform(0.5, 2.0, 2 * n - 1)
+    counts = {1, n // 2 + 3, n - 1, n + 1, 2 * n - 1} if n > 10_000 else \
+        {1, 31, 32, 33, n - 1, n, n + 1, 2 * n - 1, *rng.integers(1, 2 * n, 8)}
+    for nonzero in sorted(c for c in counts if c < 2 * n):
+        han = np.zeros(2 * n - 1)
+        han[:nonzero] = np.sort(rng.uniform(0.5, 2.0, nonzero))[::-1]
+        monkeypatch.setattr(gridfilter, "_lags", lambda grid, eta: (toe.copy(), han.copy()))
+        expected = (np.convolve(toe, grid.values, "valid")
+                    + np.correlate(han, grid.values, "valid")) * grid.dx
+        expected /= np.sum(expected) * grid.dx
+        assert np.array_equal(grid_predict(grid, 0.1).values, expected), nonzero
+        for threads in (2, 3) if n <= 10_000 else ():
+            with ThreadPoolExecutor(threads) as pool:
+                assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, expected)
+
+
+def test_grid_predict_rejects_an_infinite_or_nan_eta():
+    # an infinite eta used to zero every lag and fail as "lost all mass"
+    grid = grid_init(folded_normal_prior, 15.0, 100)
+    for eta in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="^eta must be finite and positive"):
+            grid_predict(grid, eta)
+
+
+def test_hankel_jobs_cover_the_live_rows_in_equal_work_jobs():
+    n, nonzero = 3000, 2380  # the Hankel lags at eta = 0.1, x_max = 15
+    for parts in (1, 2, 3, 4):
+        jobs = gridfilter._hankel_jobs(n, nonzero, parts)
+        blocks = [block for job in jobs for block in job]
+        assert len(jobs) == parts and len(blocks) == gridfilter._HANKEL_BLOCKS
+        assert [lo for lo, _, _ in blocks[1:]] == [hi for _, hi, _ in blocks[:-1]]
+        assert blocks[0][0] == 0 and blocks[-1][1] == nonzero
+        for lo, _, k in blocks:
+            assert k % 32 == 0 and nonzero - lo <= k < nonzero - lo + 32
+        work = [sum((hi - lo) * k for lo, hi, k in job) for job in jobs]
+        assert max(work) - min(work) <= max((hi - lo) * k for lo, hi, k in blocks)
+
+
 def test_run_cox_grid_filter_same_run_on_any_thread_count(fixture_obs):
     params = CoxParams(0.5, 0.1)
     one = run_cox_grid_filter(params, fixture_obs, 15.0, 1201, [EXP_NEG, ONE], workers=1)

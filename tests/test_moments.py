@@ -121,6 +121,15 @@ def test_verdict_divergent_tail():
     assert verdict.bound is None
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0])
+@pytest.mark.parametrize("name", ["alpha", "beta", "c", "eta"])
+def test_condition_parameters_must_be_finite_and_positive(name, bad):
+    # inf used to give a `satisfied` p = 2 verdict with bound 0.0
+    args = {"alpha": 1.5, "beta": 0.5, "c": C, "eta": ETA, name: bad}
+    with pytest.raises(DomainError, match=f"^{name} must be finite and positive"):
+        MomentCondition(2, **args)
+
+
 def test_condition_validation():
     with pytest.raises(DomainError):
         MomentCondition(3, 1.5, 0.5, C, ETA)
