@@ -22,7 +22,7 @@ from .lineargauss import GaussianBelief, LinearGaussianModel, kalman_filter, \
 from .model import Proposal, StateSpaceModel, TestFunction, make_test_function
 from .moments import MomentCondition, MomentStatus, MomentVerdict, \
     check_cox_moment_condition, empirical_weight_moment, quadrature_weight_moment
-from .particles import FilterRun, StepReport
+from .particles import FilterRun
 from .resampling import ResampleScheme, get_scheme, multinomial_resample, \
     stratified_resample, systematic_resample
 from .rng import RngStream

@@ -156,10 +156,10 @@ def _cmd_filter(args) -> int:
         head = ["t"] + [f"estimate_{n}" for n in names] \
             + [f"resampled_estimate_{n}" for n in names] + ["ess", "log_mean_weight"]
         fh.write(",".join(head) + "\n")
-        for step in run.steps:
-            row = [str(step.t)] + [_fmt(step.estimates[n]) for n in names] \
-                + [_fmt(step.resampled_estimates[n]) for n in names] \
-                + [_fmt(step.ess), _fmt(step.log_mean_weight)]
+        for i, t in enumerate(run.steps.tolist()):
+            row = [str(t)] + [_fmt(run.estimates[n][i]) for n in names] \
+                + [_fmt(run.resampled_estimates[n][i]) for n in names] \
+                + [_fmt(run.ess[i]), _fmt(run.log_mean_weight[i])]
             fh.write(",".join(row) + "\n")
     print(f"filter: {len(run.steps)} steps, N={args.n}, "
           f"log evidence {run.log_evidence:.6f} -> {args.out}")
@@ -171,12 +171,11 @@ def _cmd_filter(args) -> int:
 
 def _write_filter_histogram(args, params, obs, run, n_cells: int) -> None:
     grun = run_cox_grid_filter(params, obs, args.x_max, n_cells)
-    t_idx = list(grun.steps).index(args.hist_step)
+    t_idx = list(grun.steps).index(args.hist_step)  # the filter's step index too
     grid = grun.grids[t_idx]
-    step = next(s for s in run.steps if s.t == args.hist_step)
+    particles, weights, _ = run.clouds[t_idx]
     edges = np.linspace(args.hist_min, args.hist_max, args.hist_bins + 1)
-    mass, _ = np.histogram(step.cloud.normalized_particles, bins=edges,
-                           weights=step.cloud.normalized_weights)
+    mass, _ = np.histogram(particles, bins=edges, weights=weights)
     keep = grid.midpoints() <= args.hist_max
     svg = histogram_svg_text(edges, mass, grid.midpoints()[keep], grid.values[keep],
                              title=f"filtering density at t={args.hist_step}")

@@ -185,9 +185,10 @@ def _study_cell(args):
     A failing step stops every row of the block, so when the failure
     names row r, rows 0..r-1 are rerun on their own first: a lower
     replicate that fails at a later step is the one reported.  The
-    error's ``row`` indexes ``replicates``.  The estimates are read off
-    the block's arrays; no per-replicate `FilterRun` is built.  The block
-    runs on this thread alone: a study spreads its cells over processes.
+    error's ``row`` indexes ``replicates``.  The estimates are views of
+    the block's `engine.FilterBlock`; no per-replicate `FilterRun` is
+    built.  The block runs on this thread alone: a study spreads its cells
+    over processes.
     """
     config, obs_rows, n_idx, replicates = args
     model, proposal = make_cox_model_and_proposal(
@@ -195,17 +196,13 @@ def _study_cell(args):
     phis = [make_test_function(name) for name in config.test_functions]
     streams = [RngStream(config.master_seed, labels=(n_idx, r)) for r in replicates]
     try:
-        steps = _run_block(model, proposal, obs_rows, config.particle_counts[n_idx],
+        block = _run_block(model, proposal, obs_rows, config.particle_counts[n_idx],
                            get_scheme(config.resampler), streams, phis, workers=1)
     except PfconvError as err:
         if err.row:
             _study_cell((config, obs_rows, n_idx, replicates[:err.row]))
         raise
-    est_n = np.stack([np.column_stack([s.estimates[p.name] for p in phis]) for s in steps],
-                     axis=1)
-    est_r = np.stack([np.column_stack([s.resampled_estimates[p.name] for p in phis])
-                      for s in steps], axis=1)
-    return n_idx, replicates, est_n, est_r
+    return n_idx, replicates, block.estimates.swapaxes(0, 1), block.resampled.swapaxes(0, 1)
 
 
 def _oracle_tables(config: ExperimentConfig, obs, phis, workers: int | None):

@@ -195,11 +195,9 @@ def gamma_logdensity(prop: GammaProposal, x):
 
 def make_cox_model(params: CoxParams) -> StateSpaceModel:
     return StateSpaceModel(
-        state_dim=1,
         prior_sample=lambda rng, size: cox_prior_sample(rng, size),
         transition_logdensity=lambda x, xp: cox_transition_logdensity(x, xp, params.eta),
         likelihood_logdensity=lambda y, x: cox_likelihood_logdensity(y, x, params.c),
-        likelihood_bound=1.0,  # Poisson pmf never exceeds 1
     )
 
 

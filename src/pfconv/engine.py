@@ -22,7 +22,10 @@ estimate -> resample; every row resamples at every step, the filter
 the convergence guarantees are stated for.  Proposals and resampling
 counts are drawn row by row; weighting, normalization, the estimates,
 the effective sample size, the weight and count checks and the particle
-duplication are evaluated once on the whole block.
+duplication are evaluated once on the whole block.  Each step writes its
+results in place into the block's one `FilterBlock` of (T, M) and
+(T, M, P) arrays: a study reads its estimates off it, and `run_filters`
+returns row r as a `FilterRun` of views.
 
 A block allocates its (M, N) buffers once (`_Workspace`) and every step
 writes into them; the resampling counts go into the log-weight buffer,
@@ -74,6 +77,8 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
+from functools import reduce
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -83,7 +88,7 @@ from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite
     at_row
 from .model import Proposal, StateSpaceModel, TestFunction
 from .moments import row_ess
-from .particles import _NORMALIZATION_RTOL, FilterRun, StepCloud, StepReport
+from .particles import _NORMALIZATION_RTOL, FilterRun
 from .resampling import ResampleScheme, repeat_by_counts, slabs
 from .rng import KeyedRows, KeyPool, RngStream
 
@@ -269,40 +274,38 @@ def _estimate_rows(w, total, x: np.ndarray, phi: TestFunction,
     return np.sum(terms, axis=1) / total
 
 
-class _StepRows(NamedTuple):
-    """One step of every row of a block: row r's report fields at index r."""
+class FilterBlock(NamedTuple):
+    """Every step of every row of a block, written in place by `_step`.
 
-    t: int
-    ess: np.ndarray
-    log_mean_weight: list[float]
-    estimates: dict[str, np.ndarray]
-    resampled_estimates: dict[str, np.ndarray]
-    clouds: list[StepCloud | None]
+    ``steps`` holds the T step labels.  At step i, row r has its effective
+    sample size ``ess[i, r]``, its evidence increment
+    ``log_mean_weight[i, r]``, and the estimates of test function p
+    before and after resampling at ``estimates[i, r, p]`` and
+    ``resampled[i, r, p]``.  ``clouds[i, :, r]`` holds its first K
+    proposed particles, their normalized weights and its first K
+    resampled particles; K is 0 unless clouds are recorded.
+    """
 
-    def report(self, r: int) -> StepReport:
-        return StepReport(
-            t=self.t,
-            ess=float(self.ess[r]),
-            log_mean_weight=self.log_mean_weight[r],
-            estimates={name: float(v[r]) for name, v in self.estimates.items()},
-            resampled_estimates={name: float(v[r])
-                                 for name, v in self.resampled_estimates.items()},
-            cloud=self.clouds[r],
-        )
+    steps: np.ndarray  # (T,)
+    ess: np.ndarray  # (T, M)
+    log_mean_weight: np.ndarray  # (T, M)
+    estimates: np.ndarray  # (T, M, P)
+    resampled: np.ndarray  # (T, M, P)
+    clouds: np.ndarray  # (T, 3, M, K)
 
 
-def _step(ws: _Workspace, model: StateSpaceModel, proposal: Proposal, y,
-          resampler: ResampleScheme, rngs: tuple[KeyedRows, KeyedRows],
-          test_functions: Sequence[TestFunction], t: int, record_cloud: int,
-          resampled: tuple[float, float],
-          pool: ThreadPoolExecutor | None = None) -> _StepRows:
-    """One propose/weight/normalize/estimate/resample cycle of every row.
+def _step(ws: _Workspace, out: FilterBlock, i: int, model: StateSpaceModel,
+          proposal: Proposal, y, resampler: ResampleScheme,
+          rngs: tuple[KeyedRows, KeyedRows], test_functions: Sequence[TestFunction],
+          resampled: tuple[float, float], pool: ThreadPoolExecutor | None = None) -> None:
+    """One propose/weight/normalize/estimate/resample cycle of every row,
+    written to step i of ``out``.
 
     The parents in ``ws.x`` are replaced by the resampled particles.
     ``rngs`` holds the rows' propose and resample streams for this step,
     and ``resampled`` the weight of a resampled particle and its row sum.
     With a ``pool``, its one thread draws the proposals while this one
-    weighs the slabs already drawn.  Returns the step's per-row results.
+    weighs the slabs already drawn.
     """
     x, proposed, lw, w = ws
     n = x.shape[1]
@@ -318,19 +321,18 @@ def _step(ws: _Workspace, model: StateSpaceModel, proposal: Proposal, y,
         finally:  # the draws end before anything is raised, and their error wins
             draws.result()
     top, w, sums = _shift_rows(lw, w)
-    log_mean = _log_mean_weights(top, sums, n)
+    out.log_mean_weight[i] = _log_mean_weights(top, sums, n)
     w, total = _normalize_rows(lw, top, w, sums)
-    ess = row_ess(lw, w)  # the log weights are dead from here on
-    estimates = {phi.name: _estimate_rows(w, total, proposed, phi, lw)
-                 for phi in test_functions}
+    out.ess[i] = row_ess(lw, w)  # the log weights are dead from here on
+    for p, phi in enumerate(test_functions):
+        out.estimates[i, :, p] = _estimate_rows(w, total, proposed, phi, lw)
 
     counts = resampler.resample(w, n, resample_rngs, out=lw.view(np.int64))
     repeat_by_counts(proposed, counts, x)
-    after = {phi.name: _estimate_rows(*resampled, x, phi, lw) for phi in test_functions}
-    k = min(record_cloud, n)
-    clouds = [StepCloud(proposed[r, :k].copy(), w[r, :k].copy(), x[r, :k].copy())
-              if k > 0 else None for r in range(len(x))]
-    return _StepRows(t, ess, log_mean, estimates, after, clouds)
+    for p, phi in enumerate(test_functions):
+        out.resampled[i, :, p] = _estimate_rows(*resampled, x, phi, lw)
+    k = out.clouds.shape[-1]
+    out.clouds[i] = proposed[:, :k], w[:, :k], x[:, :k]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +343,12 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
                observations: Iterable[tuple[int, object]], n: int,
                resampler: ResampleScheme, roots: Sequence[RngStream],
                test_functions: Sequence[TestFunction] = (),
-               record_clouds: int = 0, workers: int | None = None) -> list[_StepRows]:
-    """Every step of one filter per root stream, run as one (M, N) block;
-    a block of at least `DRAW_THREAD_SLABS` slabs draws its proposals on
-    a helper thread when ``resolve_workers(workers)`` allows two threads.
-    Errors as in `run_filters`."""
+               record_clouds: int = 0, workers: int | None = None) -> FilterBlock:
+    """Every step of one filter per root stream, run as one (M, N) block
+    into one `FilterBlock`, with clouds of ``record_clouds`` particles (at
+    most N); a block of at least `DRAW_THREAD_SLABS` slabs draws its
+    proposals on a helper thread when ``resolve_workers(workers)`` allows
+    two threads.  Errors as in `run_filters`."""
     obs = list(observations)
     if not obs:
         raise ValueError("observations must be nonempty")
@@ -367,23 +370,27 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
         for s in row_slabs:
             ws.x[r, s] = _particles(model.prior_sample(rng, s.stop - s.start),
                                     s.stop - s.start, "prior_sample")
-    steps = []
+    m, p, k = len(roots), len(test_functions), max(0, min(record_clouds, n))
+    out = FilterBlock(np.array([int(t) for t, _ in obs]),
+                      np.empty((len(obs), m)), np.empty((len(obs), m)),
+                      np.empty((len(obs), m, p)), np.empty((len(obs), m, p)),
+                      np.empty((len(obs), 3, m, k)))
     threaded = (len(slabs(ws.x.size)) >= DRAW_THREAD_SLABS
                 and resolve_workers(workers) > 1)
     with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
-        for t, y in obs:
+        for i, (t, y) in enumerate(obs):
             t = int(t)
             propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()
             rngs = (KeyedRows(gen, roots, (t, 0), propose_keys),
                     KeyedRows(gen, roots, (t, 1), resample_keys))
             try:
-                steps.append(_step(ws, model, proposal, y, resampler, rngs,
-                                   test_functions, t, record_clouds, resampled, helper))
+                _step(ws, out, i, model, proposal, y, resampler, rngs, test_functions,
+                      resampled, helper)
             except PfconvError as err:
                 row = "" if err.row is None else f", row {err.row}"
                 raise at_row(type(err)(f"filter step t={t}{row}: {err}"),
                              err.row) from err
-    return steps
+    return out
 
 
 def run_filters(model: StateSpaceModel, proposal: Proposal,
@@ -400,17 +407,22 @@ def run_filters(model: StateSpaceModel, proposal: Proposal,
     raised it, that row in the message and in ``err.row``.
     """
     roots = [s if isinstance(s, RngStream) else RngStream(s) for s in streams]
-    steps = _run_block(model, proposal, observations, n, resampler, roots,
+    block = _run_block(model, proposal, observations, n, resampler, roots,
                        test_functions, record_clouds)
-    runs = []
-    for r, root in enumerate(roots):
-        reports = tuple(step.report(r) for step in steps)
-        log_evidence = 0.0
-        for report in reports:
-            log_evidence += report.log_mean_weight
-        runs.append(FilterRun(steps=reports, log_evidence=log_evidence, n=n,
-                              master_seed=root.master_seed, labels=root.labels))
-    return tuple(runs)
+    for a in block:  # every row's run views these arrays, and all share steps
+        a.setflags(write=False)
+    names = [phi.name for phi in test_functions]
+    return tuple(FilterRun(
+        steps=block.steps,
+        estimates={name: block.estimates[:, r, p] for p, name in enumerate(names)},
+        resampled_estimates={name: block.resampled[:, r, p]
+                             for p, name in enumerate(names)},
+        ess=block.ess[:, r], log_mean_weight=block.log_mean_weight[:, r],
+        clouds=block.clouds[:, :, r],
+        # a left-to-right sum in step order: np.sum pairs, and sum() compensates
+        log_evidence=reduce(add, block.log_mean_weight[:, r].tolist(), 0.0),
+        n=n, master_seed=root.master_seed, labels=root.labels)
+        for r, root in enumerate(roots))
 
 
 def run_filter(model: StateSpaceModel, proposal: Proposal,

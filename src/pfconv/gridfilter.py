@@ -80,10 +80,13 @@ class GridDensity:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        values.setflags(write=False)
+        if values.flags.writeable:  # freeze a copy, never the caller's array
+            values = values.copy()
+            values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        if self.x_max <= 0 or values.ndim != 1 or len(values) < 10:
-            raise DomainError("grid needs x_max > 0 and at least 10 cells")
+        require_positive(x_max=self.x_max)
+        if values.ndim != 1 or len(values) < 10:
+            raise DomainError("grid needs at least 10 cells")
         if np.any(values < 0) or np.any(~np.isfinite(values)):
             raise DomainError("grid values must be finite and nonnegative")
 
@@ -97,9 +100,6 @@ class GridDensity:
 
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.dx
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.values) * self.dx)
 
     def mean(self) -> float:
         return float(np.sum(self.midpoints() * self.values) * self.dx)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 from .model import Proposal, StateSpaceModel
 from .rng import RngStream
 
@@ -28,8 +28,7 @@ class LinearGaussianModel:
     p0: float
 
     def __post_init__(self):
-        if min(self.q_var, self.r_var, self.p0) <= 0:
-            raise DomainError("q_var, r_var and p0 must be positive")
+        require_positive(q_var=self.q_var, r_var=self.r_var, p0=self.p0)
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,7 @@ class GaussianBelief:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise DomainError("variance must be positive")
+        require_positive(variance=self.variance)
 
 
 def kalman_step(belief: GaussianBelief, model: LinearGaussianModel, y: float) -> GaussianBelief:
@@ -114,11 +112,9 @@ def make_lg_model(model: LinearGaussianModel) -> StateSpaceModel:
         return _normal_logpdf(float(y), model.h * np.asarray(x, dtype=float), model.r_var)
 
     return StateSpaceModel(
-        state_dim=1,
         prior_sample=prior_sample,
         transition_logdensity=transition_logdensity,
         likelihood_logdensity=likelihood_logdensity,
-        likelihood_bound=1.0 / math.sqrt(2 * math.pi * model.r_var),
     )
 
 

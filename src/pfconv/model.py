@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import require_positive
 from .rng import RngStream
 
 Array = np.ndarray
@@ -32,8 +32,6 @@ class StateSpaceModel:
 
     Attributes
     ----------
-    state_dim : int
-        Dimension of the state (shipped models use 1).
     prior_sample : callable
         ``(rng, size) -> states``; draws ``size`` independent states from
         the time-zero distribution, one state per entry, in order.
@@ -42,23 +40,12 @@ class StateSpaceModel:
         pointwise.
     likelihood_logdensity : callable
         ``(y_t, x_t) -> log density`` of the observation given the state,
-        pointwise.
-    likelihood_bound : float
-        A constant c_g with ``likelihood <= c_g`` everywhere; the engine's
-        mean-square guarantees require the likelihood to be bounded.
+        pointwise; the convergence guarantees need it bounded in x_t.
     """
 
-    state_dim: int
     prior_sample: Callable[[RngStream, int], Array]
     transition_logdensity: Callable[[Array, Array], Array]
     likelihood_logdensity: Callable[[object, Array], Array]
-    likelihood_bound: float
-
-    def __post_init__(self):
-        if self.state_dim < 1:
-            raise DomainError("state_dim must be a positive integer")
-        if not self.likelihood_bound > 0:
-            raise DomainError("likelihood_bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,8 +74,7 @@ class TestFunction:
     sup_norm: float
 
     def __post_init__(self):
-        if not self.sup_norm > 0:
-            raise DomainError("sup_norm must be positive")
+        require_positive(sup_norm=self.sup_norm)  # the results cover bounded phi only
 
     def __call__(self, x: Array) -> Array:
         return self.fn(x)
@@ -103,8 +89,7 @@ def _indicator_leq(a: float) -> TestFunction:
 
 
 def _min_cap(a: float) -> TestFunction:
-    if not a > 0:
-        raise DomainError("min_cap requires a positive cap")
+    require_positive(min_cap=a)
     return TestFunction(
         name=f"min_cap({a:g})",
         fn=lambda x: np.minimum(np.asarray(x, dtype=float), a),

@@ -1,9 +1,9 @@
-"""Per-step filter records.
+"""Filter run records.
 
-`engine.run_filters` steps plain (replicates x particles) arrays and
-resamples at every step; each step yields a `StepReport` per replicate
-(with an optional `StepCloud` snapshot) and each run a `FilterRun`.
-`WeightedParticleSet` and `Stage` are not used by the package.
+`engine.run_filters` steps plain (replicates x particles) arrays,
+resamples at every step and writes every step of every replicate into
+one block of arrays; each replicate's `FilterRun` is a row of views into
+it.  `WeightedParticleSet` and `Stage` are not used by the package.
 """
 
 from __future__ import annotations
@@ -85,38 +85,25 @@ class WeightedParticleSet:
 
 
 @dataclass(frozen=True)
-class StepCloud:
-    """Optional particle snapshot kept for plotting/histogram checks."""
+class FilterRun:
+    """One filter's pass over an observation sequence: one row of the
+    engine's `engine.FilterBlock`, as read-only (T,) views in step order.
 
-    normalized_particles: np.ndarray
-    normalized_weights: np.ndarray
-    resampled_particles: np.ndarray
-
-
-@dataclass(frozen=True)
-class StepReport:
-    """Diagnostics from one filter step.
-
-    ``estimates`` holds the pre-resampling (normalized-stage) estimate of
-    each registered test function; ``resampled_estimates`` the same after
-    resampling.  ``log_mean_weight`` is the step's incremental
-    log-evidence and ``ess`` the effective sample size of the normalized
-    weights.
+    ``steps`` holds the step labels; ``estimates`` and
+    ``resampled_estimates`` the estimates of each test function, by name,
+    before and after resampling; ``ess`` the effective sample size of the
+    normalized weights and ``log_mean_weight`` the step's incremental log
+    evidence.  ``clouds`` (T, 3, K) holds each step's first K proposed
+    particles, their normalized weights and its first K resampled
+    particles; K is 0 unless clouds were recorded.
     """
 
-    t: int
-    ess: float
-    log_mean_weight: float
-    estimates: dict[str, float]
-    resampled_estimates: dict[str, float]
-    cloud: StepCloud | None = None
-
-
-@dataclass(frozen=True)
-class FilterRun:
-    """Full trace of a filter pass over an observation sequence."""
-
-    steps: tuple[StepReport, ...]
+    steps: np.ndarray
+    estimates: dict[str, np.ndarray]
+    resampled_estimates: dict[str, np.ndarray]
+    ess: np.ndarray
+    log_mean_weight: np.ndarray
+    clouds: np.ndarray
     log_evidence: float
     n: int
     master_seed: int | None = None
@@ -125,7 +112,7 @@ class FilterRun:
     def estimate_trace(self, name: str, stage: str = "normalized") -> np.ndarray:
         """Per-step estimates of one test function at one stage."""
         if stage == "normalized":
-            return np.array([s.estimates[name] for s in self.steps])
+            return self.estimates[name]
         if stage == "resampled":
-            return np.array([s.resampled_estimates[name] for s in self.steps])
+            return self.resampled_estimates[name]
         raise ValueError(f"unknown stage {stage!r}")

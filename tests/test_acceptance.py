@@ -7,6 +7,10 @@ different worker count and compares bytes.
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -40,6 +44,7 @@ from pfconv.moments import quadrature_refinements
 from pfconv.report import emit_report
 from pfconv.resampling import get_scheme
 
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 C, ETA = 0.5, 0.1
 ALPHA_MSE, ALPHA_L4, BETA = 1.5, 1.25, 0.5
 STUDY_NS = (128, 512, 2048, 8192)
@@ -203,18 +208,16 @@ def test_criterion_5_histogram_vs_grid(cox_model_session, gamma_proposal_session
                      get_scheme("multinomial"), RngStream(MASTER_SEED, (5,)),
                      [EXP_NEG], record_clouds=n)
     # every recorded estimate respects the declared sup-norm
-    for s in run.steps:
-        assert abs(s.estimates["exp_neg"]) <= 1.0
-        assert abs(s.resampled_estimates["exp_neg"]) <= 1.0
-    step = next(s for s in run.steps if s.t == 11)
+    assert np.all(np.abs(run.estimates["exp_neg"]) <= 1.0)
+    assert np.all(np.abs(run.resampled_estimates["exp_neg"]) <= 1.0)
+    particles, weights, _ = run.clouds[list(run.steps).index(11)]
     grid_run = run_cox_grid_filter(CoxParams(C, ETA), fixture_obs, 15.0, 3000,
                                    [EXP_NEG])
     grid = grid_run.grids[list(grid_run.steps).index(11)]
 
     edges = np.linspace(0.0, 6.0, 31)
-    particle_mass, _ = np.histogram(step.cloud.normalized_particles, bins=edges,
-                                    weights=step.cloud.normalized_weights)
-    particle_mass = particle_mass / np.sum(step.cloud.normalized_weights)
+    particle_mass, _ = np.histogram(particles, bins=edges, weights=weights)
+    particle_mass = particle_mass / np.sum(weights)
     grid_mass = density_in_bins(grid, edges)
     # account mass escaping [0, 6] as one extra component
     tv = 0.5 * (np.abs(particle_mass - grid_mass).sum()
@@ -305,11 +308,7 @@ def test_criterion_8_engine_vs_kalman():
     def mean_trace(n, seed):
         run = run_filter(ssm, prop, obs, n, get_scheme("multinomial"),
                          RngStream(seed), [], record_clouds=n)
-        return np.array([
-            float(np.sum(s.cloud.normalized_weights * s.cloud.normalized_particles)
-                  / np.sum(s.cloud.normalized_weights))
-            for s in run.steps
-        ])
+        return np.array([float(np.sum(w * x) / np.sum(w)) for x, w, _ in run.clouds])
 
     traces = np.array([mean_trace(5000, 8200 + r) for r in range(12)])
     sigma = traces.std(axis=0, ddof=1)
@@ -389,3 +388,37 @@ def test_criterion_10_deterministic_artifacts(fixture_obs_path, outroot,
         assert blobs[0] == blobs[1]
     print("\n[acceptance] 10 determinism: PASS (worker counts 1 and 8 "
           "byte-identical; reruns byte-identical)")
+
+
+# ---------------------------------------------------------------------------
+# 11. the committed out/ files are what this code writes, byte for byte
+
+
+def test_criterion_11_study_reports_match_committed_out(fixture_obs_path, mse_artifacts,
+                                                        l4_artifacts):
+    # the session studies run the committed configs, so no extra study runs
+    for label, (config, _) in (("mse", mse_artifacts), ("l4", l4_artifacts)):
+        fresh = pathlib.Path(config.out_csv).parent
+        committed = REPO_ROOT / "out" / label
+        for name in ("report.csv", "report.svg"):
+            assert (fresh / name).read_bytes() == (committed / name).read_bytes(), \
+                f"out/{label}/{name}"
+        # the JSON config echo stores the input and output paths
+        echoed = ((str(fixture_obs_path), "fixtures/cox_obs_t12.csv"),
+                  (str(fresh), f"out/{label}"))
+        text = (fresh / "report.json").read_text()
+        for path, relative in echoed:
+            text = text.replace(json.dumps(path)[1:-1], relative)
+        assert text == (committed / "report.json").read_text(), f"out/{label}/report.json"
+    print("\n[acceptance] 11 study reports: PASS (out/mse and out/l4 byte-identical)")
+
+
+def test_criterion_11_figure_data_match_committed_out():
+    # the filter CSVs hold every per-step estimate, ESS and log mean weight
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "scripts/make_figure_data.py", "--check"],
+                          cwd=REPO_ROOT, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    print("\n[acceptance] 11 figure data: PASS (out/figures byte-identical)")

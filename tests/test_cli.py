@@ -293,3 +293,15 @@ def test_infinite_model_parameters_are_runtime_errors_naming_them(tmp_path, fixt
         assert captured.err == f"error: {name} must be finite and positive, got inf\n"
         assert "satisfied" not in captured.out
         assert not out.exists(), argv
+
+
+def test_unbounded_test_function_is_runtime_error(tmp_path, fixture_obs_path, capsys):
+    # min_cap(1e999) is min_cap(inf), the identity: not a bounded test function
+    out = tmp_path / "est.csv"
+    obs = ["--observations", str(fixture_obs_path)]
+    for argv in (["filter", "--phi", "min_cap(1e999)", "--n", "64", "--seed", "1",
+                  "--out", str(out)],
+                 ["converge", "--test-functions", "min_cap(1e999)", "--workers", "1"]):
+        assert cli_dispatch(argv + obs) == 2, argv
+        assert capsys.readouterr().err == "error: min_cap must be finite and positive, got inf\n"
+        assert not out.exists()

@@ -5,17 +5,18 @@ import numpy as np
 import pytest
 
 import pfconv.convergence as convergence
-from pfconv import engine
+from pfconv import CoxParams, RngStream, engine, run_filters
 from pfconv import ExperimentConfig, ObservationSeries, fit_loglog_slope, \
     run_convergence_study
 from pfconv.cli import build_parser
 from pfconv.configfile import KEYS, apply_overrides, flag, load_config
 from pfconv.convergence import ConvergenceReport, _aggregate, _rate_fits
 from pfconv.cores import WORKERS_ENV
+from pfconv.cox import make_cox_model_and_proposal
 from pfconv.errors import DomainError, InsufficientPoints, NonPositiveValue, StudyError
 from pfconv.model import Proposal, make_test_function
 from pfconv.report import emit_report
-from pfconv.resampling import SLAB
+from pfconv.resampling import SLAB, get_scheme
 
 
 def small_config(fixture_obs_path, **overrides):
@@ -357,6 +358,25 @@ def test_study_cell_starts_no_thread(monkeypatch, fixture_obs_path):
     obs_rows = tuple(ObservationSeries.from_csv(fixture_obs_path))
     _, _, est_n, est_r = convergence._study_cell((config, obs_rows, 2, range(1)))
     assert est_n.shape == est_r.shape == (1, len(obs_rows), 1)
+
+
+def test_study_cell_estimates_equal_the_run_filters_rows(fixture_obs_path):
+    # the study and run_filters read the same engine block: replicate r of
+    # a cell is the run of stream (master_seed, N-index, r), bit for bit
+    config = small_config(fixture_obs_path, test_functions=("exp_neg", "min_cap(2)"))
+    obs_rows = tuple(ObservationSeries.from_csv(fixture_obs_path))
+    replicates = range(1, 4)
+    _, block, est_n, est_r = convergence._study_cell((config, obs_rows, 1, replicates))
+    assert block is replicates
+    model, proposal = make_cox_model_and_proposal(
+        CoxParams(config.c, config.eta), config.proposal, config.alpha, config.beta)
+    runs = run_filters(model, proposal, obs_rows, config.particle_counts[1],
+                       get_scheme(config.resampler),
+                       [RngStream(config.master_seed, (1, r)) for r in replicates],
+                       [make_test_function(name) for name in config.test_functions])
+    for run, cell_n, cell_r in zip(runs, est_n, est_r, strict=True):
+        assert np.array_equal(cell_n, np.column_stack(list(run.estimates.values())))
+        assert np.array_equal(cell_r, np.column_stack(list(run.resampled_estimates.values())))
 
 
 def test_partial_flush_on_failure(tmp_path, fixture_obs_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -25,6 +26,7 @@ from pfconv.cores import WORKERS_ENV
 from pfconv.engine import _estimate_rows, _normalize_rows, _raw_log_weights, _shift_rows
 from pfconv.errors import CountMismatch, DegenerateWeights, DomainError, \
     WeightNotFinite
+from pfconv.particles import FilterRun
 from pfconv.resampling import ResampleScheme, get_scheme
 
 ONE = make_test_function("one")
@@ -51,6 +53,18 @@ def _normalize(log_weights):
     lw = np.array([log_weights], dtype=float)
     w, total = _normalize_rows(lw, *_shift_rows(lw))
     return lw, w, total
+
+
+def _assert_same_runs(a, b):
+    """Every field of two sequences of runs is equal, bit for bit."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        for field in dataclasses.fields(FilterRun):
+            x, y = getattr(ra, field.name), getattr(rb, field.name)
+            if isinstance(x, dict):
+                assert list(x) == list(y), field.name
+                x, y = list(x.values()), list(y.values())
+            assert np.array_equal(x, y), field.name
 
 
 def _estimate(particles, log_weights, phi) -> float:
@@ -204,10 +218,10 @@ def test_estimate_bounded_by_sup_norm(pairs):
 def test_identity_resampler_keeps_constant_estimate(cox_model, gamma_proposal):
     run = run_filter(cox_model, gamma_proposal, [(1, 1)], 64, identity_resampler, 41,
                      [ONE], record_clouds=64)
-    step = run.steps[0]
-    assert step.estimates["one"] == 1.0
-    assert step.resampled_estimates["one"] == 1.0
-    assert np.array_equal(step.cloud.resampled_particles, step.cloud.normalized_particles)
+    assert run.estimates["one"][0] == 1.0
+    assert run.resampled_estimates["one"][0] == 1.0
+    proposed, _, resampled = run.clouds[0]
+    assert np.array_equal(resampled, proposed)
 
 
 def test_single_lg_step_matches_kalman():
@@ -217,22 +231,20 @@ def test_single_lg_step_matches_kalman():
     kal = kalman_filter(model, [y])[0]
     runs = run_filters(ssm, prop, [(1, y)], 5000, get_scheme("multinomial"),
                        [RngStream(100 + rep) for rep in range(12)], record_clouds=5000)
-    means = np.array([float(np.dot(run.steps[0].cloud.normalized_weights,
-                                   run.steps[0].cloud.normalized_particles))
-                      for run in runs])
+    means = np.array([float(np.dot(run.clouds[0, 1], run.clouds[0, 0])) for run in runs])
     se = means.std(ddof=1)
     assert abs(means[0] - kal.mean) <= 3 * se
 
 
 def test_run_filter_deterministic(cox_model, gamma_proposal, fixture_obs):
     kw = dict(n=512, resampler=get_scheme("systematic"), master_seed=9,
-              test_functions=[ONE, EXP_NEG])
+              test_functions=[ONE, EXP_NEG], record_clouds=100)
     a = run_filter(cox_model, gamma_proposal, fixture_obs, **kw)
     b = run_filter(cox_model, gamma_proposal, fixture_obs, **kw)
-    assert a.log_evidence == b.log_evidence
-    for sa, sb in zip(a.steps, b.steps):
-        assert sa.estimates == sb.estimates
-        assert sa.ess == sb.ess
+    assert a.clouds.shape == (len(fixture_obs), 3, 100)
+    _assert_same_runs([a], [b])
+    with pytest.raises(ValueError, match="read-only"):  # the rows share steps
+        a.steps[0] = 0
 
 
 def test_run_filter_lg_tracks_kalman():
@@ -243,11 +255,8 @@ def test_run_filter_lg_tracks_kalman():
     runs = [run_filter(ssm, prop, obs, 2000, get_scheme("multinomial"),
                        RngStream(500 + r), record_clouds=2000)
             for r in range(10)]
-    mean_traces = np.array([
-        [float(np.dot(s.cloud.normalized_weights, s.cloud.normalized_particles)
-               / np.sum(s.cloud.normalized_weights)) for s in run.steps]
-        for run in runs
-    ])
+    mean_traces = np.array([[float(np.dot(w, x) / np.sum(w)) for x, w, _ in run.clouds]
+                            for run in runs])
     sigma = mean_traces.std(axis=0, ddof=1)
     kalman_means = np.array([b.mean for b in beliefs])
     assert np.all(np.abs(mean_traces[0] - kalman_means) <= 3 * sigma + 1e-9)
@@ -296,18 +305,14 @@ def test_run_filter_attaches_failing_step():
 ])
 def test_run_filters_rows_equal_single_runs(request, cox_model, fixture_obs,
                                             scheme, proposal):
-    kw = dict(resampler=get_scheme(scheme), test_functions=[ONE, EXP_NEG])
+    kw = dict(resampler=get_scheme(scheme), test_functions=[ONE, EXP_NEG],
+              record_clouds=50)
     prop = request.getfixturevalue(proposal)
     streams = [RngStream(5, (2, r)) for r in range(5)]
     batch = run_filters(cox_model, prop, fixture_obs, 50, streams=streams, **kw)
     singles = [run_filter(cox_model, prop, fixture_obs, 50, master_seed=s, **kw)
                for s in streams]
-    for a, b in zip(batch, singles):
-        assert a.log_evidence == b.log_evidence
-        assert (a.master_seed, a.labels) == (b.master_seed, b.labels)
-        for sa, sb in zip(a.steps, b.steps):
-            assert (sa.estimates, sa.resampled_estimates) == (sb.estimates, sb.resampled_estimates)
-            assert (sa.ess, sa.log_mean_weight) == (sb.ess, sb.log_mean_weight)
+    _assert_same_runs(batch, singles)
 
 
 @pytest.mark.parametrize("proposal, error", [
@@ -406,13 +411,7 @@ def test_slabs_leave_every_bit_unchanged(monkeypatch, request, cox_model, fixtur
 
     sliced = runs()
     monkeypatch.setattr(resampling, "SLAB", m * n)  # every stage in one slab
-    for a, b in zip(sliced, runs()):
-        assert a.log_evidence == b.log_evidence
-        for sa, sb in zip(a.steps, b.steps):
-            assert (sa.ess, sa.log_mean_weight) == (sb.ess, sb.log_mean_weight)
-            assert (sa.estimates, sa.resampled_estimates) == (sb.estimates, sb.resampled_estimates)
-            for field in ("normalized_particles", "normalized_weights", "resampled_particles"):
-                assert np.array_equal(getattr(sa.cloud, field), getattr(sb.cloud, field))
+    _assert_same_runs(sliced, runs())
 
 
 def test_non_finite_weight_in_a_later_slab_reports_as_in_one_slab(
@@ -495,13 +494,7 @@ def test_draw_thread_leaves_every_bit_unchanged(request, draw_thread, cox_model,
     caller = threading.get_ident()
     assert drew_on[1] == {caller}  # one worker: the caller draws
     assert len(drew_on[2]) == 1 and (caller in drew_on[2]) == (m * n <= SLAB)
-    for a, b in zip(runs[1], runs[2]):
-        assert a.log_evidence == b.log_evidence
-        for sa, sb in zip(a.steps, b.steps):
-            assert (sa.ess, sa.log_mean_weight) == (sb.ess, sb.log_mean_weight)
-            assert (sa.estimates, sa.resampled_estimates) == (sb.estimates, sb.resampled_estimates)
-            for field in ("normalized_particles", "normalized_weights", "resampled_particles"):
-                assert np.array_equal(getattr(sa.cloud, field), getattr(sb.cloud, field))
+    _assert_same_runs(runs[1], runs[2])
 
 
 def test_draw_thread_starts_at_its_slab_count(monkeypatch, cox_model, gamma_proposal,

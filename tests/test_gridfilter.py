@@ -19,7 +19,7 @@ ONE = make_test_function("one")
 
 def test_grid_init_normalizes():
     grid = grid_init(folded_normal_prior, 15.0, 3000)
-    assert grid.total_mass() == pytest.approx(1.0, abs=1e-9)
+    assert np.sum(grid.values) * grid.dx == pytest.approx(1.0, abs=1e-9)
     assert grid.dx == pytest.approx(0.005)
 
 
@@ -41,11 +41,28 @@ def test_grid_init_zero_mass():
         grid_init(folded_normal_prior, 15.0, 5)
 
 
+def test_grid_density_freezes_a_copy_of_a_writeable_input():
+    values = np.ones(20)
+    grid = GridDensity(2.0, values)
+    values[0] = 2.0  # the caller's array stays writeable
+    assert grid.values[0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid.values[0] = 3.0
+    assert GridDensity(2.0, grid.values).values is grid.values  # frozen: no copy
+
+
+def test_grid_density_rejects_a_non_finite_x_max():
+    for x_max in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match=f"^x_max must be finite and positive, "
+                                              f"got {x_max!r}$"):
+            GridDensity(x_max, np.ones(20))
+
+
 def test_grid_predict_near_identity_kernel():
     grid = grid_init(folded_normal_prior, 15.0, 1500)
     out = grid_predict(grid, 1e-6)
     assert abs(out.mean() - grid.mean()) < 2 * grid.dx
-    assert out.total_mass() == pytest.approx(1.0, abs=1e-9)
+    assert np.sum(out.values) * out.dx == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(DomainError):
         grid_predict(grid, 0.0)
 
@@ -341,7 +358,7 @@ def test_grid_predict_runs_once_per_step_on_the_calling_thread(fixture_obs, monk
 def test_run_cox_grid_filter_normalized_every_step(fixture_obs):
     run = run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 1000, [EXP_NEG])
     for grid in run.grids:
-        assert grid.total_mass() == pytest.approx(1.0, abs=1e-9)
+        assert np.sum(grid.values) * grid.dx == pytest.approx(1.0, abs=1e-9)
     assert run.steps == tuple(range(1, 13))
 
 

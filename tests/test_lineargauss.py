@@ -53,10 +53,16 @@ def test_simulate_lg_deterministic():
 
 
 def test_model_validation():
-    with pytest.raises(DomainError):
-        LinearGaussianModel(a=1.0, q_var=0.0, h=1.0, r_var=1.0, m0=0.0, p0=1.0)
-    with pytest.raises(DomainError):
-        GaussianBelief(0.0, 0.0)
+    ok = dict(a=1.0, q_var=1.0, h=1.0, r_var=1.0, m0=0.0, p0=1.0)
+    LinearGaussianModel(**ok)
+    for name in ("q_var", "r_var", "p0"):
+        for value in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match=f"^{name} must be finite and positive, "
+                                                  f"got {value!r}$"):
+                LinearGaussianModel(**{**ok, name: value})
+    for value in (0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^variance must be finite and positive"):
+            GaussianBelief(0.0, value)
 
 
 def test_log_evidence_single_step_closed_form():

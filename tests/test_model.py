@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pfconv import StateSpaceModel, make_test_function
+from pfconv import make_test_function, model
 from pfconv.errors import DomainError
 from pfconv.model import registry_names
 
@@ -43,13 +45,13 @@ def test_declared_sup_norm_holds_on_state_domain(x, name):
     assert abs(float(phi(np.array([x]))[0])) <= phi.sup_norm
 
 
-def test_model_validation():
-    ok = dict(state_dim=1, prior_sample=lambda rng, n: np.zeros(n),
-              transition_logdensity=lambda x, xp: np.zeros_like(x),
-              likelihood_logdensity=lambda y, x: np.zeros_like(x),
-              likelihood_bound=1.0)
-    StateSpaceModel(**ok)
-    with pytest.raises(DomainError):
-        StateSpaceModel(**{**ok, "likelihood_bound": 0.0})
-    with pytest.raises(DomainError):
-        StateSpaceModel(**{**ok, "state_dim": 0})
+def test_test_functions_must_be_bounded():
+    # min_cap(inf) would be the identity on [0, inf), outside the theory
+    for name, value in (("min_cap(1e999)", "inf"), ("min_cap(0)", "0.0"),
+                        ("min_cap(-2)", "-2.0")):
+        with pytest.raises(DomainError, match=rf"^min_cap must be finite and positive, "
+                                              rf"got {value}$"):
+            make_test_function(name)
+    for sup_norm in (math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError, match="^sup_norm must be finite and positive"):
+            model.TestFunction("x", lambda x: x, sup_norm)
