@@ -21,7 +21,7 @@ from .lineargauss import GaussianBelief, LinearGaussianModel, kalman_filter, \
     simulate_lg
 from .model import Proposal, StateSpaceModel, TestFunction, make_test_function
 from .moments import MomentCondition, MomentStatus, MomentVerdict, \
-    check_cox_moment_condition, empirical_weight_moment, quadrature_weight_moment
+    check_cox_moment_condition, quadrature_weight_moment
 from .particles import FilterRun
 from .resampling import ResampleScheme, get_scheme, multinomial_resample, \
     stratified_resample, systematic_resample

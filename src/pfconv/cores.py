@@ -12,9 +12,13 @@ WORKERS_ENV = "PFCONV_WORKERS"
 def resolve_workers(workers: int | None = None) -> int:
     """Explicit argument wins; otherwise the cores this process may run
     on (its CPU affinity set where the platform has one, so taskset and
-    cpusets count), capped by the PFCONV_WORKERS environment variable."""
+    cpusets count), capped by the PFCONV_WORKERS environment variable.
+    A count below 1 from either is a `DomainError`."""
     if workers is not None:
-        return max(1, int(workers))
+        workers = int(workers)
+        if workers < 1:
+            raise DomainError(f"--workers must be at least 1, got {workers}")
+        return workers
     if hasattr(os, "sched_getaffinity"):
         count = len(os.sched_getaffinity(0))
     else:
@@ -22,7 +26,10 @@ def resolve_workers(workers: int | None = None) -> int:
     env = os.environ.get(WORKERS_ENV)
     if env:
         try:
-            count = min(count, max(1, int(env)))
+            cap = int(env)
         except ValueError:
             raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+        if cap < 1:
+            raise DomainError(f"{WORKERS_ENV} must be at least 1, got {env!r}")
+        count = min(count, cap)
     return count

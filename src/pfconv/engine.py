@@ -44,19 +44,32 @@ in order (`model.StateSpaceModel`, `model.Proposal`).
 A block of at least `DRAW_THREAD_SLABS` slabs draws its proposals on a
 helper thread when the run may use two cores (`cores.resolve_workers`,
 so ``PFCONV_WORKERS=1`` turns it off; a study passes 1, since its cells
-already run in processes).  The helper runs
-`_propose` as the inline path does, row by row and slab by slab, and is
-the only thread that re-keys the block's generator during the draws; it
-publishes the flat offset it has drawn up to (`_Drawn`).  The calling
-thread runs `_raw_log_weights`, which waits before each flat slab until
-that slab is drawn, then normalizes, estimates, resamples and
-duplicates as before.  The bits do not depend on the thread: one thread
-makes every draw from the same streams in the same order, the weights
-are computed entry by entry, and every row reduction runs whole-row on
-the caller once the draws are done.  Errors keep the inline order too:
-the caller waits for the helper before it raises, so a proposal error
-in any slab wins over a weight error, which names the lowest particle
-as before.  The thread lives for one run.
+already run in processes).  The helper draws a step ahead: once step t's
+counts pass their checks, it draws step t + 1 (`_Draws`, `_propose`,
+row by row and slab by slab) into the buffer of step t's weights, which
+are dead by then, while the calling thread duplicates step t's particles
+and estimates after resampling.  The helper draws each slab once the
+caller has published that its parents are written (`_Progress`), and
+the caller weighs step t + 1 slab by slab as the helper publishes the
+slabs drawn (`_raw_log_weights`), then normalizes, estimates, counts and
+duplicates as before.  Without the helper the caller draws step t + 1's
+proposals when it first waits for them, at the start of the step's
+weighing: the loop and the buffers are the same, and only the thread
+that draws differs.
+
+The bits do not depend on the thread.  One thread makes every draw, from
+the same streams in the same order, and the block's one generator is
+never used by two threads at once: the counts of step t are drawn
+before step t + 1's proposals start, and step t + 1's counts after they
+end.  The weights are computed entry by entry, and every row reduction
+runs whole-row on the caller once the draws it needs are done.  Errors
+keep the inline order too.  Within a step, the caller waits for the
+helper before it raises, so a proposal error in any slab wins over a
+weight error, which names the lowest particle as before.  An error the
+caller meets after step t + 1's draws have started, in the duplication
+or in the estimates after resampling, is step t's and wins: the caller
+stops the helper at the first parents not yet written, waits for it to
+end and drops its error.  The thread lives for one run.
 
 All weight arithmetic is done in the log domain with max-shifted
 summation because the shipped models produce weights spanning hundreds
@@ -76,8 +89,8 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from functools import reduce
+from contextlib import nullcontext, suppress
+from functools import partial, reduce
 from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -89,7 +102,7 @@ from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite
 from .model import Proposal, StateSpaceModel, TestFunction
 from .moments import row_ess
 from .particles import _NORMALIZATION_RTOL, FilterRun
-from .resampling import ResampleScheme, repeat_by_counts, slabs
+from .resampling import ResampleScheme, check_counts, repeat_checked, slabs
 from .rng import KeyedRows, KeyPool, RngStream
 
 # The fewest slabs a block needs before its proposals are drawn on a
@@ -119,7 +132,9 @@ class _Workspace(NamedTuple):
     ``x`` holds the parents and then the resampled particles, ``proposed``
     the proposed particles, ``lw`` the log weights (and, once they are
     dead, the products the row sums reduce and, as int64, the resampling
-    counts) and ``w`` the weights.
+    counts) and ``w`` the weights.  The next step's proposals are drawn
+    into ``w`` once the weights are dead, so ``proposed`` and ``w`` swap
+    roles from step to step.
     """
 
     x: np.ndarray
@@ -128,17 +143,22 @@ class _Workspace(NamedTuple):
     w: np.ndarray
 
 
-def _propose(parents: np.ndarray, proposal: Proposal, y, rngs,
-             out: np.ndarray, drawn: Callable[[int], None] | None = None) -> np.ndarray:
+def _propose(parents: np.ndarray, proposal: Proposal, y, rngs, out: np.ndarray,
+             ready: Callable[[int], None] | None = None,
+             drawn: Callable[[int], None] | None = None) -> np.ndarray:
     """Row r of out is drawn by the proposal from the parents of row r and
     rngs[r], slab by slab; a row's slabs draw from its stream in order.
-    After each slab, ``drawn`` (when given) gets the offset into the
-    flattened out below which every entry is drawn."""
+    Around each slab, ``ready`` (when given) gets the offset into the
+    flattened block it ends at and returns once the parents are written up
+    to it, and then ``drawn`` (when given) gets that offset, below which
+    every entry of out is drawn."""
     n = parents.shape[1]
     row_slabs = slabs(n)
     for r, rng in enumerate(rngs):
         try:
             for s in row_slabs:
+                if ready is not None:
+                    ready(r * n + s.stop)
                 out[r, s] = _particles(proposal.propose(parents[r, s], y, rng),
                                        s.stop - s.start, "proposal")
                 if drawn is not None:
@@ -148,37 +168,80 @@ def _propose(parents: np.ndarray, proposal: Proposal, y, rngs,
     return out
 
 
-class _Drawn:
-    """How far a helper thread's `_propose` has drawn a block: the flat
-    offset it published last, or the error that stopped it."""
+class _Progress:
+    """How far one thread has written a block: the flat offset it
+    published last, or the error that stopped it."""
 
     def __init__(self):
         self._changed = threading.Condition()
         self._upto = 0
         self._error: BaseException | None = None
 
-    def run(self, *args) -> None:
-        """`_propose` on the helper thread, publishing its progress."""
-        try:
-            _propose(*args, drawn=self._publish)
-        except BaseException as err:
-            with self._changed:
-                self._error = err
-                self._changed.notify()
-            raise
-
-    def _publish(self, upto: int) -> None:
+    def publish(self, upto: int) -> None:
         with self._changed:
             self._upto = upto
             self._changed.notify()
 
+    def stop(self, err: BaseException) -> None:
+        with self._changed:
+            self._error = err
+            self._changed.notify()
+
     def wait(self, upto: int) -> None:
-        """Return once the entries below flat offset upto are drawn; raise
-        the draws' error when they stopped short of it."""
+        """Return once the entries below flat offset upto are written; raise
+        the writer's error when it stopped short of it."""
         with self._changed:
             self._changed.wait_for(lambda: self._upto >= upto or self._error is not None)
             if self._upto < upto:
                 raise self._error
+
+
+class _Abandoned(Exception):
+    """The caller stopped before it wrote the parents of the draws."""
+
+
+class _Draws:
+    """One step's proposals, `_propose` of ``args``, drawn from parents
+    the caller writes and publishes to ``parents``.
+
+    With a pool, its one thread draws each slab once its parents are
+    written and publishes how far it has drawn; without one, the caller
+    draws them all when it first waits for them.
+    """
+
+    def __init__(self, pool: ThreadPoolExecutor | None, *args):
+        self.parents, self._drawn, self._args = _Progress(), _Progress(), args
+        self._future = None if pool is None else pool.submit(self._run)
+        self._pending = pool is None
+
+    def _run(self) -> None:
+        try:
+            _propose(*self._args, ready=self.parents.wait, drawn=self._drawn.publish)
+        except BaseException as err:
+            self._drawn.stop(err)
+            raise
+
+    def wait(self, upto: int) -> None:
+        """Return once the entries below flat offset upto are drawn; raise
+        the draws' error when they stopped short of it."""
+        if self._pending:
+            self._pending = False
+            _propose(*self._args)
+        elif self._future is not None:
+            self._drawn.wait(upto)
+
+    def result(self) -> None:
+        """Wait for the helper's draws to end; raise their error."""
+        if self._future is not None:
+            self._future.result()
+
+    def abandon(self) -> None:
+        """Stop the draws at the first parents not yet written and wait for
+        them to end, dropping their error: the caller raises its own."""
+        self.parents.stop(_Abandoned())
+        if self._future is not None:
+            with suppress(Exception):
+                self._future.result()
 
 
 def _raw_log_weights(model, proposal, x_t, x_prev, y,
@@ -295,31 +358,26 @@ class FilterBlock(NamedTuple):
 
 
 def _step(ws: _Workspace, out: FilterBlock, i: int, model: StateSpaceModel,
-          proposal: Proposal, y, resampler: ResampleScheme,
-          rngs: tuple[KeyedRows, KeyedRows], test_functions: Sequence[TestFunction],
-          resampled: tuple[float, float], pool: ThreadPoolExecutor | None = None) -> None:
-    """One propose/weight/normalize/estimate/resample cycle of every row,
-    written to step i of ``out``.
+          proposal: Proposal, y, resampler: ResampleScheme, resample_rngs: KeyedRows,
+          test_functions: Sequence[TestFunction], resampled: tuple[float, float],
+          draws: _Draws, draw_next: Callable[[np.ndarray], _Draws] | None) -> _Draws | None:
+    """One weight/normalize/estimate/resample cycle of every row, of the
+    proposals ``draws`` makes into ``ws.proposed``, written to step i of
+    ``out``; return the next step's draws.
 
     The parents in ``ws.x`` are replaced by the resampled particles.
-    ``rngs`` holds the rows' propose and resample streams for this step,
-    and ``resampled`` the weight of a resampled particle and its row sum.
-    With a ``pool``, its one thread draws the proposals while this one
-    weighs the slabs already drawn.
+    ``resample_rngs`` are the rows' resample streams for this step, and
+    ``resampled`` the weight of a resampled particle and its row sum.
+    Once the counts pass their checks, ``draw_next`` (None at the last
+    step) starts the next step's draws into the dead weights ``ws.w``,
+    and the duplication publishes the parents it writes to them.
     """
     x, proposed, lw, w = ws
     n = x.shape[1]
-    propose_rngs, resample_rngs = rngs
-    if pool is None:
-        _propose(x, proposal, y, propose_rngs, proposed)
-        _raw_log_weights(model, proposal, proposed, x, y, lw)
-    else:
-        drawn = _Drawn()
-        draws = pool.submit(drawn.run, x, proposal, y, propose_rngs, proposed)
-        try:
-            _raw_log_weights(model, proposal, proposed, x, y, lw, drawn.wait)
-        finally:  # the draws end before anything is raised, and their error wins
-            draws.result()
+    try:
+        _raw_log_weights(model, proposal, proposed, x, y, lw, draws.wait)
+    finally:  # the draws end before anything is raised, and their error wins
+        draws.result()
     top, w, sums = _shift_rows(lw, w)
     out.log_mean_weight[i] = _log_mean_weights(top, sums, n)
     w, total = _normalize_rows(lw, top, w, sums)
@@ -327,12 +385,22 @@ def _step(ws: _Workspace, out: FilterBlock, i: int, model: StateSpaceModel,
     for p, phi in enumerate(test_functions):
         out.estimates[i, :, p] = _estimate_rows(w, total, proposed, phi, lw)
 
-    counts = resampler.resample(w, n, resample_rngs, out=lw.view(np.int64))
-    repeat_by_counts(proposed, counts, x)
-    for p, phi in enumerate(test_functions):
-        out.resampled[i, :, p] = _estimate_rows(*resampled, x, phi, lw)
+    counts = check_counts(resampler.resample(w, n, resample_rngs, out=lw.view(np.int64)),
+                          x.shape)
     k = out.clouds.shape[-1]
-    out.clouds[i] = proposed[:, :k], w[:, :k], x[:, :k]
+    out.clouds[i, :2] = proposed[:, :k], w[:, :k]
+    following = None if draw_next is None else draw_next(w)
+    try:
+        repeat_checked(proposed, counts, x,
+                       None if following is None else following.parents.publish)
+        for p, phi in enumerate(test_functions):
+            out.resampled[i, :, p] = _estimate_rows(*resampled, x, phi, lw)
+    except BaseException:
+        if following is not None:
+            following.abandon()
+        raise
+    out.clouds[i, 2] = x[:, :k]
+    return following
 
 
 # ---------------------------------------------------------------------------
@@ -370,26 +438,37 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
         for s in row_slabs:
             ws.x[r, s] = _particles(model.prior_sample(rng, s.stop - s.start),
                                     s.stop - s.start, "prior_sample")
+    steps = [(int(t), y) for t, y in obs]
     m, p, k = len(roots), len(test_functions), max(0, min(record_clouds, n))
-    out = FilterBlock(np.array([int(t) for t, _ in obs]),
+    out = FilterBlock(np.array([t for t, _ in steps]),
                       np.empty((len(obs), m)), np.empty((len(obs), m)),
                       np.empty((len(obs), m, p)), np.empty((len(obs), m, p)),
                       np.empty((len(obs), 3, m, k)))
-    threaded = (len(slabs(ws.x.size)) >= DRAW_THREAD_SLABS
-                and resolve_workers(workers) > 1)
+    streams = []  # per step, the rows' propose and resample streams
+    for t, _ in steps:
+        propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()
+        streams.append((KeyedRows(gen, roots, (t, 0), propose_keys),
+                        KeyedRows(gen, roots, (t, 1), resample_keys)))
+    threaded = (resolve_workers(workers) > 1  # checks PFCONV_WORKERS at any size
+                and len(slabs(ws.x.size)) >= DRAW_THREAD_SLABS)
     with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
-        for i, (t, y) in enumerate(obs):
-            t = int(t)
-            propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()
-            rngs = (KeyedRows(gen, roots, (t, 0), propose_keys),
-                    KeyedRows(gen, roots, (t, 1), resample_keys))
+        def draws(i: int, into: np.ndarray) -> _Draws:
+            """Step i's proposals from the parents in ws.x into ``into``."""
+            return _Draws(helper, ws.x, proposal, steps[i][1], streams[i][0], into)
+
+        step_draws = draws(0, ws.proposed)
+        step_draws.parents.publish(ws.x.size)  # the prior draws are all written
+        for i, (t, y) in enumerate(steps):
+            draw_next = None if i + 1 == len(steps) else partial(draws, i + 1)
             try:
-                _step(ws, out, i, model, proposal, y, resampler, rngs, test_functions,
-                      resampled, helper)
+                step_draws = _step(ws, out, i, model, proposal, y, resampler,
+                                   streams[i][1], test_functions, resampled, step_draws,
+                                   draw_next)
             except PfconvError as err:
                 row = "" if err.row is None else f", row {err.row}"
                 raise at_row(type(err)(f"filter step t={t}{row}: {err}"),
                              err.row) from err
+            ws = ws._replace(proposed=ws.w, w=ws.proposed)  # the next proposals are in w
     return out
 
 

@@ -311,11 +311,3 @@ def run_cox_grid_filter(params: CoxParams, observations,
         log_evidence=log_evidence,
     )
 
-
-def density_in_bins(grid: GridDensity, edges: np.ndarray) -> np.ndarray:
-    """Probability mass of the grid density inside each [edge_i, edge_i+1)."""
-    mids = grid.midpoints()
-    mass = grid.values * grid.dx
-    idx = np.searchsorted(edges, mids, side="right") - 1
-    inside = (idx >= 0) & (idx < len(edges) - 1)
-    return np.bincount(idx[inside], weights=mass[inside], minlength=len(edges) - 1)

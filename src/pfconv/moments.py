@@ -4,11 +4,10 @@ The mean-square (p = 2) and fourth-moment (p = 4) convergence guarantees
 of the filter require E[w^p | x_prev] to be uniformly bounded, where w is
 the raw importance weight.  For the Poisson-intensity model with a Gamma
 proposal this expectation has a closed-form envelope; this module ships
-that checker plus two independent estimators of the integral itself:
-
-* a deterministic composite-midpoint quadrature with geometrically
-  shrinking cells near zero (where the weight may blow up), and
-* a plain Monte Carlo estimate with a jackknife standard error.
+that checker plus a deterministic composite-midpoint quadrature of the
+integral itself, with geometrically shrinking cells near zero (where the
+weight may blow up).  The tests check the quadrature against a plain
+Monte Carlo estimate with a jackknife standard error.
 
 A point singularity at x -> 0+ appears whenever the proposal vanishes
 there while transition * likelihood does not.  The moment integral
@@ -27,7 +26,6 @@ import numpy as np
 
 from .errors import DomainError, require_positive
 from .model import Proposal, StateSpaceModel
-from .rng import RngStream
 
 
 # ---------------------------------------------------------------------------
@@ -192,31 +190,3 @@ def quadrature_weight_moment(model: StateSpaceModel, proposal: Proposal, x_prev:
     x^(s-1) there; uniform cells would never resolve the singularity.
     """
     return float(quadrature_refinements(model, proposal, x_prev, y, p, level)[-1])
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo estimate
-
-
-def empirical_weight_moment(model: StateSpaceModel, proposal: Proposal, x_prev: float,
-                            y, p: int, k: int, rng: RngStream) -> tuple[float, float]:
-    """Monte Carlo mean of w^p over k proposal draws, with jackknife stderr.
-
-    For divergent moments the estimate never stabilizes: it keeps growing
-    with k (compare runs at two sample sizes to flag the instability).
-    """
-    from .engine import _raw_log_weights
-
-    if k < 100:
-        raise DomainError("empirical moment needs at least 100 samples")
-    xp = np.full(k, float(x_prev))
-    draws = np.asarray(proposal.propose(xp, y, rng), dtype=float)
-    lw = _raw_log_weights(model, proposal, draws, xp, y)
-    wp = np.exp(p * lw)
-    total = float(np.sum(wp))
-    mean = total / k
-    # Jackknife over leave-one-out means; for the sample mean this equals
-    # the classical stderr but is written out for clarity of contract.
-    loo = (total - wp) / (k - 1)
-    se = math.sqrt((k - 1) / k * float(np.sum((loo - np.mean(loo)) ** 2)))
-    return mean, se

@@ -16,23 +16,29 @@ SeedSequence-compatible and derived per block, and the rows draw from
 one generator re-keyed row by row.  A 1-D weight vector with a single
 stream is the M = 1 case and gets a 1-D count vector back.  The weight
 checks run once per block and name the lowest failing row in
-``err.row``, as `repeat_by_counts` does for the counts.
+``err.row``, as `check_counts` does for the counts.
 
 Systematic and stratified count each cell as the difference of how many
 positions lie below its two edges (`_count_cells`), for a group of short
 rows at once or slab by slab of a long row.  Position j of a systematic
 row is j / n + offset, so its counts come from that formula and the
 row's one offset, and the scheme holds no row of positions; stratified
-holds its row of n positions (or a group of at most `SLAB`).  With the
-counts in a given ``out`` (the engine's dead log-weight buffer),
-systematic resampling of a large block allocates nothing at full size,
-only slab-sized temporaries; multinomial allocates only the count
-vector numpy's draw of a row returns.
+holds its row of n positions (or a group of at most `SLAB`).  A count
+below an edge e starts from the guess ceil((e - offset) * n), which a
+stepped search moves to the exact count (`_below`).  For systematic the
+guess is provably exact unless the scaled edge (e - offset) * n lies
+within n * 2**-40 of an integer: the positions and the scaled edge err
+by at most 2.1 u and 2.1 u n (u = 2**-53), so outside 4.2 u n of an
+integer rounding cannot decide a tie.  Only the edges inside that margin
+are searched (`_systematic_below`); stratified searches every edge.
+With the counts in a given ``out`` (the engine's dead log-weight
+buffer), systematic resampling of a large block allocates nothing at
+full size, only slab-sized temporaries; multinomial allocates only the
+count vector numpy's draw of a row returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
@@ -43,6 +49,7 @@ from .errors import CountMismatch, NotNormalized, at_row
 
 _SUM_TOL = 1e-9
 SLAB = 8192  # entries per slab: see `slabs`
+_TIE_MARGIN = 2.0 ** -40  # per particle: see `_systematic_below`
 
 
 def _checked(weights, n: int, rngs, out):
@@ -100,21 +107,21 @@ def multinomial_resample(weights, n: int, rngs, out=None) -> np.ndarray:
     return result
 
 
-def _count_cells(weights: np.ndarray, at, offsets, n: int, out: np.ndarray) -> None:
+def _count_cells(weights: np.ndarray, below, n: int, out: np.ndarray) -> None:
     """Count into the (G, K) int64 ``out`` how many of each row's n sorted
     positions land in each cumulative-weight cell of the (G, K) weights.
 
-    ``at(j)`` gives the positions at the (G, E) int64 indices j, row by
-    row; an index of -1 or n may give any value.  ``offsets`` (one per
-    row, or a scalar) starts each count at its guess (`_below`).
+    ``below(edges)`` gives, for (G, E) sorted edges, how many of each
+    row's positions lie below each edge: searchsorted(positions, edges,
+    "left"), row by row (`_below`, `_systematic_below`).
 
     Cell i is [cum[i-1], cum[i]), except that the first cell reaches down
     to -inf and the last up to +inf: float drift can leave cum[-1] at or
-    below a position of 1.0.  Count i is the difference of
-    searchsorted(positions, edges, "left") at the cell's two edges.  The
-    edges are summed slab by slab of the columns, each slab continuing
-    from the last sum of the one before, which is the order np.cumsum
-    adds them in.
+    below a position of 1.0.  So the count below the first edge is 0 and
+    below the last n.  Count i is the difference of the counts below the
+    cell's two edges.  The edges are summed slab by slab of the columns,
+    each slab continuing from the last sum of the one before, which is the
+    order np.cumsum adds them in.
     """
     g, k = weights.shape
     carry = np.zeros(g)
@@ -123,12 +130,12 @@ def _count_cells(weights: np.ndarray, at, offsets, n: int, out: np.ndarray) -> N
         edges[:, 0], edges[:, 1:] = carry, weights[:, s]
         np.add.accumulate(edges, axis=1, out=edges)
         carry = edges[:, -1].copy()
+        counts = below(edges)
         if s.start == 0:
-            edges[:, 0] = -math.inf
+            counts[:, 0] = 0
         if s.stop == k:
-            edges[:, -1] = math.inf
-        below = _below(at, edges, offsets, n)
-        np.subtract(below[:, 1:], below[:, :-1], out=out[:, s])
+            counts[:, -1] = n
+        np.subtract(counts[:, 1:], counts[:, :-1], out=out[:, s])
 
 
 def _below(at, edges: np.ndarray, offsets, n: int) -> np.ndarray:
@@ -137,21 +144,27 @@ def _below(at, edges: np.ndarray, offsets, n: int) -> np.ndarray:
     at(j) >= e (n when there is none), as searchsorted(positions, e,
     "left") gives it.
 
-    Each count starts from the guess ceil((e - offset) * n), clipped to
-    [0, n], and steps up, then down, one position at a time until
-    at(j - 1) < e <= at(j) holds.  Position j of a systematic row is
-    j / n + offset, so its guess misses only where rounding decides a
-    tie; a stratified row puts one position in each stratum of width
-    1/n, and its guess (offset 0) is a step off at most.  Either way the
-    whole block takes a few vectorized passes, where a binary search pays
-    log2(n) mispredicted branches per edge.
+    ``at(j)`` gives the positions at the (G, E) int64 indices j, row by
+    row; an index of -1 or n may give any value.  Each count starts from
+    the guess ceil((e - offset) * n), clipped to [0, n], with one offset
+    per row (or a scalar), and `_search` steps it to the exact count.  A
+    stratified row puts one position in each stratum of width 1/n, and
+    its guess (offset 0) is a step off at most.  So the whole block takes
+    a few vectorized passes, where a binary search pays log2(n)
+    mispredicted branches per edge.
     """
     guess = np.subtract(edges, offsets)
     guess *= n
     np.ceil(guess, out=guess)
     np.maximum(guess, 0, out=guess)  # (np.clip costs more on short rows)
     np.minimum(guess, n, out=guess)
-    below = guess.astype(np.int64)
+    return _search(at, edges, guess.astype(np.int64), n)
+
+
+def _search(at, edges: np.ndarray, below: np.ndarray, n: int) -> np.ndarray:
+    """Step each count of ``below`` (in place, and returned) at its edge
+    up, then down, one position at a time until at(j - 1) < e <= at(j)
+    holds, as in `_below`; edges and counts may have any one shape."""
     while True:  # up while the next position lies below the edge
         up = at(below) < edges
         up &= below < n
@@ -180,7 +193,8 @@ def _counts_from_positions(weights: np.ndarray, positions: np.ndarray,
     def at(j):
         return flat.take(j + start, mode="clip")
 
-    _count_cells(w, at, 0.0, rows.shape[1], counts.reshape(w.shape))
+    n = rows.shape[1]
+    _count_cells(w, lambda edges: _below(at, edges, 0.0, n), n, counts.reshape(w.shape))
     return counts
 
 
@@ -205,15 +219,57 @@ def _counts_in_groups(count, weights, n: int, rngs, out) -> np.ndarray:
 
 def _systematic_group(weights, streams, n: int, counts) -> None:
     """Counts at the positions rng.gen.random() / n + j / n, j < n, of each
-    row, computed from that formula wherever `_below` looks."""
+    row, computed from that formula (`_systematic_below`)."""
     offsets = np.array([rng.gen.random() / n for rng in streams])[:, None]
+    _count_cells(weights, lambda edges: _systematic_below(edges, offsets, n), n, counts)
 
-    def at(j):
-        positions = np.divide(j, n)
-        positions += offsets
-        return positions
 
-    _count_cells(weights, at, offsets, n, counts)
+def _systematic_below(edges: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
+    """`_below` of the (G, E) edges for the systematic positions
+    fl(fl(j / n) + o) of the rows' (G, 1) offsets o, searched only where
+    the guess may be wrong.
+
+    The guess is ceil(d), clipped to [0, n], for the scaled edge
+    d = fl(fl(e - o) * n); it is exact unless d lies within a margin of
+    an integer.  With u = 2**-53 the unit roundoff, 0 <= o <= 1/n (1 + u)
+    and 0 <= e <= 1 + 1e-9 (the weight check's drift):
+
+    * position j < n errs by |fl(fl(j / n) + o) - (j / n + o)| <= 2.1 u,
+      two roundings of values at most 1 + 2u;
+    * the scaled edge errs by |d - (e - o) n| <= 2.1 u n, two roundings
+      of values at most 1.01 n;
+    * position j lies below e exactly when j < (e - o) n minus n times
+      its error, a value within 4.2 u n of d.
+
+    So when d is farther than 4.2 u n from every integer, j < d decides
+    every position as the exact comparison does, and ceil(d) clipped is
+    the count.  The margin ``n * _TIE_MARGIN`` = 2**-40 n is over 2**10
+    times that bound, which also covers the ulp by which the distance
+    test itself rounds, and it stays below 1/4 up to n = 2**38 (a
+    particle count of 2**30 gets 2**-10).  Edges inside the margin, a
+    fraction of about 2**-39 n of them (one in eight steps of a 2**18-
+    particle row has any), take the stepped `_search`; the counts are
+    every bit those of the search everywhere.
+    """
+    scaled = np.subtract(edges, offsets)
+    scaled *= n
+    guess = np.ceil(scaled)
+    off = np.subtract(guess, scaled, out=scaled)  # ceil(d) - d, in [0, 1)
+    if guess.min() < 0 or guess.max() > n:  # (read-only passes cost less)
+        np.clip(guess, 0, n, out=guess)
+    below = guess.astype(np.int64)
+    margin = n * _TIE_MARGIN
+    if off.min() <= margin or off.max() >= 1 - margin:
+        rows, cols = np.nonzero((off <= margin) | (off >= 1 - margin))
+        row_offsets = offsets[rows, 0]
+
+        def at(j):
+            positions = np.divide(j, n)
+            positions += row_offsets
+            return positions
+
+        below[rows, cols] = _search(at, edges[rows, cols], below[rows, cols], n)
+    return below
 
 
 def _stratified_positions(rng, out: np.ndarray) -> np.ndarray:
@@ -267,26 +323,43 @@ def get_scheme(name: str) -> ResampleScheme:
         raise KeyError(f"unknown resampler {name!r}; choose from {sorted(SCHEMES)}") from None
 
 
-def repeat_by_counts(particles: np.ndarray, counts,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Row r of the particles, particle i repeated counts[r, i] times, once
-    the counts are checked: one nonnegative count per particle, each row
-    summing to the row's particle count.  A 1-D particle vector is the
-    one-row case.  The flattened block is repeated slab by slab into the
-    C-contiguous `out` (a new array when None), which keeps every row in
-    place because each row's counts sum to its length.  A slab that owns
-    more than `SLAB` copies (degenerate weights) writes them in smaller
-    pieces (`_repeat_into`), so no step needs a full-size temporary.
-    """
+def check_counts(counts, shape: tuple[int, ...]) -> np.ndarray:
+    """The counts as an array once they are checked for particles of the
+    given shape: one nonnegative count per particle, each row summing to
+    the row's particle count.  The lowest failing row is ``err.row``."""
     counts = np.asarray(counts)
-    if counts.shape != particles.shape:
-        raise CountMismatch(f"counts shape {counts.shape} != {particles.shape}")
-    n = particles.shape[-1]
+    if counts.shape != shape:
+        raise CountMismatch(f"counts shape {counts.shape} != {shape}")
+    n = shape[-1]
     rows = counts.reshape(-1, n)
     ok = (rows.min(axis=1) >= 0) & (rows.sum(axis=1) == n)
     if not ok.all():
         raise at_row(CountMismatch(f"counts must be nonnegative and sum to {n}"),
                      int(np.argmin(ok)))
+    return counts
+
+
+def repeat_by_counts(particles: np.ndarray, counts,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Row r of the particles, particle i repeated counts[r, i] times, once
+    the counts pass `check_counts`.  A 1-D particle vector is the one-row
+    case; see `repeat_checked`."""
+    return repeat_checked(particles, check_counts(counts, particles.shape), out)
+
+
+def repeat_checked(particles: np.ndarray, counts: np.ndarray,
+                   out: np.ndarray | None = None,
+                   written: Callable[[int], None] | None = None) -> np.ndarray:
+    """`repeat_by_counts` of counts that passed `check_counts`.
+
+    The flattened block is repeated slab by slab into the C-contiguous
+    `out` (a new array when None), which keeps every row in place because
+    each row's counts sum to its length; after each slab, ``written``
+    (when given) gets the offset into the flattened out below which every
+    entry is written.  A slab that owns more than `SLAB` copies
+    (degenerate weights) writes them in smaller pieces (`_repeat_into`),
+    so no step needs a full-size temporary.
+    """
     out = np.empty(particles.shape) if out is None else out
     source, flat, target = particles.reshape(-1), counts.reshape(-1), out.reshape(-1)
     at = 0
@@ -294,6 +367,8 @@ def repeat_by_counts(particles: np.ndarray, counts,
         total = int(flat[s].sum())
         _repeat_into(target[at:at + total], source[s], flat[s])
         at += total
+        if written is not None:
+            written(at)
     return out
 
 

@@ -1,5 +1,7 @@
 import pathlib
+import threading
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -13,6 +15,19 @@ FIXTURE_OBS = REPO_ROOT / "fixtures" / "cox_obs_t12.csv"
 # database, so a tier-1 result does not depend on earlier runs.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves more threads alive than it started with:
+    every helper thread (the filter's draw thread, the oracle's pool)
+    must end with the run that started it."""
+    before = threading.enumerate()
+    yield
+    after = threading.enumerate()
+    if len(after) > len(before):
+        left = [t.name for t in after if t not in before]
+        pytest.fail(f"threads left running: {left}")
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +59,18 @@ def fixture_obs_path():
 @pytest.fixture(scope="session")
 def fixture_obs(fixture_obs_path):
     return ObservationSeries.from_csv(fixture_obs_path)
+
+
+@pytest.fixture(scope="session")
+def density_in_bins():
+    """mass(grid, edges): the probability mass of a grid density inside
+    each [edges[i], edges[i + 1])."""
+    def mass(grid, edges: np.ndarray) -> np.ndarray:
+        mids = grid.midpoints()
+        cell_mass = grid.values * grid.dx
+        idx = np.searchsorted(edges, mids, side="right") - 1
+        inside = (idx >= 0) & (idx < len(edges) - 1)
+        return np.bincount(idx[inside], weights=cell_mass[inside],
+                           minlength=len(edges) - 1)
+
+    return mass

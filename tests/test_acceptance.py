@@ -39,7 +39,7 @@ from pfconv.cli import cli_dispatch
 from pfconv.convergence import ConvergenceReport
 from pfconv.cox import cox_transition_logdensity
 from pfconv.engine import _raw_log_weights
-from pfconv.gridfilter import density_in_bins, run_cox_grid_filter
+from pfconv.gridfilter import run_cox_grid_filter
 from pfconv.moments import quadrature_refinements
 from pfconv.report import emit_report
 from pfconv.resampling import get_scheme
@@ -202,7 +202,7 @@ def test_criterion_4_unbounded_weight_reproduction(cox_model_session,
 
 
 def test_criterion_5_histogram_vs_grid(cox_model_session, gamma_proposal_session,
-                                       fixture_obs, fixture_obs_path):
+                                       fixture_obs, fixture_obs_path, density_in_bins):
     n = 10_000
     run = run_filter(cox_model_session, gamma_proposal_session, fixture_obs, n,
                      get_scheme("multinomial"), RngStream(MASTER_SEED, (5,)),

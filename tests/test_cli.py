@@ -207,6 +207,25 @@ def test_converge_needs_three_particle_counts(tmp_path, fixture_obs_path, capsys
     assert not out_json.exists()
 
 
+def test_workers_below_one_are_runtime_errors(tmp_path, fixture_obs_path, capsys,
+                                              monkeypatch):
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "est.csv"
+    argv = ["converge", "--observations", str(fixture_obs_path),
+            "--particle-counts", "8,16,32", "--replicates", "2", "--dx", "0.05",
+            "--x-max", "12", "--json", str(out_json)]
+    monkeypatch.delenv("PFCONV_WORKERS", raising=False)
+    for workers in ("0", "-3"):
+        assert cli_dispatch(argv + ["--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert f"--workers must be at least 1, got {workers}" in err
+    monkeypatch.setenv("PFCONV_WORKERS", "0")
+    for command in (argv, ["filter", "--observations", str(fixture_obs_path), "--n", "16",
+                           "--seed", "1", "--out", str(out_csv)]):
+        assert cli_dispatch(command) == 2
+        assert "PFCONV_WORKERS must be at least 1, got '0'" in capsys.readouterr().err
+    assert not out_json.exists() and not out_csv.exists()
+
+
 def test_negative_seed_is_runtime_error_naming_the_seed(tmp_path, fixture_obs_path, capsys):
     for argv, seed in (
             (["filter", "--observations", str(fixture_obs_path), "--n", "16",

@@ -330,6 +330,17 @@ def test_workers_env_cap(monkeypatch):
     assert convergence.resolve_workers(None) == cores
 
 
+def test_workers_below_one_are_rejected(monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    for workers in (0, -3):
+        with pytest.raises(DomainError, match=f"^--workers must be at least 1, got {workers}$"):
+            convergence.resolve_workers(workers)
+    for env in ("0", "-2"):
+        monkeypatch.setenv(WORKERS_ENV, env)
+        with pytest.raises(DomainError, match=f"^PFCONV_WORKERS must be at least 1, got '{env}'$"):
+            convergence.resolve_workers(None)
+
+
 def test_workers_default_counts_the_cpu_affinity_set(monkeypatch):
     # a process pinned to one core (taskset, a cpuset) gets one worker
     # however many cores the machine has

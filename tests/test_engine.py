@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -578,6 +579,115 @@ def test_draw_thread_ends_with_the_run(draw_thread, cox_model, gamma_proposal,
         run(prop)
     assert drew_on and threading.get_ident() not in drew_on
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("scheme", ["multinomial", "systematic"])
+@pytest.mark.parametrize("proposal", ["gamma_proposal", "bootstrap_proposal"])
+def test_draw_thread_at_its_default_slab_count_leaves_every_bit_unchanged(
+        monkeypatch, request, cox_model, fixture_obs, scheme, proposal):
+    import os
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    base, n = request.getfixturevalue(proposal), engine.DRAW_THREAD_SLABS * SLAB
+    runs, drew_on = {}, {}
+    for workers in (1, 2):
+        monkeypatch.setenv(WORKERS_ENV, str(workers))
+        prop, drew_on[workers] = _watched(base)
+        runs[workers] = run_filters(cox_model, prop, list(fixture_obs)[:3], n,
+                                    get_scheme(scheme), [RngStream(9)], [ONE, EXP_NEG],
+                                    record_clouds=n)
+    caller = threading.get_ident()
+    assert drew_on[1] == {caller}
+    assert len(drew_on[2]) == 1 and caller not in drew_on[2]
+    _assert_same_runs(runs[1], runs[2])
+
+
+def _ended(seconds: float, run):
+    """run() on a thread of its own, which must end within the given
+    seconds: (its value, None), or (None, the exception it raised)."""
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((run(), None))
+        except Exception as err:
+            outcome.append((None, err))
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), "the run did not end"
+    return outcome[0]
+
+
+def test_draw_thread_bits_hold_under_frequent_thread_switches(
+        draw_thread, cox_model, bootstrap_proposal, fixture_obs):
+    # three rows of two slabs and a bit, drawn from their parents (bootstrap)
+    # while the caller duplicates them, and the interpreter switches threads
+    # every 10 us instead of every 5 ms
+    runs = {}
+    for workers in (1, 2):
+        draw_thread(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs[workers], err = _ended(120, lambda: run_filters(
+                cox_model, bootstrap_proposal, fixture_obs, 2 * SLAB + 5,
+                get_scheme("systematic"), [RngStream(8, (r,)) for r in range(3)],
+                [ONE, EXP_NEG], record_clouds=SLAB))
+        finally:
+            sys.setswitchinterval(interval)
+        assert err is None
+    _assert_same_runs(runs[1], runs[2])
+
+
+@pytest.mark.parametrize("stop", ["test function", "duplication"])
+def test_draw_thread_pipeline_raises_the_earlier_step_error(
+        monkeypatch, draw_thread, cox_model, gamma_proposal, fixture_obs, stop):
+    # step t = 2 fails after its counts pass, while the proposals of t = 3,
+    # drawn ahead on the helper, fail too; the duplication variant stops
+    # short, so the helper waits for parents that never come
+    n = 2 * SLAB  # per step: two slabs of estimates, two resampled ones
+
+    def change(x, labels, slab):
+        if labels == (3, 0) and slab == 1:
+            raise DomainError("no draw at t=3")
+
+    calls = []
+
+    def failing_phi(x):  # the fourth slab of t = 2 is its first resampled one
+        calls.append(len(calls) + 1)
+        if stop == "test function" and calls[-1] == 7:
+            raise DomainError("phi failed at t=2")
+        return np.ones_like(x)
+
+    duplicate = engine.repeat_checked
+    steps = []
+
+    def stopping(particles, counts, out, written):
+        steps.append(len(steps) + 1)
+        if stop == "duplication" and steps[-1] == 2:
+            def first_slab_only(upto):
+                written(upto)
+                raise DomainError("duplication stopped at t=2")
+            return duplicate(particles, counts, out, first_slab_only)
+        return duplicate(particles, counts, out, written)
+
+    monkeypatch.setattr(engine, "repeat_checked", stopping)
+    message = {"test function": "phi failed at t=2",
+               "duplication": "duplication stopped at t=2"}[stop]
+    for workers in (1, 2):
+        draw_thread(workers)
+        calls.clear()
+        steps.clear()
+        prop, drew_on = _watched(gamma_proposal, change)
+        before = threading.active_count()
+        _, err = _ended(60, lambda: run_filter(
+            cox_model, prop, fixture_obs, n, get_scheme("systematic"), 3,
+            [dataclasses.replace(ONE, name="failing", fn=failing_phi)]))
+        assert isinstance(err, DomainError)
+        assert str(err) == f"filter step t=2: {message}"
+        assert threading.active_count() == before
+        assert drew_on
 
 
 def test_run_filter_rejects_zero_particles(cox_model, gamma_proposal, fixture_obs):

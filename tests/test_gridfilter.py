@@ -11,7 +11,7 @@ from pfconv import GridDensity, grid_estimate, grid_init, grid_predict, \
 from pfconv.cox import CoxParams, cox_likelihood_logdensity, cox_transition_logdensity
 from pfconv.errors import DomainError, ZeroMass
 from pfconv import gridfilter
-from pfconv.gridfilter import density_in_bins, folded_normal_prior
+from pfconv.gridfilter import folded_normal_prior
 
 EXP_NEG = make_test_function("exp_neg")
 ONE = make_test_function("one")
@@ -380,7 +380,7 @@ def test_run_cox_grid_filter_memory_is_linear_in_cells(fixture_obs):
     assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
-def test_density_in_bins_accounts_mass():
+def test_density_in_bins_accounts_mass(density_in_bins):
     grid = grid_init(folded_normal_prior, 15.0, 3000)
     edges = np.linspace(0.0, 6.0, 31)
     mass = density_in_bins(grid, edges)

@@ -11,11 +11,10 @@ from pfconv import (
     MomentStatus,
     RngStream,
     check_cox_moment_condition,
-    empirical_weight_moment,
     quadrature_weight_moment,
 )
 from pfconv.cox import GammaProposal, make_gamma_proposal
-from pfconv.engine import _normalize_rows, _shift_rows
+from pfconv.engine import _normalize_rows, _raw_log_weights, _shift_rows
 from pfconv.errors import DomainError
 from pfconv.moments import quadrature_refinements, row_ess
 
@@ -233,7 +232,29 @@ def test_verdict_oracle_agreement_sweep(cox_model):
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimate
+# Monte Carlo estimate: an independent check of the quadrature
+
+
+def empirical_weight_moment(model, proposal, x_prev: float, y, p: int, k: int,
+                            rng: RngStream) -> tuple[float, float]:
+    """Monte Carlo mean of w^p over k proposal draws, with jackknife stderr.
+
+    For divergent moments the estimate never stabilizes: it keeps growing
+    with k (compare runs at two sample sizes to flag the instability).
+    """
+    if k < 100:
+        raise DomainError("empirical moment needs at least 100 samples")
+    xp = np.full(k, float(x_prev))
+    draws = np.asarray(proposal.propose(xp, y, rng), dtype=float)
+    lw = _raw_log_weights(model, proposal, draws, xp, y)
+    wp = np.exp(p * lw)
+    total = float(np.sum(wp))
+    mean = total / k
+    # Jackknife over leave-one-out means; for the sample mean this equals
+    # the classical stderr but is written out for clarity of contract.
+    loo = (total - wp) / (k - 1)
+    se = math.sqrt((k - 1) / k * float(np.sum((loo - np.mean(loo)) ** 2)))
+    return mean, se
 
 
 def test_empirical_matches_quadrature_bootstrap(cox_model, bootstrap_proposal):
@@ -268,7 +289,6 @@ def test_empirical_jackknife_matches_classical_stderr(cox_model, bootstrap_propo
     est, se = empirical_weight_moment(cox_model, bootstrap_proposal, 1.0, 1, 2,
                                       1000, RngStream(43))
     # reproduce the draws and compare against std/sqrt(k)
-    from pfconv.engine import _raw_log_weights
     xp = np.full(1000, 1.0)
     draws = bootstrap_proposal.propose(xp, 1, RngStream(43))
     w2 = np.exp(2 * _raw_log_weights(cox_model, bootstrap_proposal, draws, xp, 1))

@@ -274,6 +274,61 @@ def test_position_one_lands_in_the_last_cell():
             == [[1, 1], [0, 2]]
 
 
+# systematic counts take the stepped search only near ties
+
+TIE_SIZES = [1, 2, 7, SLAB, 3 * SLAB + 5, 2 ** 18]
+
+
+def _systematic_positions(u: float, n: int) -> np.ndarray:
+    """fl(fl(j / n) + u) for j < n, as the scheme computes its positions."""
+    return np.divide(np.arange(n), n) + u
+
+
+def _tie_edges(positions: np.ndarray, gen) -> np.ndarray:
+    """Sorted edges in [0, 1]: at sampled positions, one ulp either side
+    of them, 2**-43 either side (a scaled distance of n 2**-43 from an
+    integer, inside the margin n 2**-40), 2**-38 either side (outside
+    it), and uniform ones."""
+    n = len(positions)
+    p = positions if n <= 64 else positions[np.sort(gen.choice(n, 400, replace=False))]
+    edges = np.concatenate([p, np.nextafter(p, -1.0), np.nextafter(p, 2.0),
+                            p - 2.0 ** -43, p + 2.0 ** -43, p - 2.0 ** -38,
+                            p + 2.0 ** -38, gen.random(200)])
+    return np.sort(np.clip(edges, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("n", TIE_SIZES)
+@pytest.mark.parametrize("rows", [1, 3])
+def test_systematic_counts_below_tie_edges_equal_searchsorted(n, rows):
+    gen = RngStream(n, (rows,)).gen
+    offsets = gen.random(rows) / n
+    edges = np.array([_tie_edges(_systematic_positions(u, n), gen) for u in offsets])
+    scaled = (edges - offsets[:, None]) * n
+    assert np.any(np.abs(scaled - np.rint(scaled)) <= n * 2.0 ** -40)  # the search runs
+    below = resampling._systematic_below(edges, offsets[:, None], n)
+    for row, row_edges, u in zip(below, edges, offsets):
+        expected = np.searchsorted(_systematic_positions(u, n), row_edges, "left")
+        assert np.array_equal(row, expected)
+
+
+@pytest.mark.parametrize("n", TIE_SIZES)
+@pytest.mark.parametrize("m", [0, 3])  # 0: a 1-D call
+def test_systematic_counts_at_tie_edges_equal_searchsorted(n, m):
+    # the weights' cumulative sums land within a few ulps of positions
+    rows = max(m, 1)
+    offsets = [RngStream(n, (2, r)).gen.random() / n for r in range(rows)]
+    gen = RngStream(n, (3,)).gen
+    w = np.array([np.diff(_tie_edges(_systematic_positions(u, n), gen),
+                          prepend=0.0, append=1.0) for u in offsets])
+    streams = [RngStream(n, (2, r)) for r in range(rows)]
+    counts = systematic_resample(w[0] if m == 0 else w, n,
+                                 streams[0] if m == 0 else streams)
+    for row, row_weights, u in zip(np.atleast_2d(counts), w, offsets):
+        below = np.searchsorted(_systematic_positions(u, n), np.cumsum(row_weights)[:-1],
+                                "left")
+        assert np.array_equal(row, np.diff(below, prepend=0, append=n))
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**31 - 1), k=st.integers(1, 32),
        name=st.sampled_from(ALL_SCHEMES))
