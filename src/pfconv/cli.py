@@ -19,7 +19,7 @@ from .cox import PROPOSALS, CoxParams, GammaProposal, ObservationSeries, make_co
 from .engine import run_filter
 from .errors import DomainError, PfconvError
 from .gridfilter import grid_cells, run_cox_grid_filter
-from .model import make_test_function
+from .model import make_test_function, make_test_functions
 from .moments import MomentCondition, check_cox_moment_condition, \
     quadrature_weight_moment
 from .report import emit_report, histogram_svg_text
@@ -143,12 +143,12 @@ def _histogram_cells(args, obs: ObservationSeries) -> int:
 
 
 def _cmd_filter(args) -> int:
+    phis = make_test_functions(args.phi)
     obs = ObservationSeries.from_csv(args.observations)
     n_cells = _histogram_cells(args, obs) if args.svg else 0
     params = CoxParams(args.c, args.eta)
     model, proposal = make_cox_model_and_proposal(params, args.proposal,
                                                   args.alpha, args.beta)
-    phis = [make_test_function(name) for name in args.phi]
     run = run_filter(model, proposal, obs, args.n, get_scheme(args.resampler),
                      args.seed, phis, record_clouds=args.n if args.svg else 0)
     names = [phi.name for phi in phis]
@@ -276,7 +276,7 @@ def _cmd_check_resampler(args) -> int:
     sums_ok = True
     for trial in range(args.trials):
         w = root.derive(0, trial).gen.dirichlet(np.ones(n))
-        counts = scheme.resample(w, n, root.derive(1, trial))
+        counts = scheme.resample(w[None], n, [root.derive(1, trial).gen])[0]
         if int(counts.sum()) != n or np.any(counts < 0):
             sums_ok = False
             break
@@ -288,7 +288,7 @@ def _cmd_check_resampler(args) -> int:
     totals = np.zeros(n)
     brackets_ok = True
     for trial in range(args.trials):
-        counts = scheme.resample(w, n, root.derive(3, trial))
+        counts = scheme.resample(w[None], n, [root.derive(3, trial).gen])[0]
         totals += counts
         if scheme.kind == "systematic":
             low, high = np.floor(n * w), np.ceil(n * w)

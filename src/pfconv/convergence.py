@@ -30,7 +30,7 @@ from .engine import _run_block
 from .errors import DomainError, InsufficientPoints, NonPositiveValue, PfconvError, \
     StudyError
 from .gridfilter import grid_cells, run_cox_grid_filter
-from .model import make_test_function
+from .model import make_test_functions
 from .resampling import SCHEMES, get_scheme
 from .rng import RngStream
 
@@ -74,8 +74,7 @@ class ExperimentConfig:
             raise DomainError("need at least 2 replicates")
         if not self.test_functions:
             raise DomainError("need at least one test function")
-        for name in self.test_functions:
-            make_test_function(name)
+        make_test_functions(self.test_functions)
         if not set(self.moments) <= {2, 4} or not self.moments:
             raise DomainError("moments must be a nonempty subset of {2, 4}")
         if self.resampler not in SCHEMES:
@@ -193,7 +192,7 @@ def _study_cell(args):
     config, obs_rows, n_idx, replicates = args
     model, proposal = make_cox_model_and_proposal(
         CoxParams(config.c, config.eta), config.proposal, config.alpha, config.beta)
-    phis = [make_test_function(name) for name in config.test_functions]
+    phis = make_test_functions(config.test_functions)
     streams = [RngStream(config.master_seed, labels=(n_idx, r)) for r in replicates]
     try:
         block = _run_block(model, proposal, obs_rows, config.particle_counts[n_idx],
@@ -301,7 +300,7 @@ def run_convergence_study(config: ExperimentConfig,
     config.validate()
     obs = ObservationSeries.from_csv(config.observations)
     obs_rows = tuple(obs)
-    phis = [make_test_function(name) for name in config.test_functions]
+    phis = make_test_functions(config.test_functions)
     oracle, check = _oracle_tables(config, obs_rows, phis, workers)
     truth_map = {name: list(vals) for name, vals in oracle.estimates.items()}
     steps = list(oracle.steps)

@@ -106,6 +106,8 @@ class ObservationSeries:
                 except ValueError:
                     raise DomainError(f"{path}, line {reader.line_num}: expected "
                                       f"integers t,y, got {row}") from None
+        if not rows:
+            raise DomainError(f"{path}: no observations after the header t,y")
         return cls(tuple(rows))
 
 
@@ -159,16 +161,14 @@ def cox_likelihood_logdensity(y: int, x, c: float):
     return out if out.ndim else float(out)
 
 
-def cox_prior_sample(rng: RngStream, size: int | None = None):
-    """|xi| for xi standard normal (the time-zero state)."""
-    draw = np.abs(rng.gen.standard_normal(size))
-    return draw if size is not None else float(draw)
+def cox_prior_sample(gen: np.random.Generator, size: int) -> np.ndarray:
+    """size draws of |xi| for xi standard normal (the time-zero state)."""
+    return np.abs(gen.standard_normal(size))
 
 
-def gamma_propose(prop: GammaProposal, rng: RngStream, size: int | None = None):
-    """Draw from Gamma(alpha, rate beta)."""
-    draw = rng.gen.gamma(prop.alpha, 1.0 / prop.beta, size)
-    return draw if size is not None else float(draw)
+def gamma_propose(prop: GammaProposal, gen: np.random.Generator, size: int) -> np.ndarray:
+    """size draws from Gamma(alpha, rate beta)."""
+    return gen.gamma(prop.alpha, 1.0 / prop.beta, size)
 
 
 def gamma_logdensity(prop: GammaProposal, x):
@@ -195,7 +195,7 @@ def gamma_logdensity(prop: GammaProposal, x):
 
 def make_cox_model(params: CoxParams) -> StateSpaceModel:
     return StateSpaceModel(
-        prior_sample=lambda rng, size: cox_prior_sample(rng, size),
+        prior_sample=cox_prior_sample,
         transition_logdensity=lambda x, xp: cox_transition_logdensity(x, xp, params.eta),
         likelihood_logdensity=lambda y, x: cox_likelihood_logdensity(y, x, params.c),
     )
@@ -204,7 +204,7 @@ def make_cox_model(params: CoxParams) -> StateSpaceModel:
 def make_gamma_proposal(prop: GammaProposal) -> Proposal:
     """State- and observation-independent Gamma proposal."""
     return Proposal(
-        propose=lambda x_prev, y, rng: gamma_propose(prop, rng, size=np.size(x_prev)),
+        propose=lambda x_prev, y, gen: gamma_propose(prop, gen, size=np.size(x_prev)),
         logdensity=lambda x, x_prev, y: gamma_logdensity(prop, x),
     )
 
@@ -212,9 +212,9 @@ def make_gamma_proposal(prop: GammaProposal) -> Proposal:
 def make_bootstrap_proposal(params: CoxParams) -> Proposal:
     """Proposal identical to the transition; weights reduce to the likelihood."""
 
-    def propose(x_prev, y, rng):
+    def propose(x_prev, y, gen):
         x_prev = np.asarray(x_prev, dtype=float)
-        eps = rng.gen.standard_normal(np.size(x_prev))
+        eps = gen.standard_normal(np.size(x_prev))
         return np.abs(x_prev + math.sqrt(params.eta) * eps)
 
     return Proposal(
@@ -270,7 +270,7 @@ def simulate(params: CoxParams, steps: int, master_seed: int
         raise DomainError("steps must be >= 1")
     root = RngStream(master_seed)
     states = np.empty(steps + 1)
-    states[0] = cox_prior_sample(root.derive(0))
+    states[0] = cox_prior_sample(root.derive(0).gen, 1)[0]
     rows = []
     sd = math.sqrt(params.eta)
     for t in range(1, steps + 1):

@@ -15,7 +15,8 @@ that turns the pools into keys are vectorized copies of SeedSequence's
 code.  The block owns one Philox generator, row 0's prior stream, and
 re-keys it row by row (`rng.KeyedRows`) instead of building two
 generators per row and step, so every draw is the one a separately
-built stream would make.
+built stream would make.  The model's samplers and the resampling
+scheme get that generator itself.
 
 One step moves every row through propose -> weight -> normalize ->
 estimate -> resample; every row resamples at every step, the filter
@@ -147,7 +148,7 @@ def _propose(parents: np.ndarray, proposal: Proposal, y, rngs, out: np.ndarray,
              ready: Callable[[int], None] | None = None,
              drawn: Callable[[int], None] | None = None) -> np.ndarray:
     """Row r of out is drawn by the proposal from the parents of row r and
-    rngs[r], slab by slab; a row's slabs draw from its stream in order.
+    the generator rngs[r], slab by slab; a row's slabs draw from it in order.
     Around each slab, ``ready`` (when given) gets the offset into the
     flattened block it ends at and returns once the parents are written up
     to it, and then ``drawn`` (when given) gets that offset, below which
@@ -366,7 +367,7 @@ def _step(ws: _Workspace, out: FilterBlock, i: int, model: StateSpaceModel,
     ``out``; return the next step's draws.
 
     The parents in ``ws.x`` are replaced by the resampled particles.
-    ``resample_rngs`` are the rows' resample streams for this step, and
+    ``resample_rngs`` are the rows' resample generators for this step, and
     ``resampled`` the weight of a resampled particle and its row sum.
     Once the counts pass their checks, ``draw_next`` (None at the last
     step) starts the next step's draws into the dead weights ``ws.w``,
@@ -434,7 +435,7 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
     del uniform  # not held while the block runs
     ws = _Workspace(*(np.empty((len(roots), n)) for _ in _Workspace._fields))
     row_slabs = slabs(n)
-    for r, rng in enumerate(KeyedRows(gen, roots, (0,), keys)):
+    for r, rng in enumerate(KeyedRows(gen, keys)):
         for s in row_slabs:
             ws.x[r, s] = _particles(model.prior_sample(rng, s.stop - s.start),
                                     s.stop - s.start, "prior_sample")
@@ -444,11 +445,10 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
                       np.empty((len(obs), m)), np.empty((len(obs), m)),
                       np.empty((len(obs), m, p)), np.empty((len(obs), m, p)),
                       np.empty((len(obs), 3, m, k)))
-    streams = []  # per step, the rows' propose and resample streams
+    streams = []  # per step, the rows' propose and resample generators
     for t, _ in steps:
         propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()
-        streams.append((KeyedRows(gen, roots, (t, 0), propose_keys),
-                        KeyedRows(gen, roots, (t, 1), resample_keys)))
+        streams.append((KeyedRows(gen, propose_keys), KeyedRows(gen, resample_keys)))
     threaded = (resolve_workers(workers) > 1  # checks PFCONV_WORKERS at any size
                 and len(slabs(ws.x.size)) >= DRAW_THREAD_SLABS)
     with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:

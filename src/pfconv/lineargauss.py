@@ -101,8 +101,8 @@ def _normal_logpdf(x, mean, var):
 
 
 def make_lg_model(model: LinearGaussianModel) -> StateSpaceModel:
-    def prior_sample(rng, size):
-        return model.m0 + math.sqrt(model.p0) * rng.gen.standard_normal(size)
+    def prior_sample(gen, size):
+        return model.m0 + math.sqrt(model.p0) * gen.standard_normal(size)
 
     def transition_logdensity(x, x_prev):
         return _normal_logpdf(np.asarray(x, dtype=float),
@@ -121,9 +121,9 @@ def make_lg_model(model: LinearGaussianModel) -> StateSpaceModel:
 def make_lg_bootstrap_proposal(model: LinearGaussianModel) -> Proposal:
     ssm = make_lg_model(model)
 
-    def propose(x_prev, y, rng):
+    def propose(x_prev, y, gen):
         x_prev = np.asarray(x_prev, dtype=float)
-        return model.a * x_prev + math.sqrt(model.q_var) * rng.gen.standard_normal(len(x_prev))
+        return model.a * x_prev + math.sqrt(model.q_var) * gen.standard_normal(len(x_prev))
 
     return Proposal(propose=propose,
                     logdensity=lambda x, xp, y: ssm.transition_logdensity(x, xp))

@@ -4,12 +4,14 @@ All density callables work in the log domain and accept numpy arrays of
 states (the shipped models are one-dimensional, so a state batch is a
 1-D float array).  Log-densities may return ``-inf`` for zero density.
 
-The engine calls them slab by slab on consecutive pieces of a block
-(`engine`), so they must keep this contract: a density is pointwise
-(entry i of its value depends only on entry i of its state arguments),
-and a sampler draws one state per entry, in order, so that drawing a
-states and then b states from one stream gives the a + b states that a
-single call draws.
+Samplers draw from the ``numpy.random.Generator`` they are given (the
+engine passes each row's generator, `rng.KeyedRows`).  The engine calls
+them slab by slab on consecutive pieces of a block (`engine`), so they
+must keep this contract: a density is pointwise (entry i of its value
+depends only on entry i of its state arguments), and a sampler draws
+one state per entry, in order, so that drawing a states and then b
+states from one generator gives the a + b states that a single call
+draws.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import require_positive
-from .rng import RngStream
+from .errors import DomainError, require_positive
 
 Array = np.ndarray
 
@@ -33,8 +34,9 @@ class StateSpaceModel:
     Attributes
     ----------
     prior_sample : callable
-        ``(rng, size) -> states``; draws ``size`` independent states from
-        the time-zero distribution, one state per entry, in order.
+        ``(gen, size) -> states``; draws ``size`` independent states from
+        the time-zero distribution with the generator ``gen``, one state
+        per entry, in order.
     transition_logdensity : callable
         ``(x_t, x_prev) -> log density`` of the state transition,
         pointwise.
@@ -43,7 +45,7 @@ class StateSpaceModel:
         pointwise; the convergence guarantees need it bounded in x_t.
     """
 
-    prior_sample: Callable[[RngStream, int], Array]
+    prior_sample: Callable[[np.random.Generator, int], Array]
     transition_logdensity: Callable[[Array, Array], Array]
     likelihood_logdensity: Callable[[object, Array], Array]
 
@@ -52,16 +54,16 @@ class StateSpaceModel:
 class Proposal:
     """Importance distribution used to move particles forward.
 
-    ``propose(x_prev, y, rng)`` draws one new state per entry of
-    ``x_prev``, in order; ``logdensity(x_t, x_prev, y)`` evaluates the
-    proposal density at the proposed points, pointwise (see the module
-    doc).  The proposal must dominate
-    ``transition * likelihood``: wherever that product is positive the
+    ``propose(x_prev, y, gen)`` draws one new state per entry of
+    ``x_prev`` with the generator ``gen``, in order;
+    ``logdensity(x_t, x_prev, y)`` evaluates the proposal density at the
+    proposed points, pointwise (see the module doc).  The proposal must
+    dominate ``transition * likelihood``: wherever that product is positive the
     proposal density must be positive as well (checked statistically on
     the shipped models, not enforced here).
     """
 
-    propose: Callable[[Array, object, RngStream], Array]
+    propose: Callable[[Array, object, np.random.Generator], Array]
     logdensity: Callable[[Array, Array, object], Array]
 
 
@@ -117,6 +119,18 @@ def make_test_function(name: str) -> TestFunction:
     if m and m.group(1) in _PARAMETRIC:
         return _PARAMETRIC[m.group(1)](float(m.group(2)))
     raise KeyError(f"unknown test function {name!r}; choose from {registry_names()}")
+
+
+def make_test_functions(names) -> list[TestFunction]:
+    """Resolve each name (`make_test_function`).  Estimates are keyed by
+    the resolved name, so two names that resolve to one function, such
+    as ``min_cap(2)`` and ``min_cap(2.0)``, are refused."""
+    phis = [make_test_function(name) for name in names]
+    resolved = [phi.name for phi in phis]
+    for i, name in enumerate(resolved):
+        if name in resolved[:i]:
+            raise DomainError(f"test function {name} is given more than once")
+    return phis
 
 
 def registry_names() -> list[str]:

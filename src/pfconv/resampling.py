@@ -7,16 +7,15 @@ scheme for the convergence experiments; systematic is the usual
 low-variance default.
 
 A scheme resamples a block: ``resample(weights, n, rngs, out=None)``
-takes an (M, K) weight block and M streams, and returns (M, K) counts,
-row r drawn from ``rngs[r]`` exactly as a one-row call would draw it.
-The counts go into ``out`` when it is given (an int64 array of the
-weights' shape, which is returned), else into a new array.  The filter
-engine passes the block's `rng.KeyedRows`: the rows' keys are
+takes an (M, K) weight block and M numpy Generators, and returns (M, K)
+counts, row r drawn from ``rngs[r]`` exactly as a one-row block would
+draw it.  The counts go into ``out`` when it is given (an int64 array
+of the weights' shape, which is returned), else into a new array.  The
+filter engine passes the block's `rng.KeyedRows`: the rows' keys are
 SeedSequence-compatible and derived per block, and the rows draw from
-one generator re-keyed row by row.  A 1-D weight vector with a single
-stream is the M = 1 case and gets a 1-D count vector back.  The weight
-checks run once per block and name the lowest failing row in
-``err.row``, as `check_counts` does for the counts.
+one generator re-keyed row by row.  The weight checks run once per
+block and name the lowest failing row in ``err.row``, as `check_counts`
+does for the counts.
 
 Systematic and stratified count each cell as the difference of how many
 positions lie below its two edges (`_count_cells`), for a group of short
@@ -53,26 +52,21 @@ _TIE_MARGIN = 2.0 ** -40  # per particle: see `_systematic_below`
 
 
 def _checked(weights, n: int, rngs, out):
-    """The weights as an (M, K) block with its row sums, the M streams,
-    the (M, K) rows the counts go into (a view of ``out`` when given),
-    and what the scheme returns: ``out``, or the new counts in the shape
-    of the weights (1-D when a 1-D vector and a single stream came in).
+    """The (M, K) weight block as floats, its row sums, and the (M, K)
+    int64 array the counts go into: ``out`` when given, else a new one.
 
-    n is the number of draws per row; it equals K in the filter loop but
-    may differ (e.g. statistical checks drawing many times from few
-    categories).
+    There is one generator per row in ``rngs``.  n is the number of draws
+    per row; it equals K in the filter loop but may differ (e.g.
+    statistical checks drawing many times from few categories).
     """
     weights = np.asarray(weights, dtype=float)
-    shape = weights.shape
-    if weights.ndim == 1:
-        weights, rngs = weights[None], (rngs,)
     if weights.ndim != 2 or weights.shape[1] < 1 or n < 1:
-        raise NotNormalized(f"need a weight vector or block and n >= 1, "
-                            f"got {weights.shape}")
+        raise ValueError(f"need an (M, K) weight block with K >= 1 and n >= 1, "
+                         f"got shape {weights.shape} and n = {n}")
     if len(rngs) != len(weights):
-        raise ValueError(f"{len(rngs)} streams for {len(weights)} weight rows")
-    if out is not None and (out.shape != shape or out.dtype != np.int64):
-        raise ValueError(f"counts need an int64 array of shape {shape}, "
+        raise ValueError(f"{len(rngs)} generators for {len(weights)} weight rows")
+    if out is not None and (out.shape != weights.shape or out.dtype != np.int64):
+        raise ValueError(f"counts need an int64 array of shape {weights.shape}, "
                          f"got {out.dtype} {out.shape}")
     low, total = weights.min(axis=1), weights.sum(axis=1)
     ok = (low >= 0) & (np.abs(total - 1.0) <= _SUM_TOL)  # NaN fails both
@@ -81,8 +75,7 @@ def _checked(weights, n: int, rngs, out):
         err = NotNormalized("weights must be nonnegative") if not low[r] >= 0 \
             else NotNormalized(f"weights sum to {float(total[r])!r}")
         raise at_row(err, r)
-    result = np.empty(shape, dtype=np.int64) if out is None else out
-    return weights, total, rngs, result.reshape(weights.shape), result
+    return weights, total, np.empty(weights.shape, dtype=np.int64) if out is None else out
 
 
 def slabs(size: int) -> list[slice]:
@@ -97,14 +90,14 @@ def slabs(size: int) -> list[slice]:
 
 def multinomial_resample(weights, n: int, rngs, out=None) -> np.ndarray:
     """Counts ~ Multinomial(n, weights), row by row."""
-    weights, total, rngs, counts, result = _checked(weights, n, rngs, out)
+    weights, total, counts = _checked(weights, n, rngs, out)
     # Renormalize exactly so numpy's pval check cannot trip on 1e-10 drift.
     # Each row's pvals sit in the row's own count slots until its draw
     # replaces them.
     pvals = np.divide(weights, total[:, None], out=counts.view(np.float64))
     for p, row, rng in zip(pvals, counts, rngs):
-        row[:] = rng.gen.multinomial(n, p)
-    return result
+        row[:] = rng.multinomial(n, p)
+    return counts
 
 
 def _count_cells(weights: np.ndarray, below, n: int, out: np.ndarray) -> None:
@@ -183,44 +176,42 @@ def _search(at, edges: np.ndarray, below: np.ndarray, n: int) -> np.ndarray:
 def _counts_from_positions(weights: np.ndarray, positions: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
     """`_count_cells` of a (G, K) weight block at its (G, n) sorted
-    positions (a 1-D pair is one row), into ``out`` when given."""
-    w = weights.reshape(-1, weights.shape[-1])
-    rows = positions.reshape(len(w), -1)
+    positions, into ``out`` when given."""
+    n = positions.shape[1]
     counts = np.empty(weights.shape, dtype=np.int64) if out is None else out
-    flat = rows.reshape(-1)
-    start = np.arange(0, flat.size, rows.shape[1])[:, None]  # each row's first
+    flat = positions.reshape(-1)
+    start = np.arange(0, flat.size, n)[:, None]  # each row's first
 
     def at(j):
         return flat.take(j + start, mode="clip")
 
-    n = rows.shape[1]
-    _count_cells(w, lambda edges: _below(at, edges, 0.0, n), n, counts.reshape(w.shape))
+    _count_cells(weights, lambda edges: _below(at, edges, 0.0, n), n, counts)
     return counts
 
 
 def _counts_in_groups(count, weights, n: int, rngs, out) -> np.ndarray:
     """Every row's counts, drawn and counted a group of rows at a time by
-    ``count(weights, streams, n, counts)``.
+    ``count(weights, rngs, n, counts)``.
 
     A group holds at most `SLAB` positions or edges (one row when a row
-    has more).  ``count`` gets the group's streams as an iterator, since
-    taking a row's stream re-keys the generator the block's rows share
-    (`rng.KeyedRows`): each row draws before the next row is taken.
+    has more).  ``count`` gets the group's generators as an iterator,
+    since taking a row's generator re-keys the generator the block's rows
+    share (`rng.KeyedRows`): each row draws before the next row is taken.
     """
-    weights, _, rngs, counts, result = _checked(weights, n, rngs, out)
+    weights, _, counts = _checked(weights, n, rngs, out)
     m, k = weights.shape
     g = max(1, min(m, SLAB // max(n, k + 1)))  # rows per group
-    streams = iter(rngs)
+    rows = iter(rngs)
     for a in range(0, m, g):
         group = slice(a, min(a + g, m))
-        count(weights[group], islice(streams, group.stop - a), n, counts[group])
-    return result
+        count(weights[group], islice(rows, group.stop - a), n, counts[group])
+    return counts
 
 
-def _systematic_group(weights, streams, n: int, counts) -> None:
-    """Counts at the positions rng.gen.random() / n + j / n, j < n, of each
+def _systematic_group(weights, rngs, n: int, counts) -> None:
+    """Counts at the positions rng.random() / n + j / n, j < n, of each
     row, computed from that formula (`_systematic_below`)."""
-    offsets = np.array([rng.gen.random() / n for rng in streams])[:, None]
+    offsets = np.array([rng.random() / n for rng in rngs])[:, None]
     _count_cells(weights, lambda edges: _systematic_below(edges, offsets, n), n, counts)
 
 
@@ -276,16 +267,16 @@ def _stratified_positions(rng, out: np.ndarray) -> np.ndarray:
     """(j + u_j) / n for every j < n = len(out), u_j uniform in order."""
     n = len(out)
     for s in slabs(n):
-        u = rng.gen.random(s.stop - s.start)
+        u = rng.random(s.stop - s.start)
         u += np.arange(s.start, s.stop, dtype=float)
         np.divide(u, n, out=out[s])
     return out
 
 
-def _stratified_group(weights, streams, n: int, counts) -> None:
+def _stratified_group(weights, rngs, n: int, counts) -> None:
     """Counts at each row's n stratified positions, drawn row by row."""
     positions = np.empty((len(weights), n))
-    for rng, row in zip(streams, positions):
+    for rng, row in zip(rngs, positions):
         _stratified_positions(rng, row)
     _counts_from_positions(weights, positions, counts)
 

@@ -18,8 +18,10 @@ block, and a label every row shares, such as a filter step t, is
 absorbed by the whole block at once.  Only that per-step absorb and the
 output hash of `KeyPool.keys` are vectorized copies of SeedSequence's
 code.  The engine then re-keys one generator per block row by row
-instead of building a generator per stream.  numpy.random is imported
-only when a pool or generator is first built.
+(`KeyedRows`) instead of building a generator per stream, and hands the
+model's samplers and the resampling schemes that numpy Generator
+itself: `RngStream` only names the root streams.  numpy.random is
+imported only when a pool or generator is first built.
 """
 
 from __future__ import annotations
@@ -178,27 +180,23 @@ class RngStream:
 
 
 class KeyedRows:
-    """The streams ``roots[r].derive(*labels)`` of a block's rows, all
-    drawing from the block's one generator.
+    """The generators of a block's rows: the block's one generator,
+    re-keyed to each row's key.
 
     ``keys[r]`` must be row r's key (`KeyPool.keys`).  Iterating yields
-    the rows in order and re-keys the shared generator to each row's key
-    as it goes, so a row's draws must be made before the next row is
-    taken.
+    ``gen`` once per row, in order, re-keyed to the row's key, so that it
+    draws what ``Generator(Philox(key=keys[r]))`` draws; a row's draws
+    must be made before the next row is taken.
     """
 
-    __slots__ = ("gen", "roots", "labels", "keys")
+    __slots__ = ("gen", "keys")
 
-    def __init__(self, gen, roots: Sequence[RngStream], labels: tuple[int, ...],
-                 keys: np.ndarray):
-        self.gen, self.roots, self.labels, self.keys = gen, roots, labels, keys
+    def __init__(self, gen: np.random.Generator, keys: np.ndarray):
+        self.gen, self.keys = gen, keys
 
     def __len__(self) -> int:
-        return len(self.roots)
+        return len(self.keys)
 
     def __iter__(self):
-        for root, key in zip(self.roots, self.keys.tolist()):  # ints set state fastest
-            stream = RngStream.__new__(RngStream)
-            stream.master_seed, stream.labels = root.master_seed, root.labels + self.labels
-            stream._gen = rekey(self.gen, key)
-            yield stream
+        for key in self.keys.tolist():  # ints set state fastest
+            yield rekey(self.gen, key)

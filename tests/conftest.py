@@ -17,6 +17,12 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
+def philox_key(gen) -> tuple[int, int]:
+    """The Philox key a generator draws under: how a test double tells which
+    row and step of a block the generator it was handed belongs to."""
+    return tuple(gen.bit_generator.state["state"]["key"].tolist())
+
+
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
     """Fail a test that leaves more threads alive than it started with:

@@ -232,10 +232,10 @@ def test_criterion_5_histogram_vs_grid(cox_model_session, gamma_proposal_session
 
 def test_criterion_6_conditional_unbiasedness(cox_model_session,
                                               gamma_proposal_session):
-    parents = cox_model_session.prior_sample(RngStream(61), 50)
+    parents = cox_model_session.prior_sample(RngStream(61).gen, 50)
     y, inner = 0, 10_000
     tiled = np.tile(parents, inner)
-    draws = gamma_proposal_session.propose(tiled, y, RngStream(62))
+    draws = gamma_proposal_session.propose(tiled, y, RngStream(62).gen)
     lw = _raw_log_weights(cox_model_session, gamma_proposal_session, tiled * 0 + draws,
                           tiled, y)
     w = np.exp(lw).reshape(inner, 50)
@@ -267,14 +267,14 @@ def test_criterion_6_conditional_unbiasedness(cox_model_session,
 
 def test_criterion_7_resampler_contracts():
     # 10^5 random inputs per scheme, resampled as (M, n) blocks whose rows
-    # all draw from one stream, in row order
+    # all draw from one generator, in row order
     n, trials, m = 32, 10 ** 5, 1000
     for label, name in enumerate(("multinomial", "stratified", "systematic")):
         scheme = get_scheme(name)
         rng = RngStream(71, (label,))
         for _ in range(trials // m):
             w = rng.gen.dirichlet(np.ones(n), size=m)
-            counts = scheme.resample(w, n, [rng] * m)
+            counts = scheme.resample(w, n, [rng.gen] * m)
             assert np.all(counts.sum(axis=1) == n)
             if name == "systematic":
                 assert np.all(counts >= np.floor(n * w))
@@ -287,7 +287,7 @@ def test_criterion_7_resampler_contracts():
     scheme = get_scheme("multinomial")
     totals = np.zeros(n)
     for _ in range(mean_trials // m):
-        totals += scheme.resample(np.tile(w, (m, 1)), n, [rng] * m).sum(axis=0)
+        totals += scheme.resample(np.tile(w, (m, 1)), n, [rng.gen] * m).sum(axis=0)
     mean_counts = totals / mean_trials
     sigma = np.sqrt(n * w * (1 - w) / mean_trials)
     assert np.all(np.abs(mean_counts - n * w) <= 3 * sigma)

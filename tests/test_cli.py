@@ -28,13 +28,19 @@ def test_missing_file_is_runtime_error(tmp_path, capsys):
 
 
 def test_empty_observation_file_is_runtime_error_naming_it(tmp_path, capsys):
+    # a header with no rows used to fail converge on an empty max(), let
+    # grid write a header-only table and filter name no file
     obs = tmp_path / "empty.csv"
-    obs.write_text("")
-    for argv in (["filter", "--seed", "1", "--n", "16", "--out", str(tmp_path / "est.csv")],
-                 ["grid", "--out", str(tmp_path / "g.csv")],
-                 ["converge", "--replicates", "2", "--particle-counts", "8,16,32"]):
-        assert cli_dispatch(argv + ["--observations", str(obs)]) == 2
-        assert f"error: {obs}, line 1" in capsys.readouterr().err
+    for text, message in (("", f"error: {obs}, line 1"),
+                          ("t,y\n", f"error: {obs}: no observations after the header t,y\n")):
+        obs.write_text(text)
+        for argv in (["filter", "--seed", "1", "--n", "16",
+                      "--out", str(tmp_path / "est.csv")],
+                     ["grid", "--out", str(tmp_path / "g.csv")],
+                     ["converge", "--replicates", "2", "--particle-counts", "8,16,32"]):
+            assert cli_dispatch(argv + ["--observations", str(obs)]) == 2
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "est.csv").exists() and not (tmp_path / "g.csv").exists()
 
 
 def test_simulate_writes_observation_csv(tmp_path, capsys):
@@ -312,6 +318,20 @@ def test_infinite_model_parameters_are_runtime_errors_naming_them(tmp_path, fixt
         assert captured.err == f"error: {name} must be finite and positive, got inf\n"
         assert "satisfied" not in captured.out
         assert not out.exists(), argv
+
+
+def test_repeated_test_function_is_runtime_error_naming_it(tmp_path, fixture_obs_path,
+                                                           capsys):
+    # filter used to write duplicate columns, and converge ran every cell
+    # before it failed on mismatched shapes
+    out = tmp_path / "est.csv"
+    for argv, name in ((["filter", "--phi", "exp_neg,exp_neg", "--n", "64", "--seed", "1",
+                         "--out", str(out)], "exp_neg"),
+                       (["converge", "--test-functions", "min_cap(2),min_cap(2.0)",
+                         "--workers", "1"], "min_cap(2)")):
+        assert cli_dispatch(argv + ["--observations", str(fixture_obs_path)]) == 2, argv
+        assert capsys.readouterr().err == f"error: test function {name} is given more than once\n"
+        assert not out.exists()
 
 
 def test_unbounded_test_function_is_runtime_error(tmp_path, fixture_obs_path, capsys):

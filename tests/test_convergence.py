@@ -18,6 +18,8 @@ from pfconv.model import Proposal, make_test_function
 from pfconv.report import emit_report
 from pfconv.resampling import SLAB, get_scheme
 
+from conftest import philox_key
+
 
 def small_config(fixture_obs_path, **overrides):
     base = dict(
@@ -116,6 +118,12 @@ def test_config_validation(fixture_obs_path):
         small_config(fixture_obs_path, replicates=1).validate()
     with pytest.raises(DomainError):
         small_config(fixture_obs_path, test_functions=()).validate()
+    # estimates are keyed by the resolved name: min_cap(2.0) is min_cap(2)
+    for names, message in ((("exp_neg", "exp_neg"), "exp_neg"),
+                           (("min_cap(2)", "one", "min_cap(2.0)"), r"min_cap\(2\)")):
+        with pytest.raises(DomainError, match=f"^test function {message} is given more "
+                                              f"than once$"):
+            small_config(fixture_obs_path, test_functions=names).validate()
     with pytest.raises(DomainError):
         small_config(fixture_obs_path, moments=(3,)).validate()
     with pytest.raises(DomainError):
@@ -397,15 +405,17 @@ def test_partial_flush_on_failure(tmp_path, fixture_obs_path, monkeypatch):
 
     # Replicates 2 and 3 of N=16 (N-index 1) share one block; replicate 3
     # fails first (t=1), but the lower failing replicate 2 (t=5) is reported.
-    fail_at = {(1, 2): 5, (1, 3): 1}
+
+    # the proposal streams (master_seed, N-index, r, t, 0) that fail
+    fail_at = {philox_key(RngStream(cfg.master_seed, (n_idx, r, t, 0)).gen)
+               for n_idx, r, t in ((1, 2, 5), (1, 3, 1))}
     real_make = convergence.make_cox_model_and_proposal
 
     def failing_make(*args):
         model, proposal = real_make(*args)
 
         def propose(x_prev, y, rng):
-            n_idx, r, t, _ = rng.labels
-            if fail_at.get((n_idx, r)) == t:
+            if philox_key(rng) in fail_at:
                 return np.zeros(len(x_prev))  # zero Gamma density: infinite weights
             return proposal.propose(x_prev, y, rng)
 

@@ -55,7 +55,7 @@ def test_transition_matches_simulator_distribution():
     from pfconv.cox import make_bootstrap_proposal
     n, x_prev = 10 ** 5, 1.0
     sampler = make_bootstrap_proposal(CoxParams(C, ETA))
-    draws = sampler.propose(np.full(n, x_prev), None, RngStream(71))
+    draws = sampler.propose(np.full(n, x_prev), None, RngStream(71).gen)
     edges = np.linspace(0.0, draws.max() + 1e-9, 41)
     observed, _ = np.histogram(draws, bins=edges)
     sd = math.sqrt(ETA)
@@ -113,7 +113,7 @@ def test_negative_state_next_to_a_nan_is_rejected():
 
 
 def test_prior_sample_moments():
-    draws = cox_prior_sample(RngStream(5), 10 ** 6)
+    draws = cox_prior_sample(RngStream(5).gen, 10 ** 6)
     assert np.all(draws >= 0)
     n = len(draws)
     mean_target = math.sqrt(2 / math.pi)
@@ -134,7 +134,7 @@ def test_gamma_density_value():
 
 def test_gamma_sample_mean():
     prop = GammaProposal(1.5, 0.5)
-    draws = gamma_propose(prop, RngStream(6), 10 ** 6)
+    draws = gamma_propose(prop, RngStream(6).gen, 10 ** 6)
     sd = math.sqrt(prop.alpha) / prop.beta
     assert abs(draws.mean() - 3.0) <= 3 * sd / math.sqrt(len(draws))
 

@@ -30,6 +30,8 @@ from pfconv.errors import CountMismatch, DegenerateWeights, DomainError, \
 from pfconv.particles import FilterRun
 from pfconv.resampling import ResampleScheme, get_scheme
 
+from conftest import philox_key
+
 ONE = make_test_function("one")
 EXP_NEG = make_test_function("exp_neg")
 
@@ -68,6 +70,13 @@ def _assert_same_runs(a, b):
             assert np.array_equal(x, y), field.name
 
 
+def _stream_key(seed: int, labels: tuple[int, ...]) -> tuple[int, int]:
+    """The key of stream (seed, labels): a row's generator at step t is
+    re-keyed to the key of its root's labels + (t, 0) to propose and
+    + (t, 1) to resample."""
+    return philox_key(RngStream(seed, labels).gen)
+
+
 def _estimate(particles, log_weights, phi) -> float:
     _, w, total = _normalize(log_weights)
     return float(_estimate_rows(w, total, np.array([particles], dtype=float), phi)[0])
@@ -78,8 +87,8 @@ def _estimate(particles, log_weights, phi) -> float:
 
 
 def test_bootstrap_cancellation_is_bit_exact(cox_model, bootstrap_proposal):
-    parents = cox_model.prior_sample(RngStream(21), 256)[None]
-    moved = bootstrap_proposal.propose(parents[0], 2, RngStream(22))[None]
+    parents = cox_model.prior_sample(RngStream(21).gen, 256)[None]
+    moved = bootstrap_proposal.propose(parents[0], 2, RngStream(22).gen)[None]
     lw = _raw_log_weights(cox_model, bootstrap_proposal, moved, parents, 2)
     assert np.array_equal(lw, cox_model.likelihood_logdensity(2, moved))
 
@@ -127,11 +136,10 @@ def test_weight_not_finite_when_proposal_vanishes(cox_model, gamma_proposal):
 def test_conditional_expectation_matches_quadrature(cox_model, gamma_proposal):
     # For a frozen parent set, E[(unnormalized estimate of phi)] equals the
     # parent average of int f(x|x') g(y|x) phi(x) dx.
-    parents = cox_model.prior_sample(RngStream(31), 50)
+    parents = cox_model.prior_sample(RngStream(31).gen, 50)
     y, inner = 1, 4000
     tiled = np.tile(parents, inner)
-    rng = RngStream(32)
-    draws = gamma_proposal.propose(tiled, y, rng)
+    draws = gamma_proposal.propose(tiled, y, RngStream(32).gen)
     lw = _raw_log_weights(cox_model, gamma_proposal, draws, tiled, y)
     vals = (np.exp(lw) * EXP_NEG(draws)).reshape(inner, 50).mean(axis=1)
     mc, se = vals.mean(), vals.std(ddof=1) / math.sqrt(inner)
@@ -326,8 +334,10 @@ def test_run_filters_names_failing_row_and_step(request, cox_model, fixture_obs,
     base = request.getfixturevalue(proposal)
     multinomial = get_scheme("multinomial")
 
+    collapse = _stream_key(1, (2, 3, 0))
+
     def propose(x_prev, y, rng):  # row 2 collapses to 0 at t = 3
-        if error is not CountMismatch and rng.labels[-3:] == (2, 3, 0):
+        if error is not CountMismatch and philox_key(rng) == collapse:
             return np.zeros(len(x_prev))
         return base.propose(x_prev, y, rng)
 
@@ -361,6 +371,28 @@ def test_run_filters_builds_one_generator_per_block(monkeypatch, cox_model,
     run_filters(cox_model, gamma_proposal, fixture_obs, 8, get_scheme("multinomial"),
                 [RngStream(3, (r,)) for r in range(6)])
     assert len(built) == 1
+
+
+def test_run_block_builds_no_stream_per_row_or_step(monkeypatch, cox_model,
+                                                   gamma_proposal, fixture_obs):
+    # the rows draw from the block's generator itself, re-keyed: the only
+    # stream a block builds is roots[0].derive(0), which owns that generator
+    built = []
+
+    class Counting(RngStream):  # every stream the rng module builds
+        __slots__ = ()
+
+        def __new__(cls, *args, **kwargs):
+            built.append(cls)
+            return super().__new__(cls)
+
+    roots = [RngStream(3, (r,)) for r in range(4)]
+    monkeypatch.setattr("pfconv.rng.RngStream", Counting)
+    for steps in (1, 6):
+        built.clear()
+        engine._run_block(cox_model, gamma_proposal, list(fixture_obs)[:steps], 8,
+                          get_scheme("systematic"), roots)
+        assert len(built) == 1
 
 
 def test_run_filter_memory_stays_linear(cox_model, gamma_proposal, fixture_obs):
@@ -418,16 +450,17 @@ def test_slabs_leave_every_bit_unchanged(monkeypatch, request, cox_model, fixtur
 def test_non_finite_weight_in_a_later_slab_reports_as_in_one_slab(
         monkeypatch, cox_model, gamma_proposal, fixture_obs):
     m, n, row, particle = 3, 6000, 2, 5000  # flat index 17000: the third slab
+    target = _stream_key(1, (row, 2, 0))
 
     def failure():
         drawn = {}
 
         def propose(x_prev, y, rng):  # row 2's particle 5000 lands on 0 at t = 2
             x = gamma_proposal.propose(x_prev, y, rng)
-            key = rng.labels[-3:-1]
+            key = philox_key(rng)
             start = drawn[key] = drawn.get(key, 0)
             drawn[key] += len(x)
-            if key == (row, 2) and start <= particle < start + len(x):
+            if key == target and start <= particle < start + len(x):
                 x[particle - start] = 0.0  # Gamma density 0: the log weight is +inf
             return x
 
@@ -464,16 +497,18 @@ def draw_thread(monkeypatch):
 
 
 def _watched(base: Proposal, change=None):
-    """base, recording the threads that draw; change(x, labels, slab), when
-    given, may alter or refuse each slab a row draws at a step."""
+    """base, recording the threads that draw; change(x, key, slab), when
+    given, may alter or refuse each slab a row draws at a step, the row
+    and step known by the generator's key (`_stream_key`)."""
     threads, slab = set(), {}
 
     def propose(x_prev, y, rng):
         threads.add(threading.get_ident())
         x = base.propose(x_prev, y, rng)
-        slab[rng.labels] = slab.get(rng.labels, -1) + 1
+        key = philox_key(rng)
+        slab[key] = slab.get(key, -1) + 1
         if change is not None:
-            change(x, rng.labels, slab[rng.labels])
+            change(x, key, slab[key])
         return x
 
     return Proposal(propose, base.logdensity), threads
@@ -519,10 +554,10 @@ def test_draw_thread_proposal_error_wins_over_an_earlier_weight_error(
         draw_thread, cox_model, gamma_proposal, fixture_obs):
     # M = 2 rows of 2 slabs: flat slab 0 is row 0's first, flat slab 3 row 1's second
 
-    def change(x, labels, slab):
-        if labels == (0, 2, 0) and slab == 0:
+    def change(x, key, slab):
+        if key == _stream_key(1, (0, 2, 0)) and slab == 0:
             x[7] = 0.0  # Gamma density 0: the log weight is +inf
-        if labels == (1, 2, 0) and slab == 1:
+        if key == _stream_key(1, (1, 2, 0)) and slab == 1:
             raise DomainError("no draw")
 
     for workers in (1, 2):
@@ -540,8 +575,8 @@ def test_draw_thread_names_the_non_finite_weight_of_the_inline_run(
         draw_thread, cox_model, gamma_proposal, fixture_obs):
     n = 3 * SLAB + 5  # row 1's particle 10 sits in flat slab 3, which spans both rows
 
-    def change(x, labels, slab):
-        if labels == (1, 3, 0) and slab == 0:
+    def change(x, key, slab):
+        if key == _stream_key(2, (1, 3, 0)) and slab == 0:
             x[10] = 0.0
 
     errors = []
@@ -560,8 +595,8 @@ def test_draw_thread_names_the_non_finite_weight_of_the_inline_run(
 
 def test_draw_thread_ends_with_the_run(draw_thread, cox_model, gamma_proposal,
                                        fixture_obs):
-    def change(x, labels, slab):
-        if labels == (4, 0) and slab == 1:  # run_filter's root stream has no labels
+    def change(x, key, slab):
+        if key == _stream_key(3, (4, 0)) and slab == 1:  # run_filter's root has no labels
             x[0] = 0.0
 
     def run(prop):
@@ -648,8 +683,8 @@ def test_draw_thread_pipeline_raises_the_earlier_step_error(
     # short, so the helper waits for parents that never come
     n = 2 * SLAB  # per step: two slabs of estimates, two resampled ones
 
-    def change(x, labels, slab):
-        if labels == (3, 0) and slab == 1:
+    def change(x, key, slab):
+        if key == _stream_key(3, (3, 0)) and slab == 1:
             raise DomainError("no draw at t=3")
 
     calls = []

@@ -245,7 +245,7 @@ def empirical_weight_moment(model, proposal, x_prev: float, y, p: int, k: int,
     if k < 100:
         raise DomainError("empirical moment needs at least 100 samples")
     xp = np.full(k, float(x_prev))
-    draws = np.asarray(proposal.propose(xp, y, rng), dtype=float)
+    draws = np.asarray(proposal.propose(xp, y, rng.gen), dtype=float)
     lw = _raw_log_weights(model, proposal, draws, xp, y)
     wp = np.exp(p * lw)
     total = float(np.sum(wp))
@@ -290,7 +290,7 @@ def test_empirical_jackknife_matches_classical_stderr(cox_model, bootstrap_propo
                                       1000, RngStream(43))
     # reproduce the draws and compare against std/sqrt(k)
     xp = np.full(1000, 1.0)
-    draws = bootstrap_proposal.propose(xp, 1, RngStream(43))
+    draws = bootstrap_proposal.propose(xp, 1, RngStream(43).gen)
     w2 = np.exp(2 * _raw_log_weights(cox_model, bootstrap_proposal, draws, xp, 1))
     assert est == pytest.approx(w2.mean(), rel=1e-12)
     assert se == pytest.approx(w2.std(ddof=1) / math.sqrt(1000), rel=1e-9)

@@ -17,19 +17,25 @@ from pfconv.resampling import _counts_from_positions, repeat_by_counts
 ALL_SCHEMES = ["multinomial", "stratified", "systematic"]
 
 
+def _row(resample, w, n, stream):
+    """The counts of one weight vector, resampled as a one-row block with
+    the stream's generator."""
+    return resample(np.asarray(w, dtype=float)[None], n, [stream.gen])[0]
+
+
 # ---------------------------------------------------------------------------
 # multinomial
 
 
 def test_multinomial_degenerate_weights():
-    counts = multinomial_resample([1.0, 0.0, 0.0], 3, RngStream(0))
+    counts = _row(multinomial_resample, [1.0, 0.0, 0.0], 3, RngStream(0))
     assert counts.tolist() == [3, 0, 0]
 
 
 def test_multinomial_deterministic():
     w = [0.2, 0.3, 0.5]
-    a = multinomial_resample(w, 3, RngStream(7))
-    b = multinomial_resample(w, 3, RngStream(7))
+    a = _row(multinomial_resample, w, 3, RngStream(7))
+    b = _row(multinomial_resample, w, 3, RngStream(7))
     assert np.array_equal(a, b)
 
 
@@ -38,7 +44,7 @@ def test_multinomial_mean_count_matches_binomial():
     w = np.array([0.5, 0.5])
     # counts[0] ~ Binomial(n, 1/2); averaging over trials shrinks sigma
     counts0 = np.array([
-        multinomial_resample(w, n, RngStream(1, (t,)))[0] for t in range(trials)
+        _row(multinomial_resample, w, n, RngStream(1, (t,)))[0] for t in range(trials)
     ])
     sigma = math.sqrt(n * 0.25 / trials)
     assert abs(counts0.mean() - n / 2) <= 3 * sigma
@@ -50,13 +56,13 @@ def test_multinomial_mean_count_matches_binomial():
 
 def test_systematic_exact_integer_mass_uniform():
     for seed in range(50):
-        counts = systematic_resample([0.25] * 4, 4, RngStream(seed))
+        counts = _row(systematic_resample, [0.25] * 4, 4, RngStream(seed))
         assert counts.tolist() == [1, 1, 1, 1]
 
 
 def test_systematic_exact_integer_mass_seven_three():
     for seed in range(50):
-        counts = systematic_resample([0.7, 0.3], 10, RngStream(seed))
+        counts = _row(systematic_resample, [0.7, 0.3], 10, RngStream(seed))
         assert counts.tolist() == [7, 3]
 
 
@@ -66,7 +72,7 @@ def test_systematic_fractional_mass_enumerated_offsets():
     n = 10
     for k in range(97):
         u = (k + 0.5) / 97 / n
-        counts = _counts_from_positions(w, u + np.arange(n) / n)
+        counts = _counts_from_positions(w[None], (u + np.arange(n) / n)[None])[0]
         assert counts[0] in (5, 6)
         assert counts[0] + counts[1] == n
 
@@ -75,7 +81,7 @@ def test_systematic_bracketing_random_weights():
     rng = RngStream(5)
     for trial in range(300):
         w = rng.derive(trial).gen.dirichlet(np.ones(16))
-        counts = systematic_resample(w, 16, rng.derive(1000 + trial))
+        counts = _row(systematic_resample, w, 16, rng.derive(1000 + trial))
         low = np.floor(16 * w)
         high = np.ceil(16 * w)
         assert np.all(counts >= low) and np.all(counts <= high)
@@ -86,12 +92,12 @@ def test_systematic_bracketing_random_weights():
 
 
 def test_stratified_uniform_exact():
-    counts = stratified_resample([0.125] * 8, 8, RngStream(3))
+    counts = _row(stratified_resample, [0.125] * 8, 8, RngStream(3))
     assert counts.tolist() == [1] * 8
 
 
 def test_stratified_point_mass():
-    counts = stratified_resample([1.0, 0.0], 5, RngStream(3))
+    counts = _row(stratified_resample, [1.0, 0.0], 5, RngStream(3))
     assert counts.tolist() == [5, 0]
 
 
@@ -100,7 +106,7 @@ def test_stratified_counts_near_expectation():
     w = np.array([0.4, 0.3, 0.2, 0.05, 0.03, 0.01, 0.005, 0.005])
     totals = np.zeros(n)
     for t in range(trials):
-        totals += stratified_resample(w, n, RngStream(2, (t,)))
+        totals += _row(stratified_resample, w, n, RngStream(2, (t,)))
     mean = totals / trials
     sigma = np.sqrt(n * w * (1 - w) / trials)  # binomial envelope
     assert np.all(np.abs(mean - n * w) <= 3 * sigma + 1e-9)
@@ -110,7 +116,7 @@ def test_stratified_counts_within_two_of_target():
     rng = RngStream(8)
     for trial in range(300):
         w = rng.derive(trial).gen.dirichlet(np.ones(12))
-        counts = stratified_resample(w, 12, rng.derive(9000 + trial))
+        counts = _row(stratified_resample, w, 12, rng.derive(9000 + trial))
         assert np.all(np.abs(counts - 12 * w) < 2)
 
 
@@ -125,7 +131,7 @@ def test_counts_sum_to_n(name):
     for trial in range(200):
         k = 1 + trial % 40
         w = rng.derive(0, trial).gen.dirichlet(np.ones(k))
-        counts = scheme.resample(w, k, rng.derive(1, trial))
+        counts = _row(scheme.resample, w, k, rng.derive(1, trial))
         assert counts.sum() == k
         assert np.all(counts >= 0)
 
@@ -134,9 +140,9 @@ def test_counts_sum_to_n(name):
 def test_not_normalized_rejected(name):
     scheme = get_scheme(name)
     with pytest.raises(NotNormalized):
-        scheme.resample(np.array([0.5, 0.6]), 2, RngStream(0))
+        _row(scheme.resample, np.array([0.5, 0.6]), 2, RngStream(0))
     with pytest.raises(NotNormalized):
-        scheme.resample(np.array([0.7, -0.3, 0.6]), 3, RngStream(0))
+        _row(scheme.resample, np.array([0.7, -0.3, 0.6]), 3, RngStream(0))
 
 
 def _bincount_counts(weights, positions):
@@ -170,16 +176,14 @@ def _zeros_at_slab_edges(gen, m, k, n):
 BINCOUNT_WEIGHTS = {
     "dirichlet": lambda gen, m, k, n: gen.dirichlet(np.ones(k), size=m),
     # multiples of 1/n: with n a power of two every edge is exact, and at a
-    # zero offset (`_ZeroStream`) the edges land exactly on positions
+    # zero offset (`_ZERO`) the edges land exactly on positions
     "multiples": lambda gen, m, k, n: gen.multinomial(n, np.ones(k) / k, size=m) / n,
     "slab_zeros": _zeros_at_slab_edges,
 }
 
 
-class _ZeroStream:
-    """A stream whose every uniform is 0.0: position j is exactly j / n."""
-
-    gen = SimpleNamespace(random=lambda size=None: 0.0 if size is None else np.zeros(size))
+# a generator whose every uniform is 0.0: position j is exactly j / n
+_ZERO = SimpleNamespace(random=lambda size=None: 0.0 if size is None else np.zeros(size))
 
 
 @settings(max_examples=80, deadline=None)
@@ -201,14 +205,13 @@ class _ZeroStream:
 @example(seed=4, m=60, k=40, n=300, name="stratified", weights="multiples",
          zero=True)  # groups of 27, 27 and 6 rows
 def test_counts_equal_the_bincount_counts(seed, m, k, n, name, weights, zero):
-    # m = 0 is a 1-D call; blocks of rows are counted in groups, which
-    # split a block when its rows hold more than a slab together
+    # m = 0 is one row, as m = 1; blocks of rows are counted in groups,
+    # which split a block when its rows hold more than a slab together
     w = BINCOUNT_WEIGHTS[weights](RngStream(seed, (0,)).gen, max(m, 1), k, n)
-    streams = [_ZeroStream() if zero else RngStream(seed, (1, r)) for r in range(len(w))]
-    counts = get_scheme(name).resample(w[0] if m == 0 else w, n,
-                                       streams[0] if m == 0 else streams)
-    for r, (row, row_weights) in enumerate(zip(np.atleast_2d(counts), w)):
-        gen = _ZeroStream.gen if zero else RngStream(seed, (1, r)).gen
+    gens = [_ZERO if zero else RngStream(seed, (1, r)).gen for r in range(len(w))]
+    counts = get_scheme(name).resample(w, n, gens)
+    for r, (row, row_weights) in enumerate(zip(counts, w)):
+        gen = _ZERO if zero else RngStream(seed, (1, r)).gen
         positions = BINCOUNT_POSITIONS[name](gen, n)
         assert np.array_equal(row, _bincount_counts(row_weights, positions))
 
@@ -218,12 +221,11 @@ def test_counts_equal_the_bincount_counts(seed, m, k, n, name, weights, zero):
                                      (2, SLAB + 3, SLAB + 3)])
 def test_counts_go_into_the_given_buffer(name, m, k, n):
     scheme = get_scheme(name)
-    w = _weight_block(max(m, 1), k)
+    w = _weight_block(max(m, 1), k)  # m = 0: one row, as a 1-D vector's block
 
-    def call(**out):  # fresh streams, so every call makes the same draws
-        streams = [RngStream(8, (r,)) for r in range(len(w))]
-        return scheme.resample(w[0] if m == 0 else w, n,
-                               streams[0] if m == 0 else streams, **out)
+    def call(**out):  # fresh generators, so every call makes the same draws
+        return scheme.resample(w, n, [RngStream(8, (r,)).gen for r in range(len(w))],
+                               **out)
 
     expected = call()
     buffer = np.full(expected.shape, np.nan)  # int64 view of a float buffer,
@@ -240,7 +242,7 @@ def test_positions_on_the_edges_count_as_at_the_cumsum_edges():
     # count moves if one edge of a later slab differs from np.cumsum's
     w = RngStream(3).gen.dirichlet(np.ones(3 * 8192 + 5))
     positions = np.cumsum(w)[:-1]
-    counts = _counts_from_positions(w, positions)
+    counts = _counts_from_positions(w[None], positions[None])[0]
     assert np.array_equal(counts, _bincount_counts(w, positions))
     assert counts.tolist() == [0] + [1] * (len(w) - 1)
 
@@ -250,28 +252,25 @@ def test_counts_of_uneven_positions_equal_the_bincount_counts():
     gen = RngStream(5).gen
     w = gen.dirichlet(np.ones(5000))
     positions = np.sort(gen.random(3000) ** 4)
-    assert np.array_equal(_counts_from_positions(w, positions),
+    assert np.array_equal(_counts_from_positions(w[None], positions[None])[0],
                           _bincount_counts(w, positions))
 
 
-class _TopStream:
-    """A stream whose every uniform is the largest double below 1."""
-
-    u = np.nextafter(1.0, 0.0)
-    gen = SimpleNamespace(random=lambda size=None: _TopStream.u if size is None
-                          else np.full(size, _TopStream.u))
+_U_TOP = np.nextafter(1.0, 0.0)
+# a generator whose every uniform is the largest double below 1
+_TOP = SimpleNamespace(random=lambda size=None: _U_TOP if size is None
+                       else np.full(size, _U_TOP))
 
 
 def test_position_one_lands_in_the_last_cell():
     # the last position rounds to exactly 1.0 = cum[-1]: (1 + u) / 2 and u / 2 + 1 / 2
-    assert _counts_from_positions(np.array([0.5, 0.5]), np.array([0.25, 1.0])).tolist() \
-        == [1, 1]
+    assert _counts_from_positions(np.array([[0.5, 0.5]]), np.array([[0.25, 1.0]])).tolist() \
+        == [[1, 1]]
     w = np.array([[0.5, 0.5], [0.25, 0.75]])
     for name in ("systematic", "stratified"):
         scheme = get_scheme(name)
-        assert scheme.resample(w[0], 2, _TopStream()).tolist() == [1, 1]
-        assert scheme.resample(w, 2, [_TopStream(), _TopStream()]).tolist() \
-            == [[1, 1], [0, 2]]
+        assert scheme.resample(w[:1], 2, [_TOP]).tolist() == [[1, 1]]
+        assert scheme.resample(w, 2, [_TOP, _TOP]).tolist() == [[1, 1], [0, 2]]
 
 
 # systematic counts take the stepped search only near ties
@@ -312,7 +311,7 @@ def test_systematic_counts_below_tie_edges_equal_searchsorted(n, rows):
 
 
 @pytest.mark.parametrize("n", TIE_SIZES)
-@pytest.mark.parametrize("m", [0, 3])  # 0: a 1-D call
+@pytest.mark.parametrize("m", [0, 3])  # 0: one row
 def test_systematic_counts_at_tie_edges_equal_searchsorted(n, m):
     # the weights' cumulative sums land within a few ulps of positions
     rows = max(m, 1)
@@ -320,10 +319,8 @@ def test_systematic_counts_at_tie_edges_equal_searchsorted(n, m):
     gen = RngStream(n, (3,)).gen
     w = np.array([np.diff(_tie_edges(_systematic_positions(u, n), gen),
                           prepend=0.0, append=1.0) for u in offsets])
-    streams = [RngStream(n, (2, r)) for r in range(rows)]
-    counts = systematic_resample(w[0] if m == 0 else w, n,
-                                 streams[0] if m == 0 else streams)
-    for row, row_weights, u in zip(np.atleast_2d(counts), w, offsets):
+    counts = systematic_resample(w, n, [RngStream(n, (2, r)).gen for r in range(rows)])
+    for row, row_weights, u in zip(counts, w, offsets):
         below = np.searchsorted(_systematic_positions(u, n), np.cumsum(row_weights)[:-1],
                                 "left")
         assert np.array_equal(row, np.diff(below, prepend=0, append=n))
@@ -335,7 +332,7 @@ def test_systematic_counts_at_tie_edges_equal_searchsorted(n, m):
 def test_counts_contract_property(seed, k, name):
     scheme = get_scheme(name)
     w = RngStream(seed, (0,)).gen.dirichlet(np.ones(k))
-    counts = scheme.resample(w, k, RngStream(seed, (1,)))
+    counts = _row(scheme.resample, w, k, RngStream(seed, (1,)))
     assert counts.sum() == k and np.all(counts >= 0)
     if name == "systematic":
         assert np.all(counts >= np.floor(k * w)) and np.all(counts <= np.ceil(k * w))
@@ -403,10 +400,9 @@ def test_block_rows_equal_one_row_calls(name):
     scheme = get_scheme(name)
     w = _weight_block(5, 12)
     for n in (12, 30):
-        streams = [RngStream(6, (n, r)) for r in range(5)]
-        block = scheme.resample(w, n, streams)
+        block = scheme.resample(w, n, [RngStream(6, (n, r)).gen for r in range(5)])
         assert block.shape == (5, 12) and block.dtype == np.int64
-        rows = [scheme.resample(w[r], n, RngStream(6, (n, r))) for r in range(5)]
+        rows = [_row(scheme.resample, w[r], n, RngStream(6, (n, r))) for r in range(5)]
         assert np.array_equal(block, np.array(rows))
 
 
@@ -416,7 +412,7 @@ def test_block_check_names_lowest_failing_row(name):
     w[3] *= 1.1  # sum 1.1
     w[1, 0] = -w[1, 0]  # negative
     with pytest.raises(NotNormalized, match="nonnegative") as info:
-        get_scheme(name).resample(w, 6, [RngStream(0, (r,)) for r in range(5)])
+        get_scheme(name).resample(w, 6, [RngStream(0, (r,)).gen for r in range(5)])
     assert info.value.row == 1
 
 
@@ -429,16 +425,25 @@ def test_block_check_names_lowest_failing_row(name):
 def test_block_check_names_a_failing_middle_row(name, bad, message):
     w = np.full((5, 4), 0.25)
     w[3, 0] = bad
-    streams = [RngStream(0, (r,)) for r in range(5)]
+    gens = [RngStream(0, (r,)).gen for r in range(5)]
     with pytest.raises(NotNormalized, match=message) as info:
-        get_scheme(name).resample(w, 4, streams)
+        get_scheme(name).resample(w, 4, gens)
     assert info.value.row == 3
     assert get_scheme(name).resample(np.empty((0, 4)), 4, []).shape == (0, 4)
 
 
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+def test_weights_that_are_not_a_block_are_refused(name):
+    # a scheme takes an (M, K) block and M generators; one weight vector is
+    # the one-row block w[None]
+    for w in (np.array([0.5, 0.5]), np.full((1, 1, 2), 0.5)):
+        with pytest.raises(ValueError, match=r"need an \(M, K\) weight block"):
+            get_scheme(name).resample(w, 2, [RngStream(0).gen])
+
+
 def test_block_needs_one_stream_per_row():
     with pytest.raises(ValueError):
-        multinomial_resample(_weight_block(3, 4), 4, [RngStream(0), RngStream(1)])
+        multinomial_resample(_weight_block(3, 4), 4, [RngStream(0).gen, RngStream(1).gen])
 
 
 @settings(max_examples=60, deadline=None)

@@ -112,13 +112,20 @@ def test_rekeyed_generator_reproduces_a_fresh_one():
 
 
 def test_keyed_rows_yield_derived_streams_on_the_block_generator():
+    # every row is the block's one generator, re-keyed to the row's key: it
+    # draws what Generator(Philox(key=keys[r])) and the derived stream
+    # root.derive(4, branch) draw, for the propose (0) and resample (1) branch
     roots = [RngStream(5, (2, r)) for r in range(3)]
-    keys = KeyPool.of(roots).absorb(4).absorb(1).keys()
-    gen = _philox(keys[0])
-    for root, stream in zip(roots, KeyedRows(gen, roots, (4, 1), keys)):
-        assert (stream.master_seed, stream.labels) == (5, root.labels + (4, 1))
-        assert stream.gen is gen
-        assert np.array_equal(stream.gen.random(4), root.derive(4, 1).gen.random(4))
+    branches = KeyPool.of(roots).absorb(4).absorb((0, 1)).keys()
+    gen = _philox(branches[1, 2])
+    for branch, keys in enumerate(branches):
+        rows = KeyedRows(gen, keys)
+        assert len(rows) == len(roots)
+        for r, (root, row) in enumerate(zip(roots, rows)):
+            assert row is gen
+            drawn = _draws(row)
+            for want in (_draws(_philox(keys[r])), _draws(root.derive(4, branch).gen)):
+                assert all(np.array_equal(x, y) for x, y in zip(drawn, want))
 
 
 @pytest.mark.parametrize("seed, labels, bad", [(-1, (), -1), (3, (1, -2), -2)])
