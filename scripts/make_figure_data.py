@@ -10,7 +10,9 @@ Everything lands under out/figures/.  Run from the repository root.
 
 With --check the files go to a temporary directory instead and are
 compared byte for byte with the committed out/figures/ files.  The exit
-status is 1 when a file differs, and each differing file is named.
+status is 1 when a file differs.  Each differing file is named with how
+many of its numbers differ, the largest relative difference among them,
+and the first line whose other text differs.
 """
 
 import argparse
@@ -19,6 +21,7 @@ import sys
 import tempfile
 
 from pfconv.cli import cli_dispatch
+from run_acceptance_studies import print_differences
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "out" / "figures"
@@ -47,18 +50,24 @@ def make_figures(out: pathlib.Path) -> int:
     return 0
 
 
+def compare_figures(out: pathlib.Path, committed: pathlib.Path) -> int:
+    """Print how each file of out/ differs from committed/, a file that only
+    one of them holds included; return how many differ."""
+    def read(path):
+        return path.read_bytes() if path.is_file() else None
+
+    names = sorted({p.name for p in out.iterdir()} | {p.name for p in committed.iterdir()})
+    return print_differences((f"out/figures/{name}", read(out / name), read(committed / name))
+                             for name in names)
+
+
 def check() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
         code = make_figures(out)
         if code != 0:
             return code
-        names = sorted({p.name for p in out.iterdir()} | {p.name for p in OUT.iterdir()})
-        differs = [name for name in names
-                   if not (out / name).is_file() or not (OUT / name).is_file()
-                   or (out / name).read_bytes() != (OUT / name).read_bytes()]
-    for name in differs:
-        print(f"differs from the committed file: out/figures/{name}")
+        differs = compare_figures(out, OUT)
     if not differs:
         print("figure files match the committed out/figures/ files byte for byte")
     return 1 if differs else 0

@@ -10,23 +10,68 @@ then reading the t = 11 rate fits out of the JSON reports.  Run from the
 repository root.
 
 With --check the reports go to a temporary directory instead, and
-report.csv and report.json are compared byte for byte with the committed
-out/{mse,l4}/ files; only the output paths echoed in the JSON config are
-normalized.  The exit status is 1 when a file differs, and each
-differing file is named.
+report.csv, report.json and report.svg are compared byte for byte with
+the committed out/{mse,l4}/ files; only the output paths echoed in the
+JSON config are normalized.  The exit status is 1 when a file differs.
+Each differing file is named with how many of its numbers differ, the
+largest relative difference among them, and the first line whose other
+text differs.
 """
 
 import argparse
 import json
 import pathlib
+import re
 import sys
 import tempfile
+from itertools import zip_longest
 
 from pfconv.cli import cli_dispatch
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 STUDIES = (("acceptance_mse", 2, (-1.35, -0.70)),
            ("acceptance_l4", 4, (-2.5, -1.4)))
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def describe_difference(fresh: str, committed: str) -> str:
+    """How a fresh text file differs from the committed one: the numbers
+    that differ and their largest relative difference, then the first line
+    whose text around the numbers differs."""
+    new, old = NUMBER.findall(fresh), NUMBER.findall(committed)
+    how = []
+    if len(new) != len(old):
+        how.append(f"{len(new)} numbers against {len(old)} committed")
+    else:
+        pairs = [(float(a), float(b)) for a, b in zip(new, old) if a != b]
+        if pairs:
+            rel = max(abs(a - b) / max(abs(a), abs(b)) if a != b else 0.0  # "0" vs "-0.0"
+                      for a, b in pairs)
+            how.append(f"{len(pairs)} of {len(new)} numbers differ, "
+                       f"by at most {rel:.2g} relative")
+    lines = zip_longest(NUMBER.sub("#", fresh).splitlines(),
+                        NUMBER.sub("#", committed).splitlines())
+    for k, (a, b) in enumerate(lines, 1):
+        if a != b:
+            how.append(f"other text differs first at line {k}: {a!r}, committed {b!r}")
+            break
+    return "; ".join(how) or "the same numbers and text, other bytes differ"
+
+
+def print_differences(files) -> int:
+    """Print each (name, fresh bytes, committed bytes) whose two versions
+    differ, with how (a missing file is None); return how many differ."""
+    differs = 0
+    for name, fresh, committed in files:
+        if fresh == committed:
+            continue
+        differs += 1
+        if fresh is None or committed is None:
+            how = "no fresh file" if fresh is None else "no committed file"
+        else:
+            how = describe_difference(fresh.decode(), committed.decode())
+        print(f"differs from the committed file: {name}: {how}")
+    return differs
 
 
 def run_studies(out: pathlib.Path | None) -> int:
@@ -52,21 +97,24 @@ def run_studies(out: pathlib.Path | None) -> int:
     return 0
 
 
+def compare_reports(out: pathlib.Path, committed: pathlib.Path) -> int:
+    """Print how each report under out/<label>/ differs from committed/<label>/;
+    return how many differ.  The paths echoed in the JSON become "out"."""
+    return print_differences(
+        (f"out/{label}/{fname}",
+         (out / label / fname).read_bytes().replace(str(out).encode(), b"out"),
+         (committed / label / fname).read_bytes())
+        for label in (name.split("_")[1] for name, _, _ in STUDIES)
+        for fname in ("report.csv", "report.json", "report.svg"))
+
+
 def check() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp)
         code = run_studies(out)
         if code != 0:
             return code
-        differs = []
-        for name, _, _ in STUDIES:
-            label = name.split("_")[1]
-            for fname in ("report.csv", "report.json"):
-                fresh = (out / label / fname).read_bytes().replace(str(out).encode(), b"out")
-                if fresh != (ROOT / "out" / label / fname).read_bytes():
-                    differs.append(f"out/{label}/{fname}")
-    for path in differs:
-        print(f"differs from the committed file: {path}")
+        differs = compare_reports(out, ROOT / "out")
     if not differs:
         print("reports match the committed out/ files byte for byte")
     return 1 if differs else 0

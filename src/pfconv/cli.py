@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     for _, key, field, parse in KEYS:
         p.add_argument(flag(key), dest=field, type=parse, choices=choices.get(field))
     p.add_argument("--workers", type=int,
-                   help="worker processes, and threads of the grid oracle "
+                   help="worker processes "
                         "(default: usable cores, capped by PFCONV_WORKERS)")
     p.set_defaults(func=_cmd_converge)
 

@@ -204,14 +204,14 @@ def _study_cell(args):
     return n_idx, replicates, block.estimates.swapaxes(0, 1), block.resampled.swapaxes(0, 1)
 
 
-def _oracle_tables(config: ExperimentConfig, obs, phis, workers: int | None):
-    """Grid-filter truth plus a halved-dx self-consistency check; the
-    grids predict on ``workers`` threads (see `run_cox_grid_filter`)."""
+def _oracle_tables(config: ExperimentConfig, obs, phis):
+    """Grid-filter truth plus a halved-dx self-consistency check, both
+    run in the calling process (see `run_cox_grid_filter`)."""
     n_cells = grid_cells(config.grid_x_max, config.grid_dx)
     coarse = run_cox_grid_filter(CoxParams(config.c, config.eta), obs,
-                                 config.grid_x_max, n_cells, phis, workers)
+                                 config.grid_x_max, n_cells, phis)
     fine = run_cox_grid_filter(CoxParams(config.c, config.eta), obs,
-                               config.grid_x_max, 2 * n_cells, phis, workers)
+                               config.grid_x_max, 2 * n_cells, phis)
     delta = max(
         abs(a - b)
         for phi in phis
@@ -301,7 +301,7 @@ def run_convergence_study(config: ExperimentConfig,
     obs = ObservationSeries.from_csv(config.observations)
     obs_rows = tuple(obs)
     phis = make_test_functions(config.test_functions)
-    oracle, check = _oracle_tables(config, obs_rows, phis, workers)
+    oracle, check = _oracle_tables(config, obs_rows, phis)
     truth_map = {name: list(vals) for name, vals in oracle.estimates.items()}
     steps = list(oracle.steps)
 

@@ -275,7 +275,7 @@ def _raw_log_weights(model, proposal, x_t, x_prev, y,
         row, particle = divmod(s.start + i, lw.shape[-1])
 
         def value(a):
-            return np.broadcast_to(np.asarray(a, dtype=float), slab.shape)[i]
+            return float(np.broadcast_to(np.asarray(a, dtype=float), slab.shape)[i])
 
         err = WeightNotFinite(
             f"non-finite log weight at particle {particle}: x={value(x)!r} "
@@ -320,7 +320,7 @@ def _normalize_rows(lw: np.ndarray, top: np.ndarray, e: np.ndarray, sums: np.nda
     off = ~(np.abs(total - 1.0) <= _NORMALIZATION_RTOL * np.maximum(np.abs(total), 1.0))
     if np.any(off):
         r = int(np.argmax(off))
-        raise at_row(DomainError(f"normalized weights sum to {total[r]!r}, not 1"), r)
+        raise at_row(DomainError(f"normalized weights sum to {float(total[r])!r}, not 1"), r)
     return w, total
 
 

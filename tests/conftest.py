@@ -26,8 +26,8 @@ def philox_key(gen) -> tuple[int, int]:
 @pytest.fixture(autouse=True)
 def no_thread_outlives_its_test():
     """Fail a test that leaves more threads alive than it started with:
-    every helper thread (the filter's draw thread, the oracle's pool)
-    must end with the run that started it."""
+    every helper thread (the filter's draw thread) must end with the run
+    that started it."""
     before = threading.enumerate()
     yield
     after = threading.enumerate()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -308,17 +309,19 @@ def test_worker_count_does_not_change_results(tmp_path, fixture_obs_path, small_
 
 def test_oracle_runs_on_the_study_workers_and_echoes_its_spacing(fixture_obs_path,
                                                                   monkeypatch):
-    # dx 0.049 on [0, 12] rounds to 245 cells, so the grid's spacing is 12 / 245
+    # the oracle runs once per spacing on the study's calling thread, not
+    # on its workers; dx 0.049 on [0, 12] rounds to 245 cells, so the
+    # grid's spacing is 12 / 245
     seen = []
     oracle = convergence.run_cox_grid_filter
 
-    def recording(params, obs, x_max, n_cells, phis, workers):
-        seen.append((n_cells, workers))
-        return oracle(params, obs, x_max, n_cells, phis, workers)
+    def recording(params, obs, x_max, n_cells, phis):
+        seen.append((n_cells, threading.get_ident()))
+        return oracle(params, obs, x_max, n_cells, phis)
 
     monkeypatch.setattr(convergence, "run_cox_grid_filter", recording)
-    report = run_convergence_study(small_config(fixture_obs_path, grid_dx=0.049), workers=1)
-    assert seen == [(245, 1), (490, 1)]
+    report = run_convergence_study(small_config(fixture_obs_path, grid_dx=0.049), workers=2)
+    assert seen == [(245, threading.get_ident()), (490, threading.get_ident())]
     assert report.oracle_check["dx"] == 12.0 / 245
     assert report.oracle_check["fine_dx"] == 12.0 / 490
 

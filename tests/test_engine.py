@@ -125,12 +125,18 @@ def test_weight_is_minus_inf_at_zero_likelihood(cox_model, bootstrap_proposal):
 
 
 def test_weight_not_finite_when_proposal_vanishes(cox_model, gamma_proposal):
+    # every parent at 1 and every proposal at 0, where the Gamma density is 0
+    ones = dataclasses.replace(cox_model, prior_sample=lambda gen, size: np.ones(size))
     zero_proposal = Proposal(
         propose=lambda xp, y, rng: np.zeros(len(np.atleast_1d(xp))),
         logdensity=gamma_proposal.logdensity,
     )
-    with pytest.raises(WeightNotFinite, match="t=1"):
-        run_filter(cox_model, zero_proposal, [(1, 0)], 8, get_scheme("multinomial"), 1)
+    log_f = float(cox_model.transition_logdensity(np.zeros(1), np.ones(1))[0])
+    with pytest.raises(WeightNotFinite) as info:
+        run_filter(ones, zero_proposal, [(1, 0)], 8, get_scheme("multinomial"), 1)
+    assert str(info.value) == (  # plain floats, never np.float64(...)
+        f"filter step t=1, row 0: non-finite log weight at particle 0: x=0.0 "
+        f"(log q=-inf, log f={log_f!r}, log g=-0.0)")
 
 
 def test_conditional_expectation_matches_quadrature(cox_model, gamma_proposal):
@@ -178,6 +184,16 @@ def test_normalize_extreme_magnitudes():
 def test_normalize_degenerate_raises():
     with pytest.raises(DegenerateWeights):
         _normalize([-math.inf, -math.inf])
+
+
+def test_normalize_names_an_off_total_as_a_plain_float():
+    # row sums that are not the rows' exponential sums: row 1's weights
+    # come out 0.5 each and total 2
+    lw, e = np.zeros((2, 4)), np.ones((2, 4))
+    with pytest.raises(DomainError) as info:
+        _normalize_rows(lw, np.zeros(2), e, np.array([4.0, 2.0]))
+    assert str(info.value) == "normalized weights sum to 2.0, not 1"
+    assert info.value.row == 1
 
 
 @settings(max_examples=200, deadline=None)

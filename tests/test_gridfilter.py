@@ -139,162 +139,146 @@ def test_grid_predict_matches_dense_kernel(eta):
         assert np.allclose(out, dense, rtol=1e-12, atol=0)
 
 
-def _whole_rows_predict(grid, eta):
-    """Reference: both lag sums over all n rows in one call each."""
+def _every_lag_rows(grid, eta):
+    """Both lag sums over all n rows and every lag, in one call each, times
+    dx and not renormalized."""
     n, dx = grid.n_cells, grid.dx
     scale = math.sqrt(2 * math.pi * eta)
     toe = np.exp(-(np.arange(1 - n, n) * dx) ** 2 / (2 * eta)) / scale
     han = np.exp(-(np.arange(1, 2 * n) * dx) ** 2 / (2 * eta)) / scale
-    values = (np.convolve(toe, grid.values, "valid")
-              + np.correlate(han, grid.values, "valid")) * dx
-    return values / (np.sum(values) * dx)
+    return (np.convolve(toe, grid.values, "valid")
+            + np.correlate(han, grid.values, "valid")) * dx
 
 
-def _hankel_first_zero(n, x_max, eta):
-    x = np.arange(1, 2 * n) * (x_max / n)
-    zero = np.flatnonzero(np.exp(-x ** 2 / (2 * eta)) / math.sqrt(2 * math.pi * eta) == 0)
-    return int(zero[0]) if zero.size else None
+def _whole_rows_predict(grid, eta):
+    """Reference: the every-lag rows, renormalized."""
+    values = _every_lag_rows(grid, eta)
+    return values / (np.sum(values) * grid.dx)
 
 
-# (x_max, eta): at 0.1 about 19% of the Hankel rows are exactly zero; at
-# 1e-6 all but the first few (at 10 cells all of them); at 5.0 none; at
-# x_max = 30, eta = 1 the first zero lag lies past the last row
-@pytest.mark.parametrize("x_max, eta", [(15.0, 0.1), (15.0, 1e-6), (15.0, 5.0), (30.0, 1.0)])
-@pytest.mark.parametrize("n", [10, 11, 600, 3001])
-def test_grid_predict_bits_do_not_depend_on_the_thread_count(n, x_max, eta):
-    first_zero = _hankel_first_zero(n, x_max, eta)
-    if eta == 5.0:
-        assert first_zero is None
-    elif eta == 1.0:
-        assert n <= first_zero
-    else:
-        assert first_zero < n
-    rough = 1.0 + np.sin(np.arange(n) * 1.7) ** 2  # every cell different
-    # with all mass in cell 0, the last nonzero Hankel lag changes the bits
-    # of its row, so skipping one row too many fails
-    corner = np.zeros(n)
-    corner[0] = n / x_max
-    for grid in (grid_init(lambda x: folded_normal_prior(x) * rough, x_max, n),
-                 GridDensity(x_max, corner)):
-        inline = grid_predict(grid, eta).values
-        assert np.array_equal(inline, _whole_rows_predict(grid, eta))
-        for threads in (1, 2, 3, 4):
-            with ThreadPoolExecutor(threads) as pool:
-                assert np.array_equal(grid_predict(grid, eta, pool=pool).values, inline)
-
-
-class _RowsInline(ThreadPoolExecutor):
-    """A pool that fails if a grid_predict row range is sent to it."""
-
-    def map(self, *args, **kwargs):
-        raise AssertionError("prediction rows ran on the pool")
-
-
-def test_grid_predict_runs_one_range_above_the_blas_threaded_size(monkeypatch):
-    # above BLAS_THREADED_DOT cells BLAS threads each row's dot product, so
-    # the rows run as one range on the calling thread, with the same bits
-    assert gridfilter.BLAS_THREADED_DOT == 10_000
-    grid = grid_init(folded_normal_prior, 15.0, 600)
-    inline = grid_predict(grid, 0.1).values
-    with _RowsInline(2) as pool:
-        with pytest.raises(AssertionError, match="ran on the pool"):
-            grid_predict(grid, 0.1, pool=pool)  # 600 cells: split
-        monkeypatch.setattr(gridfilter, "BLAS_THREADED_DOT", 600)
-        with pytest.raises(AssertionError, match="ran on the pool"):
-            grid_predict(grid, 0.1, pool=pool)
-        monkeypatch.setattr(gridfilter, "BLAS_THREADED_DOT", 599)
-        assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, inline)
+def _dense_predict(grids, eta, rows=250):
+    """Reference: the kernel K[i, j] = f(x_i | x_j) built from the transition
+    log-density, applied to grids of one shape as K @ values * dx and
+    renormalized; built ``rows`` rows at a time, so never n x n at once."""
+    mids, dx = grids[0].midpoints(), grids[0].dx
+    values = np.stack([grid.values for grid in grids], axis=1)
+    dense = np.concatenate([
+        np.exp(cox_transition_logdensity(mids[lo:lo + rows, None], mids, eta)) @ values
+        for lo in range(0, len(mids), rows)]) * dx
+    return (dense / (np.sum(dense, axis=0) * dx)).T
 
 
 TINY = np.finfo(float).tiny
 
 
-def _every_lag(n, x_max, eta):
-    """The Toeplitz and Hankel lag vectors with no lag set to 0."""
-    dx = x_max / n
-    scale = math.sqrt(2 * math.pi * eta)
-    toe = np.exp(-(np.arange(1 - n, n) * dx) ** 2 / (2 * eta)) / scale
-    han = np.exp(-(np.arange(1, 2 * n) * dx) ** 2 / (2 * eta)) / scale
-    return toe, han
+def _assert_accurate(out, reference):
+    """Every cell where the reference is a normal double agrees with it to
+    1e-12 relative; subnormal cells carry no relative accuracy."""
+    normal = reference >= TINY
+    assert np.count_nonzero(normal) > 0
+    assert np.allclose(out[normal], reference[normal], rtol=1e-12, atol=0)
+
+
+# (x_max, eta): at 0.1 the band keeps a quarter to a third of the 2n^2
+# terms, at 1e-6 one to four lags each side, at 5.0 nearly every term, and
+# at x_max = 30, eta = 1 about half
+@pytest.mark.parametrize("x_max, eta", [(15.0, 0.1), (15.0, 1e-6), (15.0, 5.0), (30.0, 1.0)])
+@pytest.mark.parametrize("n", [10, 11, 600, 3001])
+def test_grid_predict_bits_do_not_depend_on_the_thread_count(n, x_max, eta):
+    rough = 1.0 + np.sin(np.arange(n) * 1.7) ** 2  # every cell different
+    # all mass in cell 0: every other row has v_i = 0 and keeps every lag
+    corner = np.zeros(n)
+    corner[0] = n / x_max
+    grids = (grid_init(lambda x: folded_normal_prior(x) * rough, x_max, n),
+             GridDensity(x_max, corner))
+    for grid, dense in zip(grids, _dense_predict(grids, eta)):
+        out = grid_predict(grid, eta).values
+        _assert_accurate(out, dense)
+        for threads in (2, 3, 4):  # concurrent calls share no state
+            with ThreadPoolExecutor(threads) as pool:
+                for again in pool.map(lambda _: grid_predict(grid, eta), range(threads)):
+                    assert np.array_equal(again.values, out)
 
 
 @pytest.mark.parametrize("n", [3000, 6000])
-def test_grid_predict_has_the_every_lag_bits_on_the_fixture_grids(fixture_obs, n):
+def test_grid_predict_matches_the_dense_kernel_on_the_fixture_grids(fixture_obs, n):
     # the prior and every filtered grid of the committed fixture: the grids
     # the acceptance studies predict from
     run = run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, n)
-    for grid in (grid_init(folded_normal_prior, 15.0, n),) + run.grids:
-        expected = _whole_rows_predict(grid, 0.1)
-        assert np.array_equal(grid_predict(grid, 0.1).values, expected)
-        for threads in (1, 2, 3, 4):
-            with ThreadPoolExecutor(threads) as pool:
-                assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, expected)
-
-
-def test_lags_below_tiny_are_zeroed_and_no_others():
-    grid = grid_init(folded_normal_prior, 15.0, 3000)
-    every_toe, every_han = _every_lag(3000, 15.0, 0.1)
-    toe, han = gridfilter._lags(grid, 0.1)
-    assert np.array_equal(toe, np.where(every_toe < TINY, 0.0, every_toe))
-    assert np.array_equal(han, np.where(every_han < TINY, 0.0, every_han))
-    # the subnormal lags at 3000 cells: 61 on each side of the Toeplitz
-    # vector, 61 of the Hankel one
-    assert np.count_nonzero(every_toe) - np.count_nonzero(toe) == 122
-    assert np.count_nonzero(every_han) - np.count_nonzero(han) == 61
+    grids = (grid_init(folded_normal_prior, 15.0, n),) + run.grids
+    for grid, dense in zip(grids, _dense_predict(grids, 0.1)):
+        _assert_accurate(grid_predict(grid, 0.1).values, dense)
 
 
 def _steep(n, x_max, eta):
     """A grid that grows like the inverse of the lags up to e^650: its
-    smallest cell is e^-750 of its largest, below 2^-900 of it, and the
-    products of the largest cells with subnormal lags reach the rows of
-    the small cells."""
+    smallest cell is e^-750 of its largest, so its small cells' rows are
+    dominated by far terms from the large cells."""
     x = (np.arange(n) + 0.5) * (x_max / n)
     return GridDensity(x_max, np.exp(np.minimum(x * x / (2 * eta) - 100.0, 650.0)))
 
 
 @pytest.mark.parametrize("n", [600, 3001])
-def test_grid_with_a_cell_below_2_pow_minus_900_of_its_largest_keeps_every_lag(n):
-    every = _every_lag(n, 15.0, 0.1)
+def test_grid_predict_is_accurate_on_a_point_mass_and_a_steep_grid(n):
     corner = np.zeros(n)
     corner[0] = n / 15.0
-    steep = _steep(n, 15.0, 0.1)
-    for grid in (GridDensity(15.0, corner), steep):
-        assert all(np.array_equal(a, b) for a, b in zip(gridfilter._lags(grid, 0.1), every))
-        expected = _whole_rows_predict(grid, 0.1)
-        assert np.array_equal(grid_predict(grid, 0.1).values, expected)
-        with ThreadPoolExecutor(2) as pool:
-            assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, expected)
-    # on the steep grid zeroing the subnormal lags would change the bits
-    toe, han = (np.where(lags < TINY, 0.0, lags) for lags in every)
-    zeroed = (np.convolve(toe, steep.values, "valid")
-              + np.correlate(han, steep.values, "valid")) * steep.dx
-    zeroed /= np.sum(zeroed) * steep.dx
-    assert not np.array_equal(zeroed, _whole_rows_predict(steep, 0.1))
+    grids = (GridDensity(15.0, corner), _steep(n, 15.0, 0.1))
+    for grid, dense in zip(grids, _dense_predict(grids, 0.1)):
+        _assert_accurate(grid_predict(grid, 0.1).values, dense)
 
 
-# n = 10: below one 32-term block, no cut; 33: one block and a one-term
-# tail; 10_001: above BLAS_THREADED_DOT, where BLAS splits a dot at
-# length-dependent points, so no cut
+def _largest_cut_terms(grid, eta, rows=250):
+    """Per row i, the largest Toeplitz and the largest Hankel term past its
+    half-width h_i, where the band may cut: max over j of f(k dx) v_j with
+    k = |i - j|, resp. k = i + j + 1, above h_i (0 where none); plus the
+    number of Hankel terms past h_i."""
+    n, dx, v = grid.n_cells, grid.dx, grid.values
+    f = np.exp(-(np.arange(2 * n + 1) * dx) ** 2 / (2 * eta)) / math.sqrt(2 * math.pi * eta)
+    h = gridfilter._half_widths(v, dx, eta)
+    toe, han, cut = np.zeros(n), np.zeros(n), 0
+    for lo in range(0, n, rows):
+        i = np.arange(lo, min(lo + rows, n))[:, None]
+        j = np.arange(n)[None, :]
+        past = h[i]
+        for k, out in ((np.abs(i - j), toe), (i + j + 1, han)):
+            out[i[:, 0]] = np.max(np.where(k > past, f[k] * v, 0.0), axis=1)
+        cut += int(np.count_nonzero(i + j + 1 > past))
+    return toe, han, cut
+
+
+# n <= 256: one block, its window cut at the mirrored values' top end;
+# 600: three blocks, the last one short; 10_001: 40 blocks
 @pytest.mark.parametrize("n", [10, 33, 100, 600, 3001, 6000, 10_001])
-def test_hankel_rows_are_cut_only_where_the_bits_hold(monkeypatch, n):
-    # random lags and cells: every term counts, so a cut that drops a nonzero
-    # term or moves one into another accumulator lane changes the bits
-    rng = np.random.default_rng(n)
-    grid = GridDensity(15.0, rng.uniform(0.5, 2.0, n))
-    toe = rng.uniform(0.5, 2.0, 2 * n - 1)
-    counts = {1, n // 2 + 3, n - 1, n + 1, 2 * n - 1} if n > 10_000 else \
-        {1, 31, 32, 33, n - 1, n, n + 1, 2 * n - 1, *rng.integers(1, 2 * n, 8)}
-    for nonzero in sorted(c for c in counts if c < 2 * n):
-        han = np.zeros(2 * n - 1)
-        han[:nonzero] = np.sort(rng.uniform(0.5, 2.0, nonzero))[::-1]
-        monkeypatch.setattr(gridfilter, "_lags", lambda grid, eta: (toe.copy(), han.copy()))
-        expected = (np.convolve(toe, grid.values, "valid")
-                    + np.correlate(han, grid.values, "valid")) * grid.dx
-        expected /= np.sum(expected) * grid.dx
-        assert np.array_equal(grid_predict(grid, 0.1).values, expected), nonzero
-        for threads in (2, 3) if n <= 10_000 else ():
-            with ThreadPoolExecutor(threads) as pool:
-                assert np.array_equal(grid_predict(grid, 0.1, pool=pool).values, expected)
+def test_hankel_rows_are_cut_only_where_the_bits_hold(n):
+    # every term past a row's half-width is below 2^-60 of the row's own
+    # term f(0) v_i, so added alone to the row's every-lag sum it leaves
+    # that sum's bits unchanged; and the band's rows keep 1e-12 relative
+    # accuracy against every-lag sums
+    grid = GridDensity(15.0, np.random.default_rng(n).uniform(0.5, 2.0, n))
+    v, dx, eta = grid.values, grid.dx, 0.1
+    toe, han, cut = _largest_cut_terms(grid, eta)
+    assert cut > 0
+    own = v / math.sqrt(2 * math.pi * eta)  # f(0) v_i
+    assert np.all(toe < 2.0 ** -60 * own) and np.all(han < 2.0 ** -60 * own)
+    every = _every_lag_rows(grid, eta)
+    assert np.all(own * dx <= every)
+    assert np.array_equal(every + toe * dx, every) and np.array_equal(every + han * dx, every)
+    _assert_accurate(grid_predict(grid, eta).values, _whole_rows_predict(grid, eta))
+
+
+def test_an_outlier_count_keeps_the_every_lag_estimates(monkeypatch):
+    # a count of 15 after three zero counts puts the posterior where the
+    # prediction's far tail was: the band must keep that tail's relative
+    # accuracy, or the update lifts its error to the grid's edge
+    obs = [(1, 0), (2, 0), (3, 0), (4, 15), (5, 0)]
+    params = CoxParams(0.5, 0.1)
+    band = run_cox_grid_filter(params, obs, 15.0, 3000, [EXP_NEG, ONE])
+    monkeypatch.setattr(gridfilter, "grid_predict", lambda grid, eta: GridDensity(
+        grid.x_max, _whole_rows_predict(grid, eta)))
+    every = run_cox_grid_filter(params, obs, 15.0, 3000, [EXP_NEG, ONE])
+    for name in ("exp_neg", "one"):
+        assert np.allclose(band.estimates[name], every.estimates[name], rtol=1e-12, atol=0)
+    assert np.allclose(band.means, every.means, rtol=1e-12, atol=0)
 
 
 def test_grid_predict_rejects_an_infinite_or_nan_eta():
@@ -305,37 +289,31 @@ def test_grid_predict_rejects_an_infinite_or_nan_eta():
             grid_predict(grid, eta)
 
 
-def test_hankel_jobs_cover_the_live_rows_in_equal_work_jobs():
-    n, nonzero = 3000, 2380  # the Hankel lags at eta = 0.1, x_max = 15
-    for parts in (1, 2, 3, 4):
-        jobs = gridfilter._hankel_jobs(n, nonzero, parts)
-        blocks = [block for job in jobs for block in job]
-        assert len(jobs) == parts and len(blocks) == gridfilter._HANKEL_BLOCKS
-        assert [lo for lo, _, _ in blocks[1:]] == [hi for _, hi, _ in blocks[:-1]]
-        assert blocks[0][0] == 0 and blocks[-1][1] == nonzero
-        for lo, _, k in blocks:
-            assert k % 32 == 0 and nonzero - lo <= k < nonzero - lo + 32
-        work = [sum((hi - lo) * k for lo, hi, k in job) for job in jobs]
-        assert max(work) - min(work) <= max((hi - lo) * k for lo, hi, k in blocks)
-
-
 def test_run_cox_grid_filter_same_run_on_any_thread_count(fixture_obs):
+    # one run on the calling thread, then three at once on a pool: the
+    # oracle shares no state between calls, so every run has the same bits
     params = CoxParams(0.5, 0.1)
-    one = run_cox_grid_filter(params, fixture_obs, 15.0, 1201, [EXP_NEG, ONE], workers=1)
-    three = run_cox_grid_filter(params, fixture_obs, 15.0, 1201, [EXP_NEG, ONE], workers=3)
-    assert len(one.grids) == len(three.grids) == len(fixture_obs)
-    for a, b in zip(one.grids, three.grids):
-        assert a.x_max == b.x_max and np.array_equal(a.values, b.values)
-    assert (one.steps, one.estimates, one.means, one.variances, one.log_evidence) == \
-        (three.steps, three.estimates, three.means, three.variances, three.log_evidence)
+
+    def run(_=None):
+        return run_cox_grid_filter(params, fixture_obs, 15.0, 1201, [EXP_NEG, ONE])
+
+    one = run()
+    with ThreadPoolExecutor(3) as pool:
+        three = list(pool.map(run, range(3)))
+    for other in three:
+        assert len(one.grids) == len(other.grids) == len(fixture_obs)
+        for a, b in zip(one.grids, other.grids):
+            assert a.x_max == b.x_max and np.array_equal(a.values, b.values)
+        assert (one.steps, one.estimates, one.means, one.variances, one.log_evidence) == \
+            (other.steps, other.estimates, other.means, other.variances, other.log_evidence)
 
 
 def test_run_cox_grid_filter_leaves_no_thread_behind(fixture_obs):
     before = threading.active_count()
-    run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800, workers=3)
+    run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800)
     assert threading.active_count() == before
     with pytest.raises(DomainError, match="truncates the posterior"):
-        run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 4.0, 800, workers=3)
+        run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 4.0, 800)
     assert threading.active_count() == before
 
 
@@ -351,7 +329,7 @@ def test_grid_predict_runs_once_per_step_on_the_calling_thread(fixture_obs, monk
         return predict(*args, **kwargs)
 
     monkeypatch.setattr(gridfilter, "grid_predict", recording)
-    run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800, workers=3)
+    run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800)
     assert calls == [(threading.get_ident(), 800)] * len(fixture_obs)
 
 
