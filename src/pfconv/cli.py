@@ -206,6 +206,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    if not 0 <= args.x_prev < float("inf"):
+        raise DomainError(f"--x-prev must be finite and nonnegative, got {args.x_prev!r}")
     params = CoxParams(args.c, args.eta)
     model = make_cox_model(params)
     rows = []

@@ -31,6 +31,7 @@ from .errors import DomainError, InsufficientPoints, NonPositiveValue, PfconvErr
     StudyError
 from .gridfilter import grid_cells, run_cox_grid_filter
 from .model import make_test_functions
+from .report import emit_report
 from .resampling import SCHEMES, get_scheme
 from .rng import RngStream
 
@@ -295,8 +296,6 @@ def run_convergence_study(config: ExperimentConfig,
     configured output paths (marked partial) before the error propagates
     with the N and the lowest failing replicate of the failed block.
     """
-    from .report import emit_report
-
     config.validate()
     obs = ObservationSeries.from_csv(config.observations)
     obs_rows = tuple(obs)

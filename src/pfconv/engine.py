@@ -12,21 +12,26 @@ SeedSequence fills the rows' root pools once per block.  Only the
 per-step absorb, which adds each step t once per step and t's two
 branches (0 for propose, 1 for resample) together, and the output hash
 that turns the pools into keys are vectorized copies of SeedSequence's
-code.  The block owns one Philox generator, row 0's prior stream, and
-re-keys it row by row (`rng.KeyedRows`) instead of building two
-generators per row and step, so every draw is the one a separately
-built stream would make.  The model's samplers and the resampling
-scheme get that generator itself.
+code.  The block owns one bare Philox generator and re-keys it row by
+row (`rng.KeyedRows`) instead of building two generators per row and
+step, so every draw is the one a separately built stream would make.
+The model's samplers and the resampling scheme get that generator
+itself.  Each step's streams are keyed by its label t, so a block's
+labels must be distinct.
 
 One step moves every row through propose -> weight -> normalize ->
 estimate -> resample; every row resamples at every step, the filter
-the convergence guarantees are stated for.  Proposals and resampling
-counts are drawn row by row; weighting, normalization, the estimates,
-the effective sample size, the weight and count checks and the particle
-duplication are evaluated once on the whole block.  Each step writes its
-results in place into the block's one `FilterBlock` of (T, M) and
-(T, M, P) arrays: a study reads its estimates off it, and `run_filters`
-returns row r as a `FilterRun` of views.
+the convergence guarantees are stated for.  Normalize is one stage
+(`_normalize_rows`): it rejects a row of zero weights, shifts each row
+by its maximum, and gives the row's evidence increment (the log of its
+mean raw weight), its checked weight sum and its effective sample size
+1 / sum(w_i^2).  Proposals and resampling counts are drawn row by row;
+weighting, normalization, the estimates, the weight and count checks
+and the particle duplication are evaluated once on the whole block.
+Each step writes its results in place into the block's one
+`FilterBlock` of (T, M) and (T, M, P) arrays: a study reads its
+estimates off it, and `run_filters` returns row r as a `FilterRun` of
+views.
 
 A block allocates its (M, N) buffers once (`_Workspace`) and every step
 writes into them; the resampling counts go into the log-weight buffer,
@@ -101,7 +106,6 @@ from .cores import resolve_workers
 from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite, \
     at_row
 from .model import Proposal, StateSpaceModel, TestFunction
-from .moments import row_ess
 from .particles import _NORMALIZATION_RTOL, FilterRun
 from .resampling import ResampleScheme, check_counts, repeat_checked, slabs
 from .rng import KeyedRows, KeyPool, RngStream
@@ -285,43 +289,46 @@ def _raw_log_weights(model, proposal, x_t, x_prev, y,
     return lw
 
 
-def _shift_rows(lw: np.ndarray, out: np.ndarray | None = None):
-    """Subtract each row's maximum from lw in place; return the maxima,
-    the exponentials of the shifted rows (into out) and their (pairwise)
-    row sums.
-
-    For the dominant weights the shift is exact in floating point, so the
-    normalized weights sum to 1 to within a few ulps even when the raw
-    magnitudes are ~1e6.  A row whose maximum is -inf comes out NaN.
-    """
-    top = lw.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        lw -= top[:, None]
-    e = np.exp(lw, out=out)
-    return top, e, e.sum(axis=1)
-
-
-def _log_mean_weights(top: np.ndarray, sums: np.ndarray, n: int) -> list[float]:
-    """Per row, the log of the mean raw weight: the evidence increment."""
-    return [m + math.log(s / n) if m > -math.inf else -math.inf
-            for m, s in zip(top.tolist(), sums.tolist())]
-
-
-def _normalize_rows(lw: np.ndarray, top: np.ndarray, e: np.ndarray, sums: np.ndarray):
-    """Turn the shifted rows of lw into normalized log weights and e into
-    their exponentials, both in place; return the weights and row sums."""
-    dead = top == -math.inf
-    if np.any(dead):
-        raise at_row(DegenerateWeights("all particles have zero weight"),
-                      int(np.argmax(dead)))
-    lw -= np.array([math.log(s) for s in sums.tolist()])[:, None]
-    w = np.exp(lw, out=e)
+def _checked_sums(w: np.ndarray) -> np.ndarray:
+    """Each row's sum of normalized weights; raise when one is not 1."""
     total = w.sum(axis=1)
     off = ~(np.abs(total - 1.0) <= _NORMALIZATION_RTOL * np.maximum(np.abs(total), 1.0))
     if np.any(off):
         r = int(np.argmax(off))
         raise at_row(DomainError(f"normalized weights sum to {float(total[r])!r}, not 1"), r)
-    return w, total
+    return total
+
+
+def _normalize_rows(lw: np.ndarray, w: np.ndarray):
+    """Normalize each row of the raw log weights lw into its weights in w;
+    return per row the evidence increment (the log of the mean raw
+    weight), the weight sum and the effective sample size 1 / sum(w_i^2).
+
+    A row whose weights are all zero raises DegenerateWeights.  Each row
+    is shifted by its maximum, which is exact in floating point for the
+    dominant weights, so the normalized weights sum to 1 to within a few
+    ulps even when the raw magnitudes are ~1e6.  The effective sample
+    size lies in [1, N] and equals N exactly iff the row's normalized log
+    weights are all equal (detected exactly so the boundary case is not
+    blurred by rounding).  lw is scratch: it holds the squared weights on
+    return.
+    """
+    n = lw.shape[1]
+    top = lw.max(axis=1)
+    dead = top == -math.inf
+    if np.any(dead):
+        raise at_row(DegenerateWeights("all particles have zero weight"),
+                      int(np.argmax(dead)))
+    lw -= top[:, None]
+    sums = np.exp(lw, out=w).sum(axis=1).tolist()
+    evidence = [m + math.log(s / n) for m, s in zip(top.tolist(), sums)]
+    lw -= np.array([math.log(s) for s in sums])[:, None]
+    total = _checked_sums(np.exp(lw, out=w))
+    uniform = lw.max(axis=1) == lw.min(axis=1)
+    squares = np.multiply(w, w, out=lw)
+    ess = np.minimum(np.maximum(1.0 / np.sum(squares, axis=1), 1.0), float(n))
+    ess[uniform] = n
+    return evidence, total, ess
 
 
 def _estimate_rows(w, total, x: np.ndarray, phi: TestFunction,
@@ -379,10 +386,8 @@ def _step(ws: _Workspace, out: FilterBlock, i: int, model: StateSpaceModel,
         _raw_log_weights(model, proposal, proposed, x, y, lw, draws.wait)
     finally:  # the draws end before anything is raised, and their error wins
         draws.result()
-    top, w, sums = _shift_rows(lw, w)
-    out.log_mean_weight[i] = _log_mean_weights(top, sums, n)
-    w, total = _normalize_rows(lw, top, w, sums)
-    out.ess[i] = row_ess(lw, w)  # the log weights are dead from here on
+    # the log weights are dead from here on
+    out.log_mean_weight[i], total, out.ess[i] = _normalize_rows(lw, w)
     for p, phi in enumerate(test_functions):
         out.estimates[i, :, p] = _estimate_rows(w, total, proposed, phi, lw)
 
@@ -418,18 +423,23 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
     most N); a block of at least `DRAW_THREAD_SLABS` slabs draws its
     proposals on a helper thread when ``resolve_workers(workers)`` allows
     two threads.  Errors as in `run_filters`."""
-    obs = list(observations)
-    if not obs:
+    steps = [(int(t), y) for t, y in observations]
+    if not steps:
         raise ValueError("observations must be nonempty")
-    if any(int(t) < 1 for t, _ in obs):
+    labels = [t for t, _ in steps]
+    if min(labels) < 1:
         raise ValueError("step indices must be >= 1 (label 0 keys the prior draw)")
+    if len(set(labels)) < len(labels):
+        t = next(t for i, t in enumerate(labels) if t in labels[:i])
+        raise ValueError(f"step index t={t} repeats (each step's streams are keyed by it)")
     if n < 1:
         raise ValueError("particle count must be >= 1")
     if not roots:
         raise ValueError("need at least one stream")
     pool = KeyPool.of(roots)
     keys = pool.absorb(0).keys()
-    gen = roots[0].derive(0).gen  # the block's one generator, re-keyed row by row
+    from numpy.random import Generator, Philox  # on first draw, not at import
+    gen = Generator(Philox(key=0))  # the block's one generator, re-keyed row by row
     uniform = np.exp(np.full(n, -math.log(n)))  # the weights of a resampled row
     resampled = (uniform[0], np.sum(uniform))  # all N entries are equal
     del uniform  # not held while the block runs
@@ -439,12 +449,11 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
         for s in row_slabs:
             ws.x[r, s] = _particles(model.prior_sample(rng, s.stop - s.start),
                                     s.stop - s.start, "prior_sample")
-    steps = [(int(t), y) for t, y in obs]
     m, p, k = len(roots), len(test_functions), max(0, min(record_clouds, n))
-    out = FilterBlock(np.array([t for t, _ in steps]),
-                      np.empty((len(obs), m)), np.empty((len(obs), m)),
-                      np.empty((len(obs), m, p)), np.empty((len(obs), m, p)),
-                      np.empty((len(obs), 3, m, k)))
+    out = FilterBlock(np.array(labels),
+                      np.empty((len(steps), m)), np.empty((len(steps), m)),
+                      np.empty((len(steps), m, p)), np.empty((len(steps), m, p)),
+                      np.empty((len(steps), 3, m, k)))
     streams = []  # per step, the rows' propose and resample generators
     for t, _ in steps:
         propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()

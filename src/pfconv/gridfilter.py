@@ -48,7 +48,6 @@ from .cox import CoxParams, cox_likelihood_logdensity
 from .errors import DomainError, ZeroMass, require_positive
 from .model import TestFunction
 
-_NORM_TOL = 1e-9
 _TAIL_FRACTION = 0.05  # share of the grid, at its upper edge, checked for mass
 _TAIL_MASS_TOL = 1e-9
 

@@ -24,29 +24,9 @@ from enum import Enum
 
 import numpy as np
 
+from .engine import _raw_log_weights
 from .errors import DomainError, require_positive
 from .model import Proposal, StateSpaceModel
-
-
-# ---------------------------------------------------------------------------
-# effective sample size
-
-
-def row_ess(log_weights: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Effective sample size 1 / sum(w_i^2) of each row of an (M, N) block
-    of normalized log weights and their exponentials, in [1, N].
-
-    A row's value equals N exactly iff its log weights are all equal
-    (detected exactly so the boundary case is not blurred by rounding).
-    The log weights are used as scratch: they hold the squared weights on
-    return.
-    """
-    n = log_weights.shape[1]
-    uniform = log_weights.max(axis=1) == log_weights.min(axis=1)
-    squares = np.multiply(weights, weights, out=log_weights)
-    value = np.minimum(np.maximum(1.0 / np.sum(squares, axis=1), 1.0), float(n))
-    value[uniform] = n
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +101,6 @@ _X_CAP = 1e4
 
 def _log_integrand(model, proposal, x: np.ndarray, x_prev: float, y, p: int) -> np.ndarray:
     """log of w(x, x_prev)^p * q(x); -inf where the weight is zero."""
-    from .engine import _raw_log_weights
-
     xp = np.full_like(x, float(x_prev))
     lw = _raw_log_weights(model, proposal, x, xp, y)
     lq = np.asarray(proposal.logdensity(x, xp, y), dtype=float)

@@ -9,11 +9,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .convergence import ConvergenceReport
 from .errors import DomainError
+
+if TYPE_CHECKING:  # annotations only: convergence imports this module
+    from .convergence import ConvergenceReport
 
 
 def _fmt(x: float) -> str:

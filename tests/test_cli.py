@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from pfconv.cli import cli_dispatch
 from pfconv.cox import ObservationSeries
 
@@ -318,6 +320,16 @@ def test_infinite_model_parameters_are_runtime_errors_naming_them(tmp_path, fixt
         assert captured.err == f"error: {name} must be finite and positive, got inf\n"
         assert "satisfied" not in captured.out
         assert not out.exists(), argv
+
+
+@pytest.mark.parametrize("x_prev, shown", [("nan", "nan"), ("inf", "inf"), ("-1", "-1.0")])
+def test_moments_x_prev_must_be_finite_and_nonnegative(x_prev, shown, capsys):
+    # nan failed in the weights with a numpy warning, inf printed a zero
+    # quadrature estimate and exited 0, and -1 did not name the flag
+    assert cli_dispatch(["moments", "--x-prev", x_prev]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --x-prev must be finite and nonnegative, got {shown}\n"
+    assert captured.out == ""
 
 
 def test_repeated_test_function_is_runtime_error_naming_it(tmp_path, fixture_obs_path,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import logsumexp, softmax
 
 from pfconv import (
     LinearGaussianModel,
@@ -24,7 +25,7 @@ from pfconv import (
 )
 from pfconv import engine, resampling
 from pfconv.cores import WORKERS_ENV
-from pfconv.engine import _estimate_rows, _normalize_rows, _raw_log_weights, _shift_rows
+from pfconv.engine import _checked_sums, _estimate_rows, _normalize_rows, _raw_log_weights
 from pfconv.errors import CountMismatch, DegenerateWeights, DomainError, \
     WeightNotFinite
 from pfconv.particles import FilterRun
@@ -52,10 +53,11 @@ def _log_weight(model, proposal, x_t, x_prev, y) -> float:
 
 def _normalize(log_weights):
     """Normalize one row of raw log weights as a filter step does; returns
-    the (1, N) normalized log weights, their exponentials and row sum."""
+    the (1, N) weights and their row sum."""
     lw = np.array([log_weights], dtype=float)
-    w, total = _normalize_rows(lw, *_shift_rows(lw))
-    return lw, w, total
+    w = np.empty_like(lw)
+    _, total, _ = _normalize_rows(lw, w)
+    return w, total
 
 
 def _assert_same_runs(a, b):
@@ -78,7 +80,7 @@ def _stream_key(seed: int, labels: tuple[int, ...]) -> tuple[int, int]:
 
 
 def _estimate(particles, log_weights, phi) -> float:
-    _, w, total = _normalize(log_weights)
+    w, total = _normalize(log_weights)
     return float(_estimate_rows(w, total, np.array([particles], dtype=float), phi)[0])
 
 
@@ -164,18 +166,18 @@ def test_conditional_expectation_matches_quadrature(cox_model, gamma_proposal):
 
 
 def test_normalize_simple():
-    _, w, _ = _normalize([math.log(2), math.log(2)])
+    w, _ = _normalize([math.log(2), math.log(2)])
     assert np.allclose(w, [[0.5, 0.5]])
 
 
 def test_normalize_single_survivor():
-    _, w, _ = _normalize([0.0, -math.inf, -math.inf])
+    w, _ = _normalize([0.0, -math.inf, -math.inf])
     assert w.tolist() == [[1.0, 0.0, 0.0]]
 
 
 def test_normalize_extreme_magnitudes():
     # exp(-1000) underflows, but the max-shift identity keeps the ratio
-    _, w, _ = _normalize([-1000.0, -1001.0])
+    w, _ = _normalize([-1000.0, -1001.0])
     expected = [1 / (1 + math.exp(-1)), math.exp(-1) / (1 + math.exp(-1))]
     assert np.allclose(w[0], expected, rtol=1e-12)
     assert w[0, 0] == pytest.approx(0.7310585786300049, rel=1e-12)
@@ -187,11 +189,10 @@ def test_normalize_degenerate_raises():
 
 
 def test_normalize_names_an_off_total_as_a_plain_float():
-    # row sums that are not the rows' exponential sums: row 1's weights
-    # come out 0.5 each and total 2
-    lw, e = np.zeros((2, 4)), np.ones((2, 4))
+    # row 1's weights are 0.5 each and total 2
+    w = np.array([[0.25] * 4, [0.5] * 4])
     with pytest.raises(DomainError) as info:
-        _normalize_rows(lw, np.zeros(2), e, np.array([4.0, 2.0]))
+        _checked_sums(w)
     assert str(info.value) == "normalized weights sum to 2.0, not 1"
     assert info.value.row == 1
 
@@ -199,11 +200,18 @@ def test_normalize_names_an_off_total_as_a_plain_float():
 @settings(max_examples=200, deadline=None)
 @given(lw=st.lists(st.floats(min_value=-1e6, max_value=700), min_size=1, max_size=40))
 def test_normalized_weights_sum_to_one(lw):
-    log_w, w, total = _normalize(lw)
+    w, total = _normalize(lw)
     assert math.isclose(float(np.sum(w)), 1.0, rel_tol=1e-12)
     assert math.isclose(float(total[0]), 1.0, rel_tol=1e-12)
     assert np.all(w >= 0)
-    assert np.array_equal(w, np.exp(log_w))
+    assert np.allclose(w[0], softmax(lw), rtol=1e-12, atol=1e-300)
+
+
+def test_evidence_increment_is_the_log_mean_raw_weight():
+    # raw log weights spanning 1e6: the shift keeps the dominant terms exact
+    raw = np.array([[5e5, 5e5 - 1.0, -5e5, 5e5 - 30.0, -math.inf]])
+    evidence, _, _ = _normalize_rows(raw.copy(), np.empty_like(raw))
+    assert evidence[0] == pytest.approx(logsumexp(raw[0]) - math.log(5), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -375,24 +383,32 @@ def test_run_filters_names_failing_row_and_step(request, cox_model, fixture_obs,
 
 def test_run_filters_builds_one_generator_per_block(monkeypatch, cox_model,
                                                     gamma_proposal, fixture_obs):
-    built = []
-    build = RngStream.gen.fget
+    # a bare Generator(Philox(key=0)), re-keyed row by row: no stream's
+    # SeedSequence-seeded generator is built
+    built, streams_built = [], []
+    build, stream_build = np.random.Generator, RngStream.gen.fget
 
-    def counting(stream):
+    def counting(bit_generator):
+        built.append(bit_generator)
+        return build(bit_generator)
+
+    def counting_stream(stream):
         if stream._gen is None:
-            built.append(stream)
-        return build(stream)
+            streams_built.append(stream)
+        return stream_build(stream)
 
-    monkeypatch.setattr(RngStream, "gen", property(counting))
+    monkeypatch.setattr(np.random, "Generator", counting)
+    monkeypatch.setattr(RngStream, "gen", property(counting_stream))
     run_filters(cox_model, gamma_proposal, fixture_obs, 8, get_scheme("multinomial"),
                 [RngStream(3, (r,)) for r in range(6)])
     assert len(built) == 1
+    assert streams_built == []
 
 
 def test_run_block_builds_no_stream_per_row_or_step(monkeypatch, cox_model,
                                                    gamma_proposal, fixture_obs):
-    # the rows draw from the block's generator itself, re-keyed: the only
-    # stream a block builds is roots[0].derive(0), which owns that generator
+    # the rows draw from the block's bare generator itself, re-keyed: a
+    # block builds no stream
     built = []
 
     class Counting(RngStream):  # every stream the rng module builds
@@ -408,7 +424,7 @@ def test_run_block_builds_no_stream_per_row_or_step(monkeypatch, cox_model,
         built.clear()
         engine._run_block(cox_model, gamma_proposal, list(fixture_obs)[:steps], 8,
                           get_scheme("systematic"), roots)
-        assert len(built) == 1
+        assert built == []
 
 
 def test_run_filter_memory_stays_linear(cox_model, gamma_proposal, fixture_obs):
@@ -752,3 +768,8 @@ def test_run_filter_requires_observations(cox_model, gamma_proposal):
     with pytest.raises(ValueError):
         run_filter(cox_model, gamma_proposal, [(0, 1)], 16,
                    get_scheme("multinomial"), 1)
+    # each step's streams are keyed by its label: two steps labelled 1
+    # drew the same proposals
+    with pytest.raises(ValueError, match=r"^step index t=1 repeats"):
+        run_filter(cox_model, gamma_proposal, [(1, 0), (2, 0), (1, 0)], 8,
+                   get_scheme("multinomial"), 3, record_clouds=8)
