@@ -5,7 +5,9 @@
         [--seed 7] [--pairs 10]
 
 PARENT and CHANGE are the roots of two checkouts (say, a `git archive`
-of the parent commit and the working tree).  Each pair runs
+of the parent commit and the working tree).  ``--workload all`` runs the
+pairs of every workload of the parent's `BENCHMARK.json` in turn, in its
+order, and prints one table per workload.  Each pair runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -34,8 +36,8 @@ change wins (a tie counts for neither side), and two verdicts:
   beats every parent run.
 
 Every run must report `"correct": true` and no failed run.  The exit
-status is 1 when a metric is flagged or a run is not correct or failed,
-and 0 otherwise.
+status is 1 when a metric of any workload is flagged or a run is not
+correct or failed, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -146,28 +148,43 @@ def report(workload: str, parent: list[dict], change: list[dict], rows: list[dic
     return ok
 
 
-def main() -> int:
+def run_pairs(parent: pathlib.Path, change: pathlib.Path, workload: str, seed: int,
+              pairs: int, seconds: float) -> tuple[list[dict], list[dict]]:
+    """The result lines of the parent's and the change's runs of the
+    workload, in alternating pairs."""
+    sides = {"parent": [], "change": []}
+    checkouts = {"parent": parent, "change": change}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(checkouts[side], workload, seed, seconds)
+            sides[side].append(result)
+            print(f"{workload} pair {i + 1} {side}: correct={result['correct']} " + " ".join(
+                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
+    return sides["parent"], sides["change"]
+
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent", type=pathlib.Path, help="root of the parent checkout")
     parser.add_argument("change", type=pathlib.Path, help="root of the changed checkout")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload of the parent's BENCHMARK.json, or all of them")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.parent / "BENCHMARK.json").read_text())
-    sides = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seed,
-                              spec["run_seconds"])
-            sides[side].append(result)
-            print(f"pair {i + 1} {side}: correct={result['correct']} " + " ".join(
-                f"{k}={v['value']:.4g}" for k, v in result["metrics"].items()), flush=True)
-    rows = summarize(spec["end_to_end"], sides["parent"], sides["change"])
-    return 0 if report(args.workload, sides["parent"], sides["change"], rows) else 1
+    workloads = [w["name"] for w in spec["workloads"]] if args.workload == "all" \
+        else [args.workload]
+    ok = True
+    for workload in workloads:
+        parent, change = run_pairs(args.parent, args.change, workload, args.seed,
+                                   args.pairs, spec["run_seconds"])
+        ok &= report(workload, parent, change,
+                     summarize(spec["end_to_end"], parent, change))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

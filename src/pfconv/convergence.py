@@ -17,7 +17,6 @@ particles.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
@@ -313,6 +312,8 @@ def run_convergence_study(config: ExperimentConfig,
         tasks += [(config, obs_rows, i, range(r, min(r + size, m))) for r in range(0, m, size)]
 
     n_workers = resolve_workers(workers)
+    if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # on first use, not at import
     current = tasks[0]
     try:
         with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:

@@ -1,4 +1,4 @@
-"""How many cores a run may use: the study's processes and the oracle's threads."""
+"""How many cores a run may use: the study's processes and the engine's draw thread."""
 
 from __future__ import annotations
 

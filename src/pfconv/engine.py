@@ -33,29 +33,34 @@ Each step writes its results in place into the block's one
 estimates off it, and `run_filters` returns row r as a `FilterRun` of
 views.
 
-A block allocates its (M, N) buffers once (`_Workspace`) and every step
-writes into them; the resampling counts go into the log-weight buffer,
-which is dead between the estimates before and after resampling.  So a
-step of a large block allocates nothing at full size with systematic
-resampling, whose counts need no row of positions, and only numpy's own
-count vector with multinomial.  The stages that work entry by entry
-(drawing, the densities and log weights, the test functions, the
-duplication) run over slabs of at most `resampling.SLAB` entries of the
-flattened block, in order, and keep their temporaries slab-sized; a
-block of at most that many particles is one slab.  The row sums are
-taken over whole rows of the buffers, so the slabs change no bit of any
-result: the model callables are pointwise and draw one state per entry,
-in order (`model.StateSpaceModel`, `model.Proposal`).
+A block allocates three (M, N) buffers once (`_Workspace`), 24 bytes a
+particle, and every step writes into them.  The parents are dead once
+the raw log weights are computed, so their buffer is the scratch of
+normalizing and estimating until it receives the resampled particles;
+the log weights are normalized in place, and the resampling counts go
+over the weights, as int64, since every scheme reads a slab of weights
+before it writes that slab's counts.  So a step of a large block
+allocates nothing at full size with systematic resampling, whose counts
+need no row of positions, and only numpy's own count vector with
+multinomial.  The stages that work entry by entry (drawing, the
+densities and log weights, the test functions, the duplication) run
+over slabs of at most `resampling.SLAB` entries of the flattened block,
+in order, and keep their temporaries slab-sized; a block of at most
+that many particles is one slab.  The row sums are taken over whole
+rows of the buffers, so the slabs change no bit of any result: the
+model callables are pointwise and draw one state per entry, in order
+(`model.StateSpaceModel`, `model.Proposal`).
 
 A block of at least `DRAW_THREAD_SLABS` slabs draws its proposals on a
 helper thread when the run may use two cores (`cores.resolve_workers`,
 so ``PFCONV_WORKERS=1`` turns it off; a study passes 1, since its cells
 already run in processes).  The helper draws a step ahead: once step t's
 counts pass their checks, it draws step t + 1 (`_Draws`, `_propose`,
-row by row and slab by slab) into the buffer of step t's weights, which
-are dead by then, while the calling thread duplicates step t's particles
-and estimates after resampling.  The helper draws each slab once the
-caller has published that its parents are written (`_Progress`), and
+row by row and slab by slab) into the proposals' buffer behind the
+duplication, while the calling thread duplicates step t's proposals
+into the parents' buffer and estimates after resampling.  The helper
+draws each slab once the caller has published that its parents are
+written and its old proposals read (`_Progress`, `repeat_checked`), and
 the caller weighs step t + 1 slab by slab as the helper publishes the
 slabs drawn (`_raw_log_weights`), then normalizes, estimates, counts and
 duplicates as before.  Without the helper the caller draws step t + 1's
@@ -132,20 +137,20 @@ def _particles(values, n: int, source: str) -> np.ndarray:
 
 
 class _Workspace(NamedTuple):
-    """The (M, N) buffers every step of a block reuses.
+    """The three (M, N) buffers every step of a block reuses.
 
-    ``x`` holds the parents and then the resampled particles, ``proposed``
-    the proposed particles, ``lw`` the log weights (and, once they are
-    dead, the products the row sums reduce and, as int64, the resampling
-    counts) and ``w`` the weights.  The next step's proposals are drawn
-    into ``w`` once the weights are dead, so ``proposed`` and ``w`` swap
-    roles from step to step.
+    ``x`` holds the parents; once the raw log weights are computed it is
+    the scratch of normalizing and estimating, and then it receives the
+    resampled particles.  ``proposed`` holds the proposed particles; the
+    next step's are drawn into it behind the duplication, each slab once
+    its old proposals are read.  ``lw`` holds the raw log weights, then
+    the normalized weights, written in place, and then, as int64, the
+    resampling counts.
     """
 
     x: np.ndarray
     proposed: np.ndarray
     lw: np.ndarray
-    w: np.ndarray
 
 
 def _propose(parents: np.ndarray, proposal: Proposal, y, rngs, out: np.ndarray,
@@ -259,7 +264,7 @@ def _raw_log_weights(model, proposal, x_t, x_prev, y,
     so the first non-finite weight found is the lowest one, and an (M, N)
     block reports its row.  Before each slab, ``ready`` (when given) gets
     the flat offset the slab ends at and returns once x_t is drawn up to
-    it (`_Drawn.wait`).
+    it (`_Draws.wait`).
     """
     lw = np.empty(np.shape(x_t)) if out is None else out
     flat_x, flat = np.ravel(x_t), lw.reshape(-1)
@@ -299,9 +304,9 @@ def _checked_sums(w: np.ndarray) -> np.ndarray:
     return total
 
 
-def _normalize_rows(lw: np.ndarray, w: np.ndarray):
-    """Normalize each row of the raw log weights lw into its weights in w;
-    return per row the evidence increment (the log of the mean raw
+def _normalize_rows(lw: np.ndarray, scratch: np.ndarray):
+    """Normalize each row of the raw log weights lw into its weights, in
+    place; return per row the evidence increment (the log of the mean raw
     weight), the weight sum and the effective sample size 1 / sum(w_i^2).
 
     A row whose weights are all zero raises DegenerateWeights.  Each row
@@ -310,8 +315,8 @@ def _normalize_rows(lw: np.ndarray, w: np.ndarray):
     ulps even when the raw magnitudes are ~1e6.  The effective sample
     size lies in [1, N] and equals N exactly iff the row's normalized log
     weights are all equal (detected exactly so the boundary case is not
-    blurred by rounding).  lw is scratch: it holds the squared weights on
-    return.
+    blurred by rounding).  scratch, of lw's shape, holds the squared
+    weights on return.
     """
     n = lw.shape[1]
     top = lw.max(axis=1)
@@ -320,12 +325,12 @@ def _normalize_rows(lw: np.ndarray, w: np.ndarray):
         raise at_row(DegenerateWeights("all particles have zero weight"),
                       int(np.argmax(dead)))
     lw -= top[:, None]
-    sums = np.exp(lw, out=w).sum(axis=1).tolist()
+    sums = np.exp(lw, out=scratch).sum(axis=1).tolist()
     evidence = [m + math.log(s / n) for m, s in zip(top.tolist(), sums)]
     lw -= np.array([math.log(s) for s in sums])[:, None]
-    total = _checked_sums(np.exp(lw, out=w))
     uniform = lw.max(axis=1) == lw.min(axis=1)
-    squares = np.multiply(w, w, out=lw)
+    total = _checked_sums(np.exp(lw, out=lw))
+    squares = np.multiply(lw, lw, out=scratch)
     ess = np.minimum(np.maximum(1.0 / np.sum(squares, axis=1), 1.0), float(n))
     ess[uniform] = n
     return evidence, total, ess
@@ -368,7 +373,7 @@ class FilterBlock(NamedTuple):
 def _step(ws: _Workspace, out: FilterBlock, i: int, model: StateSpaceModel,
           proposal: Proposal, y, resampler: ResampleScheme, resample_rngs: KeyedRows,
           test_functions: Sequence[TestFunction], resampled: tuple[float, float],
-          draws: _Draws, draw_next: Callable[[np.ndarray], _Draws] | None) -> _Draws | None:
+          draws: _Draws, draw_next: Callable[[], _Draws] | None) -> _Draws | None:
     """One weight/normalize/estimate/resample cycle of every row, of the
     proposals ``draws`` makes into ``ws.proposed``, written to step i of
     ``out``; return the next step's draws.
@@ -377,29 +382,30 @@ def _step(ws: _Workspace, out: FilterBlock, i: int, model: StateSpaceModel,
     ``resample_rngs`` are the rows' resample generators for this step, and
     ``resampled`` the weight of a resampled particle and its row sum.
     Once the counts pass their checks, ``draw_next`` (None at the last
-    step) starts the next step's draws into the dead weights ``ws.w``,
-    and the duplication publishes the parents it writes to them.
+    step) starts the next step's draws into ``ws.proposed``, and the
+    duplication publishes how far it has written the parents and read the
+    proposals.
     """
-    x, proposed, lw, w = ws
+    x, proposed, lw = ws
     n = x.shape[1]
     try:
         _raw_log_weights(model, proposal, proposed, x, y, lw, draws.wait)
     finally:  # the draws end before anything is raised, and their error wins
         draws.result()
-    # the log weights are dead from here on
-    out.log_mean_weight[i], total, out.ess[i] = _normalize_rows(lw, w)
+    # the parents are dead from here on: x is scratch until the duplication
+    out.log_mean_weight[i], total, out.ess[i] = _normalize_rows(lw, x)
     for p, phi in enumerate(test_functions):
-        out.estimates[i, :, p] = _estimate_rows(w, total, proposed, phi, lw)
-
-    counts = check_counts(resampler.resample(w, n, resample_rngs, out=lw.view(np.int64)),
-                          x.shape)
+        out.estimates[i, :, p] = _estimate_rows(lw, total, proposed, phi, x)
     k = out.clouds.shape[-1]
-    out.clouds[i, :2] = proposed[:, :k], w[:, :k]
-    following = None if draw_next is None else draw_next(w)
+    out.clouds[i, :2] = proposed[:, :k], lw[:, :k]  # before the counts go over lw
+
+    counts = check_counts(resampler.resample(lw, n, resample_rngs, out=lw.view(np.int64)),
+                          x.shape)
+    following = None if draw_next is None else draw_next()
     try:
         repeat_checked(proposed, counts, x,
                        None if following is None else following.parents.publish)
-        for p, phi in enumerate(test_functions):
+        for p, phi in enumerate(test_functions):  # the counts are dead: lw is scratch
             out.resampled[i, :, p] = _estimate_rows(*resampled, x, phi, lw)
     except BaseException:
         if following is not None:
@@ -461,11 +467,11 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
     threaded = (resolve_workers(workers) > 1  # checks PFCONV_WORKERS at any size
                 and len(slabs(ws.x.size)) >= DRAW_THREAD_SLABS)
     with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
-        def draws(i: int, into: np.ndarray) -> _Draws:
-            """Step i's proposals from the parents in ws.x into ``into``."""
-            return _Draws(helper, ws.x, proposal, steps[i][1], streams[i][0], into)
+        def draws(i: int) -> _Draws:
+            """Step i's proposals from the parents in ws.x into ws.proposed."""
+            return _Draws(helper, ws.x, proposal, steps[i][1], streams[i][0], ws.proposed)
 
-        step_draws = draws(0, ws.proposed)
+        step_draws = draws(0)
         step_draws.parents.publish(ws.x.size)  # the prior draws are all written
         for i, (t, y) in enumerate(steps):
             draw_next = None if i + 1 == len(steps) else partial(draws, i + 1)
@@ -477,7 +483,6 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
                 row = "" if err.row is None else f", row {err.row}"
                 raise at_row(type(err)(f"filter step t={t}{row}: {err}"),
                              err.row) from err
-            ws = ws._replace(proposed=ws.w, w=ws.proposed)  # the next proposals are in w
     return out
 
 

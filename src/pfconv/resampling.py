@@ -10,8 +10,12 @@ A scheme resamples a block: ``resample(weights, n, rngs, out=None)``
 takes an (M, K) weight block and M numpy Generators, and returns (M, K)
 counts, row r drawn from ``rngs[r]`` exactly as a one-row block would
 draw it.  The counts go into ``out`` when it is given (an int64 array
-of the weights' shape, which is returned), else into a new array.  The
-filter engine passes the block's `rng.KeyedRows`: the rows' keys are
+of the weights' shape, which is returned), else into a new array.
+``out`` may share the weights' memory, as the engine's does: every
+scheme reads a row or slab of weights before it writes that row's or
+slab's counts (multinomial divides its weights in place, and
+`_count_cells` copies a slab's edges before it counts).  The filter
+engine passes the block's `rng.KeyedRows`: the rows' keys are
 SeedSequence-compatible and derived per block, and the rows draw from
 one generator re-keyed row by row.  The weight checks run once per
 block and name the lowest failing row in ``err.row``, as `check_counts`
@@ -30,10 +34,10 @@ within n * 2**-40 of an integer: the positions and the scaled edge err
 by at most 2.1 u and 2.1 u n (u = 2**-53), so outside 4.2 u n of an
 integer rounding cannot decide a tie.  Only the edges inside that margin
 are searched (`_systematic_below`); stratified searches every edge.
-With the counts in a given ``out`` (the engine's dead log-weight
-buffer), systematic resampling of a large block allocates nothing at
-full size, only slab-sized temporaries; multinomial allocates only the
-count vector numpy's draw of a row returns.
+With the counts over the weights (the engine's log-weight buffer),
+systematic resampling of a large block allocates nothing at full size,
+only slab-sized temporaries; multinomial allocates only the count
+vector numpy's draw of a row returns.
 """
 
 from __future__ import annotations
@@ -346,10 +350,11 @@ def repeat_checked(particles: np.ndarray, counts: np.ndarray,
     The flattened block is repeated slab by slab into the C-contiguous
     `out` (a new array when None), which keeps every row in place because
     each row's counts sum to its length; after each slab, ``written``
-    (when given) gets the offset into the flattened out below which every
-    entry is written.  A slab that owns more than `SLAB` copies
-    (degenerate weights) writes them in smaller pieces (`_repeat_into`),
-    so no step needs a full-size temporary.
+    (when given) gets the offset into the flattened block below which
+    every entry of out is written and every particle read, so a caller
+    may then overwrite the particles below it.  A slab that owns more
+    than `SLAB` copies (degenerate weights) writes them in smaller pieces
+    (`_repeat_into`), so no step needs a full-size temporary.
     """
     out = np.empty(particles.shape) if out is None else out
     source, flat, target = particles.reshape(-1), counts.reshape(-1), out.reshape(-1)
@@ -359,7 +364,7 @@ def repeat_checked(particles: np.ndarray, counts: np.ndarray,
         _repeat_into(target[at:at + total], source[s], flat[s])
         at += total
         if written is not None:
-            written(at)
+            written(min(at, s.stop))
     return out
 
 

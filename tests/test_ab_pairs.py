@@ -1,6 +1,7 @@
 """The summary of scripts/ab_pairs.py on canned benchmark result lines."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -111,3 +112,34 @@ def test_a_run_not_correct_or_failed_fails_the_report(ab_pairs, capsys):
 def test_unpaired_runs_are_refused(ab_pairs):
     with pytest.raises(ValueError, match="paired"):
         ab_pairs.summarize(METRICS, _lines(PARENT_WALL), _lines(PARENT_WALL[:9]))
+
+
+def test_all_workloads_run_in_turn_and_any_flag_fails(ab_pairs, monkeypatch, tmp_path,
+                                                      capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    (parent / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 5, "end_to_end": METRICS,
+        "workloads": [{"name": "first"}, {"name": "second"}]}))
+    calls, walls = [], {}
+
+    def run_once(checkout, workload, seed, seconds):  # pair i's canned result line
+        calls.append((checkout.name, workload, seed, seconds))
+        i = sum(c[:2] == (checkout.name, workload) for c in calls) - 1
+        return _lines([walls[checkout.name][workload][i]])[0]
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = [str(parent), str(change), "--workload", "all", "--seed", "19", "--pairs", "10"]
+    slower = [w * 1.3 for w in PARENT_WALL]  # 30% worse against a bound of 25%
+    for second, status in ((PARENT_WALL, 0), (slower, 1)):
+        calls.clear()
+        walls.update(parent={"first": PARENT_WALL, "second": PARENT_WALL},
+                     change={"first": PARENT_WALL, "second": second})
+        assert ab_pairs.main(argv) == status
+        assert [c[1] for c in calls] == ["first"] * 20 + ["second"] * 20
+        assert {(c[2], c[3]) for c in calls} == {(19, 5)}
+        assert [c[0] for c in calls[:4]] == ["parent", "change", "change", "parent"]
+        out = capsys.readouterr().out
+        for workload in ("first", "second"):  # one table per workload
+            assert f"{workload} parent: 10/10 invocations correct" in out
+        assert ("WORSE BEYOND THE 25% BOUND" in out) == bool(status)

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +24,8 @@ from pfconv.report import emit_report
 from pfconv.resampling import SLAB, get_scheme
 
 from conftest import philox_key
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def small_config(fixture_obs_path, **overrides):
@@ -305,6 +311,19 @@ def test_worker_count_does_not_change_results(tmp_path, fixture_obs_path, small_
     emit_report(small_report, "csv", a)
     emit_report(with_pool, "csv", b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only a pooled study opens a process pool, so only it pays for
+    # importing multiprocessing
+    code = ("import sys, pfconv, pfconv.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} "
+            "& set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_oracle_runs_on_the_study_workers_and_echoes_its_spacing(fixture_obs_path,

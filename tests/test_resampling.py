@@ -237,6 +237,27 @@ def test_counts_go_into_the_given_buffer(name, m, k, n):
             call(out=wrong)
 
 
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+@pytest.mark.parametrize("m, k", [(1, 3001), (3, 3001), (1, 3 * SLAB + 5),
+                                  (3, 3 * SLAB + 5)])
+def test_counts_over_the_weights_equal_the_counts_in_a_fresh_array(name, m, k):
+    # the engine writes the counts over its weights: a scheme must read
+    # each row or slab of weights before it writes that row's or slab's
+    # counts, here across rows and across the slabs of long rows
+    scheme = get_scheme(name)
+    w = _weight_block(m, k)
+
+    def call(weights, out):  # fresh generators, so every call makes the same draws
+        return scheme.resample(weights, k, [RngStream(9, (r,)).gen for r in range(m)],
+                               out=out)
+
+    expected = call(w, np.empty(w.shape, dtype=np.int64))
+    shared = w.copy()
+    out = shared.view(np.int64)
+    assert call(shared, out) is out
+    assert np.array_equal(out, expected)
+
+
 def test_positions_on_the_edges_count_as_at_the_cumsum_edges():
     # a position equal to an edge counts in the cell above it, so each
     # count moves if one edge of a later slab differs from np.cumsum's
