@@ -9,8 +9,8 @@ row's results therefore do not depend on which rows share its block.
 
 The streams' keys are derived per block (`rng.KeyPool`): numpy's
 SeedSequence fills the rows' root pools once per block.  Only the
-per-step absorb, which adds each step t once per step and t's two
-branches (0 for propose, 1 for resample) together, and the output hash
+per-step absorb, which adds each step t once per step and then each of
+t's two branches (0 for propose, 1 for resample) to it, and the output hash
 that turns the pools into keys are vectorized copies of SeedSequence's
 code.  The block owns one bare Philox generator and re-keys it row by
 row (`rng.KeyedRows`) instead of building two generators per row and
@@ -462,8 +462,9 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
                       np.empty((len(steps), 3, m, k)))
     streams = []  # per step, the rows' propose and resample generators
     for t, _ in steps:
-        propose_keys, resample_keys = pool.absorb(t).absorb((0, 1)).keys()
-        streams.append((KeyedRows(gen, propose_keys), KeyedRows(gen, resample_keys)))
+        stepped = pool.absorb(t)
+        streams.append((KeyedRows(gen, stepped.absorb(0).keys()),
+                        KeyedRows(gen, stepped.absorb(1).keys())))
     threaded = (resolve_workers(workers) > 1  # checks PFCONV_WORKERS at any size
                 and len(slabs(ws.x.size)) >= DRAW_THREAD_SLABS)
     with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:

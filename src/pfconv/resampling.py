@@ -21,23 +21,22 @@ one generator re-keyed row by row.  The weight checks run once per
 block and name the lowest failing row in ``err.row``, as `check_counts`
 does for the counts.
 
-Systematic and stratified count each cell as the difference of how many
-positions lie below its two edges (`_count_cells`), for a group of short
-rows at once or slab by slab of a long row.  Position j of a systematic
-row is j / n + offset, so its counts come from that formula and the
-row's one offset, and the scheme holds no row of positions; stratified
-holds its row of n positions (or a group of at most `SLAB`).  A count
-below an edge e starts from the guess ceil((e - offset) * n), which a
-stepped search moves to the exact count (`_below`).  For systematic the
-guess is provably exact unless the scaled edge (e - offset) * n lies
-within n * 2**-40 of an integer: the positions and the scaled edge err
-by at most 2.1 u and 2.1 u n (u = 2**-53), so outside 4.2 u n of an
-integer rounding cannot decide a tie.  Only the edges inside that margin
-are searched (`_systematic_below`); stratified searches every edge.
-With the counts over the weights (the engine's log-weight buffer),
-systematic resampling of a large block allocates nothing at full size,
-only slab-sized temporaries; multinomial allocates only the count
-vector numpy's draw of a row returns.
+Systematic and stratified resampling are the same count at n sorted
+positions per row and differ only in how the positions are drawn.  Each
+cell's count is the difference of how many positions lie below its two
+edges (`_count_cells`), for a group of short rows at once or slab by slab
+of a long row.  A positions function draws a group's positions: position
+j of a systematic row is j / n + offset, so it keeps only the row's one
+offset and no row of positions; stratified holds its row of n positions
+(or a group of at most `SLAB`).  One search counts the positions below
+an edge e (`_below`): it guesses ceil((e - offset) * n) and steps to the
+exact count only the edges whose scaled value lies within a margin of an
+integer.  For systematic that margin is n * 2**-40, outside which the
+guess is provably exact; for stratified it is 1, so every edge is
+stepped.  With the counts over the weights (the engine's log-weight
+buffer), systematic resampling of a large block allocates nothing at
+full size, only slab-sized temporaries; multinomial allocates only the
+count vector numpy's draw of a row returns.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from .errors import CountMismatch, NotNormalized, at_row
 
 _SUM_TOL = 1e-9
 SLAB = 8192  # entries per slab: see `slabs`
-_TIE_MARGIN = 2.0 ** -40  # per particle: see `_systematic_below`
+_TIE_MARGIN = 2.0 ** -40  # per particle: see `_below`
 
 
 def _checked(weights, n: int, rngs, out):
@@ -104,21 +103,20 @@ def multinomial_resample(weights, n: int, rngs, out=None) -> np.ndarray:
     return counts
 
 
-def _count_cells(weights: np.ndarray, below, n: int, out: np.ndarray) -> None:
+def _count_cells(weights: np.ndarray, at, offsets, margin: float, n: int,
+                 out: np.ndarray) -> None:
     """Count into the (G, K) int64 ``out`` how many of each row's n sorted
     positions land in each cumulative-weight cell of the (G, K) weights.
 
-    ``below(edges)`` gives, for (G, E) sorted edges, how many of each
-    row's positions lie below each edge: searchsorted(positions, edges,
-    "left"), row by row (`_below`, `_systematic_below`).
-
-    Cell i is [cum[i-1], cum[i]), except that the first cell reaches down
-    to -inf and the last up to +inf: float drift can leave cum[-1] at or
-    below a position of 1.0.  So the count below the first edge is 0 and
-    below the last n.  Count i is the difference of the counts below the
-    cell's two edges.  The edges are summed slab by slab of the columns,
-    each slab continuing from the last sum of the one before, which is the
-    order np.cumsum adds them in.
+    ``at``, ``offsets`` and ``margin`` give the rows' positions, as a
+    positions function returns them (`_below`).  Cell i is
+    [cum[i-1], cum[i]), except that the first cell reaches down to -inf
+    and the last up to +inf: float drift can leave cum[-1] at or below a
+    position of 1.0.  So the count below the first edge is 0 and below the
+    last n.  Count i is the difference of the counts below the cell's two
+    edges.  The edges are summed slab by slab of the columns, each slab
+    continuing from the last sum of the one before, which is the order
+    np.cumsum adds them in.
     """
     g, k = weights.shape
     carry = np.zeros(g)
@@ -127,7 +125,7 @@ def _count_cells(weights: np.ndarray, below, n: int, out: np.ndarray) -> None:
         edges[:, 0], edges[:, 1:] = carry, weights[:, s]
         np.add.accumulate(edges, axis=1, out=edges)
         carry = edges[:, -1].copy()
-        counts = below(edges)
+        counts = _below(at, edges, offsets, n, margin)
         if s.start == 0:
             counts[:, 0] = 0
         if s.stop == k:
@@ -135,99 +133,26 @@ def _count_cells(weights: np.ndarray, below, n: int, out: np.ndarray) -> None:
         np.subtract(counts[:, 1:], counts[:, :-1], out=out[:, s])
 
 
-def _below(at, edges: np.ndarray, offsets, n: int) -> np.ndarray:
+def _below(at, edges: np.ndarray, offsets, n: int, margin: float) -> np.ndarray:
     """For every row r and edge e of the (G, E) sorted edges, the number of
     row r's n sorted positions below e: the least j in 0..n with
-    at(j) >= e (n when there is none), as searchsorted(positions, e,
+    at(j, r) >= e (n when there is none), as searchsorted(positions, e,
     "left") gives it.
 
-    ``at(j)`` gives the positions at the (G, E) int64 indices j, row by
-    row; an index of -1 or n may give any value.  Each count starts from
-    the guess ceil((e - offset) * n), clipped to [0, n], with one offset
-    per row (or a scalar), and `_search` steps it to the exact count.  A
-    stratified row puts one position in each stratum of width 1/n, and
-    its guess (offset 0) is a step off at most.  So the whole block takes
-    a few vectorized passes, where a binary search pays log2(n)
-    mispredicted branches per edge.
-    """
-    guess = np.subtract(edges, offsets)
-    guess *= n
-    np.ceil(guess, out=guess)
-    np.maximum(guess, 0, out=guess)  # (np.clip costs more on short rows)
-    np.minimum(guess, n, out=guess)
-    return _search(at, edges, guess.astype(np.int64), n)
+    ``at(j, rows)`` gives the positions at the int64 indices j of the
+    rows ``rows``, broadcast together; an index of -1 or n may give any
+    value.  Each count starts from the guess ceil(d), clipped to [0, n],
+    of the scaled edge d = fl(fl(e - o) * n), with one offset o per row
+    ((G, 1), or a scalar).  `_search` steps to the exact count only the
+    edges whose d lies within ``margin`` of an integer: all of them for a
+    margin of 1, as one search of the whole block.
 
-
-def _search(at, edges: np.ndarray, below: np.ndarray, n: int) -> np.ndarray:
-    """Step each count of ``below`` (in place, and returned) at its edge
-    up, then down, one position at a time until at(j - 1) < e <= at(j)
-    holds, as in `_below`; edges and counts may have any one shape."""
-    while True:  # up while the next position lies below the edge
-        up = at(below) < edges
-        up &= below < n
-        if not np.count_nonzero(up):
-            break
-        below += up
-    while True:  # down while the last counted position does not
-        down = at(below - 1) >= edges
-        down &= below > 0
-        if not np.count_nonzero(down):
-            break
-        below -= down
-    return below
-
-
-def _counts_from_positions(weights: np.ndarray, positions: np.ndarray,
-                           out: np.ndarray | None = None) -> np.ndarray:
-    """`_count_cells` of a (G, K) weight block at its (G, n) sorted
-    positions, into ``out`` when given."""
-    n = positions.shape[1]
-    counts = np.empty(weights.shape, dtype=np.int64) if out is None else out
-    flat = positions.reshape(-1)
-    start = np.arange(0, flat.size, n)[:, None]  # each row's first
-
-    def at(j):
-        return flat.take(j + start, mode="clip")
-
-    _count_cells(weights, lambda edges: _below(at, edges, 0.0, n), n, counts)
-    return counts
-
-
-def _counts_in_groups(count, weights, n: int, rngs, out) -> np.ndarray:
-    """Every row's counts, drawn and counted a group of rows at a time by
-    ``count(weights, rngs, n, counts)``.
-
-    A group holds at most `SLAB` positions or edges (one row when a row
-    has more).  ``count`` gets the group's generators as an iterator,
-    since taking a row's generator re-keys the generator the block's rows
-    share (`rng.KeyedRows`): each row draws before the next row is taken.
-    """
-    weights, _, counts = _checked(weights, n, rngs, out)
-    m, k = weights.shape
-    g = max(1, min(m, SLAB // max(n, k + 1)))  # rows per group
-    rows = iter(rngs)
-    for a in range(0, m, g):
-        group = slice(a, min(a + g, m))
-        count(weights[group], islice(rows, group.stop - a), n, counts[group])
-    return counts
-
-
-def _systematic_group(weights, rngs, n: int, counts) -> None:
-    """Counts at the positions rng.random() / n + j / n, j < n, of each
-    row, computed from that formula (`_systematic_below`)."""
-    offsets = np.array([rng.random() / n for rng in rngs])[:, None]
-    _count_cells(weights, lambda edges: _systematic_below(edges, offsets, n), n, counts)
-
-
-def _systematic_below(edges: np.ndarray, offsets: np.ndarray, n: int) -> np.ndarray:
-    """`_below` of the (G, E) edges for the systematic positions
-    fl(fl(j / n) + o) of the rows' (G, 1) offsets o, searched only where
-    the guess may be wrong.
-
-    The guess is ceil(d), clipped to [0, n], for the scaled edge
-    d = fl(fl(e - o) * n); it is exact unless d lies within a margin of
-    an integer.  With u = 2**-53 the unit roundoff, 0 <= o <= 1/n (1 + u)
-    and 0 <= e <= 1 + 1e-9 (the weight check's drift):
+    A stratified row (offset 0) puts one position in each stratum of
+    width 1/n, so its guess is a step off at most and margin 1 leaves a
+    few vectorized passes, where a binary search pays log2(n) mispredicted
+    branches per edge.  For the systematic positions fl(fl(j / n) + o),
+    with u = 2**-53 the unit roundoff, 0 <= o <= 1/n (1 + u) and
+    0 <= e <= 1 + 1e-9 (the weight check's drift):
 
     * position j < n errs by |fl(fl(j / n) + o) - (j / n + o)| <= 2.1 u,
       two roundings of values at most 1 + 2u;
@@ -238,61 +163,105 @@ def _systematic_below(edges: np.ndarray, offsets: np.ndarray, n: int) -> np.ndar
 
     So when d is farther than 4.2 u n from every integer, j < d decides
     every position as the exact comparison does, and ceil(d) clipped is
-    the count.  The margin ``n * _TIE_MARGIN`` = 2**-40 n is over 2**10
-    times that bound, which also covers the ulp by which the distance
-    test itself rounds, and it stays below 1/4 up to n = 2**38 (a
-    particle count of 2**30 gets 2**-10).  Edges inside the margin, a
+    the count.  The systematic margin ``n * _TIE_MARGIN`` = 2**-40 n is
+    over 2**10 times that bound, which also covers the ulp by which the
+    distance test itself rounds, and it stays below 1/4 up to n = 2**38
+    (a particle count of 2**30 gets 2**-10).  Edges inside the margin, a
     fraction of about 2**-39 n of them (one in eight steps of a 2**18-
-    particle row has any), take the stepped `_search`; the counts are
-    every bit those of the search everywhere.
+    particle row has any), take the stepped search; the counts are every
+    bit those of the search everywhere.
     """
     scaled = np.subtract(edges, offsets)
     scaled *= n
-    guess = np.ceil(scaled)
-    off = np.subtract(guess, scaled, out=scaled)  # ceil(d) - d, in [0, 1)
+    guess = np.ceil(scaled, out=scaled if margin >= 1 else None)
+    off = None if margin >= 1 else np.subtract(guess, scaled, out=scaled)  # ceil(d) - d
     if guess.min() < 0 or guess.max() > n:  # (read-only passes cost less)
         np.clip(guess, 0, n, out=guess)
     below = guess.astype(np.int64)
-    margin = n * _TIE_MARGIN
+    if off is None:
+        return _search(at, edges, below, n, np.arange(len(edges))[:, None])
     if off.min() <= margin or off.max() >= 1 - margin:
         rows, cols = np.nonzero((off <= margin) | (off >= 1 - margin))
-        row_offsets = offsets[rows, 0]
-
-        def at(j):
-            positions = np.divide(j, n)
-            positions += row_offsets
-            return positions
-
-        below[rows, cols] = _search(at, edges[rows, cols], below[rows, cols], n)
+        below[rows, cols] = _search(at, edges[rows, cols], below[rows, cols], n, rows)
     return below
 
 
-def _stratified_positions(rng, out: np.ndarray) -> np.ndarray:
-    """(j + u_j) / n for every j < n = len(out), u_j uniform in order."""
-    n = len(out)
-    for s in slabs(n):
-        u = rng.random(s.stop - s.start)
-        u += np.arange(s.start, s.stop, dtype=float)
-        np.divide(u, n, out=out[s])
-    return out
+def _search(at, edges: np.ndarray, below: np.ndarray, n: int, rows) -> np.ndarray:
+    """Step each count of ``below`` (in place, and returned) at its edge of
+    row ``rows`` up, then down, one position at a time until
+    at(j - 1, r) < e <= at(j, r) holds, as in `_below`; edges, counts and
+    rows broadcast together."""
+    while True:  # up while the next position lies below the edge
+        up = at(below, rows) < edges
+        up &= below < n
+        if not np.count_nonzero(up):
+            break
+        below += up
+    while True:  # down while the last counted position does not
+        down = at(below - 1, rows) >= edges
+        down &= below > 0
+        if not np.count_nonzero(down):
+            break
+        below -= down
+    return below
 
 
-def _stratified_group(weights, rngs, n: int, counts) -> None:
-    """Counts at each row's n stratified positions, drawn row by row."""
-    positions = np.empty((len(weights), n))
+def _counts_in_groups(positions, weights, n: int, rngs, out) -> np.ndarray:
+    """Every row's counts, drawn and counted a group of rows at a time at
+    the positions ``positions(rngs, n, rows)`` builds for a group of rows:
+    the (at, offsets, margin) of `_below`.
+
+    A group holds at most `SLAB` positions or edges (one row when a row
+    has more).  ``positions`` gets the group's generators as an iterator,
+    since taking a row's generator re-keys the generator the block's rows
+    share (`rng.KeyedRows`): each row draws before the next row is taken.
+    """
+    weights, _, counts = _checked(weights, n, rngs, out)
+    m, k = weights.shape
+    g = max(1, min(m, SLAB // max(n, k + 1)))  # rows per group
+    rows = iter(rngs)
+    for a in range(0, m, g):
+        b = min(a + g, m)
+        _count_cells(weights[a:b], *positions(islice(rows, b - a), n, b - a), n, counts[a:b])
+    return counts
+
+
+def _systematic_positions(rngs, n: int, rows: int):
+    """The positions rng.random() / n + j / n, j < n, of each row, given
+    by that formula from the row's one offset; outside a margin of
+    n * `_TIE_MARGIN` the guess of `_below` is exact."""
+    offsets = np.array([rng.random() / n for rng in rngs])
+
+    def at(j, r):
+        positions = np.divide(j, n)
+        positions += offsets[r]
+        return positions
+
+    return at, offsets[:, None], n * _TIE_MARGIN
+
+
+def _stratified_positions(rngs, n: int, rows: int):
+    """The positions (j + u_j) / n, j < n, of each row, u_j uniform in
+    order, drawn row by row as each row's generator is taken; margin 1
+    steps every edge."""
+    positions = np.empty((rows, n))
     for rng, row in zip(rngs, positions):
-        _stratified_positions(rng, row)
-    _counts_from_positions(weights, positions, counts)
+        for s in slabs(n):
+            u = rng.random(s.stop - s.start)
+            u += np.arange(s.start, s.stop, dtype=float)
+            np.divide(u, n, out=row[s])
+    flat = positions.reshape(-1)
+    return lambda j, r: flat.take(j + r * n, mode="clip"), 0.0, 1.0
 
 
 def systematic_resample(weights, n: int, rngs, out=None) -> np.ndarray:
     """One shared uniform offset per row; count_i brackets n*w_i within one unit."""
-    return _counts_in_groups(_systematic_group, weights, n, rngs, out)
+    return _counts_in_groups(_systematic_positions, weights, n, rngs, out)
 
 
 def stratified_resample(weights, n: int, rngs, out=None) -> np.ndarray:
     """One independent uniform per stratum of width 1/n."""
-    return _counts_in_groups(_stratified_group, weights, n, rngs, out)
+    return _counts_in_groups(_stratified_positions, weights, n, rngs, out)
 
 
 @dataclass(frozen=True)
@@ -334,18 +303,11 @@ def check_counts(counts, shape: tuple[int, ...]) -> np.ndarray:
     return counts
 
 
-def repeat_by_counts(particles: np.ndarray, counts,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Row r of the particles, particle i repeated counts[r, i] times, once
-    the counts pass `check_counts`.  A 1-D particle vector is the one-row
-    case; see `repeat_checked`."""
-    return repeat_checked(particles, check_counts(counts, particles.shape), out)
-
-
 def repeat_checked(particles: np.ndarray, counts: np.ndarray,
                    out: np.ndarray | None = None,
                    written: Callable[[int], None] | None = None) -> np.ndarray:
-    """`repeat_by_counts` of counts that passed `check_counts`.
+    """Row r of the particles, particle i repeated counts[r, i] times, for
+    counts that passed `check_counts` (a 1-D particle vector is one row).
 
     The flattened block is repeated slab by slab into the C-contiguous
     `out` (a new array when None), which keeps every row in place because

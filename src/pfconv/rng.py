@@ -63,8 +63,7 @@ def _words(value: int) -> list[int]:
 
 def _absorb(pool: np.ndarray, const: np.ndarray, word: np.ndarray):
     """SeedSequence's mixing of one more entropy word, for a block: every
-    row mixes the word into each of its four pool words.  ``word`` is 0-d
-    (the same word for every row) or (B, 1, 1) (one branch per word)."""
+    row mixes the same 0-d uint32 word into each of its four pool words."""
     cs = const * _A_POWERS  # the word's five hashmix constants, (5, M)
     h = (word ^ cs[:-1]) * cs[1:]
     h ^= h >> _SHIFT
@@ -77,11 +76,10 @@ class KeyPool(NamedTuple):
     """The SeedSequence pools of a block of M streams, part way through
     absorbing their entropy.
 
-    ``pool[..., i, r]`` is pool word i of row r and ``const[r]`` the hash
-    constant row r's next entropy word meets; a leading axis of the pool
-    indexes branches (see `absorb`).  Rows whose entropy has different
-    word counts keep different constants, so any streams can share a
-    block.
+    ``pool[i, r]`` is pool word i of row r and ``const[r]`` the hash
+    constant row r's next entropy word meets.  Rows whose entropy has
+    different word counts keep different constants, so any streams can
+    share a block.
     """
 
     pool: np.ndarray
@@ -103,27 +101,18 @@ class KeyPool(NamedTuple):
                      dtype=np.uint32)
         return cls(np.array(pools).T, _INIT_A * _A_POWERS[_POOL] ** w)
 
-    def absorb(self, label: int | Sequence[int]) -> "KeyPool":
-        """Every row absorbs one more label, shared by all rows.
-
-        A sequence of labels (with equal word counts) absorbs each label
-        into its own copy of an unbranched pool; the copies are stacked
-        along a new leading axis, in order.
-        """
-        branched = not isinstance(label, (int, np.integer))
-        labels = label if branched else (label,)
-        words = np.array([_words(int(l)) for l in labels], dtype=np.uint32)
+    def absorb(self, label: int) -> "KeyPool":
+        """Every row absorbs one more label, shared by all rows."""
         pool, const = self
-        for column in words.T:
-            pool, const = _absorb(pool, const,
-                                  column[:, None, None] if branched else column[0, ...])
+        for word in _words(int(label)):
+            pool, const = _absorb(pool, const, np.array(word, dtype=np.uint32))
         return KeyPool(pool, const)
 
     def keys(self) -> np.ndarray:
-        """Every row's ``generate_state(2, np.uint64)``: shape (..., M, 2)."""
+        """Every row's ``generate_state(2, np.uint64)``: shape (M, 2)."""
         out = (self.pool ^ _B_XOR) * _B_MUL
         out ^= out >> _SHIFT
-        words = np.ascontiguousarray(np.swapaxes(out, -1, -2), dtype="<u4")
+        words = np.ascontiguousarray(out.T, dtype="<u4")
         return words.view("<u8").astype(np.uint64, copy=False)
 
 

@@ -12,7 +12,8 @@ from pfconv import RngStream, get_scheme, make_test_function, multinomial_resamp
 from pfconv.engine import _estimate_rows
 from pfconv.errors import CountMismatch, NotNormalized
 from pfconv import resampling
-from pfconv.resampling import _counts_from_positions, repeat_by_counts
+from pfconv.resampling import check_counts, repeat_checked
+from pfconv.rng import KeyedRows, KeyPool
 
 ALL_SCHEMES = ["multinomial", "stratified", "systematic"]
 
@@ -21,6 +22,16 @@ def _row(resample, w, n, stream):
     """The counts of one weight vector, resampled as a one-row block with
     the stream's generator."""
     return resample(np.asarray(w, dtype=float)[None], n, [stream.gen])[0]
+
+
+def _counts_at(w, positions):
+    """The counts of one weight vector at its given sorted positions
+    (`resampling._count_cells`, every edge stepped from its guess)."""
+    out = np.empty((1, len(w)), dtype=np.int64)
+    resampling._count_cells(np.asarray(w, dtype=float)[None],
+                            lambda j, rows: positions.take(j, mode="clip"), 0.0, 1.0,
+                            len(positions), out)
+    return out[0]
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +83,7 @@ def test_systematic_fractional_mass_enumerated_offsets():
     n = 10
     for k in range(97):
         u = (k + 0.5) / 97 / n
-        counts = _counts_from_positions(w[None], (u + np.arange(n) / n)[None])[0]
+        counts = _counts_at(w, u + np.arange(n) / n)
         assert counts[0] in (5, 6)
         assert counts[0] + counts[1] == n
 
@@ -263,7 +274,7 @@ def test_positions_on_the_edges_count_as_at_the_cumsum_edges():
     # count moves if one edge of a later slab differs from np.cumsum's
     w = RngStream(3).gen.dirichlet(np.ones(3 * 8192 + 5))
     positions = np.cumsum(w)[:-1]
-    counts = _counts_from_positions(w[None], positions[None])[0]
+    counts = _counts_at(w, positions)
     assert np.array_equal(counts, _bincount_counts(w, positions))
     assert counts.tolist() == [0] + [1] * (len(w) - 1)
 
@@ -273,8 +284,7 @@ def test_counts_of_uneven_positions_equal_the_bincount_counts():
     gen = RngStream(5).gen
     w = gen.dirichlet(np.ones(5000))
     positions = np.sort(gen.random(3000) ** 4)
-    assert np.array_equal(_counts_from_positions(w[None], positions[None])[0],
-                          _bincount_counts(w, positions))
+    assert np.array_equal(_counts_at(w, positions), _bincount_counts(w, positions))
 
 
 _U_TOP = np.nextafter(1.0, 0.0)
@@ -285,8 +295,7 @@ _TOP = SimpleNamespace(random=lambda size=None: _U_TOP if size is None
 
 def test_position_one_lands_in_the_last_cell():
     # the last position rounds to exactly 1.0 = cum[-1]: (1 + u) / 2 and u / 2 + 1 / 2
-    assert _counts_from_positions(np.array([[0.5, 0.5]]), np.array([[0.25, 1.0]])).tolist() \
-        == [[1, 1]]
+    assert _counts_at([0.5, 0.5], np.array([0.25, 1.0])).tolist() == [1, 1]
     w = np.array([[0.5, 0.5], [0.25, 0.75]])
     for name in ("systematic", "stratified"):
         scheme = get_scheme(name)
@@ -321,11 +330,15 @@ def _tie_edges(positions: np.ndarray, gen) -> np.ndarray:
 @pytest.mark.parametrize("rows", [1, 3])
 def test_systematic_counts_below_tie_edges_equal_searchsorted(n, rows):
     gen = RngStream(n, (rows,)).gen
-    offsets = gen.random(rows) / n
+    uniforms = gen.random(rows)
+    offsets = uniforms / n
     edges = np.array([_tie_edges(_systematic_positions(u, n), gen) for u in offsets])
     scaled = (edges - offsets[:, None]) * n
     assert np.any(np.abs(scaled - np.rint(scaled)) <= n * 2.0 ** -40)  # the search runs
-    below = resampling._systematic_below(edges, offsets[:, None], n)
+    # the scheme's own positions, built from the uniforms of the offsets
+    at, row_offsets, margin = resampling._systematic_positions(
+        (SimpleNamespace(random=lambda v=v: v) for v in uniforms), n, rows)
+    below = resampling._below(at, edges, row_offsets, n, margin)
     for row, row_edges, u in zip(below, edges, offsets):
         expected = np.searchsorted(_systematic_positions(u, n), row_edges, "left")
         assert np.array_equal(row, expected)
@@ -373,16 +386,18 @@ def test_multinomial_conditional_variance_contract():
 
 
 # ---------------------------------------------------------------------------
-# repeat_by_counts
+# duplication: repeat_checked of checked counts
 
 
 def test_repeat_by_counts_all_mass_on_first():
-    out = repeat_by_counts(np.array([4.0, 5.0, 6.0]), np.array([3, 0, 0]))
+    particles = np.array([4.0, 5.0, 6.0])
+    out = repeat_checked(particles, check_counts(np.array([3, 0, 0]), particles.shape))
     assert out.tolist() == [4.0, 4.0, 4.0]
 
 
 def test_repeat_by_counts_identity():
-    out = repeat_by_counts(np.array([4.0, 5.0, 6.0]), np.array([1, 1, 1]))
+    particles = np.array([4.0, 5.0, 6.0])
+    out = repeat_checked(particles, check_counts(np.array([1, 1, 1]), particles.shape))
     assert out.tolist() == [4.0, 5.0, 6.0]
 
 
@@ -390,7 +405,7 @@ def test_repeat_by_counts_estimate_is_count_average():
     # the post-resampling estimate of a filter step: uniform weights 1/N
     particles = np.array([1.0, 2.0, 4.0])
     counts = np.array([2, 0, 1])
-    out = repeat_by_counts(particles, counts)
+    out = repeat_checked(particles, check_counts(counts, particles.shape))
     uniform = np.exp(np.full(3, -math.log(3)))
     phi = make_test_function("min_cap(10)")
     expected = float(counts @ phi(particles)) / 3
@@ -400,12 +415,9 @@ def test_repeat_by_counts_estimate_is_count_average():
 
 def test_repeat_by_counts_errors():
     particles = np.array([1.0, 2.0])
-    with pytest.raises(CountMismatch):
-        repeat_by_counts(particles, np.array([1, 1, 0]))
-    with pytest.raises(CountMismatch):
-        repeat_by_counts(particles, np.array([2, 1]))
-    with pytest.raises(CountMismatch):
-        repeat_by_counts(particles, np.array([3, -1]))
+    for counts in ([1, 1, 0], [2, 1], [3, -1]):
+        with pytest.raises(CountMismatch):
+            repeat_checked(particles, check_counts(np.array(counts), particles.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +437,23 @@ def test_block_rows_equal_one_row_calls(name):
         assert block.shape == (5, 12) and block.dtype == np.int64
         rows = [_row(scheme.resample, w[r], n, RngStream(6, (n, r))) for r in range(5)]
         assert np.array_equal(block, np.array(rows))
+
+
+@pytest.mark.parametrize("name", ALL_SCHEMES)
+@pytest.mark.parametrize("m, k", [(300, 32), (1, 3 * SLAB + 5)])
+def test_rows_of_one_rekeyed_generator_equal_one_row_calls(name, m, k):
+    # the engine hands a scheme one generator, re-keyed as each row is
+    # taken (`KeyedRows`): every row must draw under its own key, also in
+    # the second group of rows (300 rows of 32 are counted 248 at a time)
+    # and across the slabs of a long row
+    scheme = get_scheme(name)
+    w = _weight_block(m, k)
+    keys = KeyPool.of([RngStream(12, (r,)) for r in range(m)]).keys()
+    block = scheme.resample(w, k, KeyedRows(np.random.Generator(np.random.Philox(key=0)),
+                                            keys))
+    for r, key in enumerate(keys):
+        row = scheme.resample(w[r:r + 1], k, [np.random.Generator(np.random.Philox(key=key))])
+        assert np.array_equal(block[r], row[0]), f"row {r}"
 
 
 @pytest.mark.parametrize("name", ALL_SCHEMES)
@@ -479,7 +508,7 @@ def test_repeat_by_counts_equals_np_repeat_at_any_slab(m, n, slab, alpha, seed):
                        for _ in range(m)])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resampling, "SLAB", slab)
-        out = repeat_by_counts(particles, counts)
+        out = repeat_checked(particles, check_counts(counts, particles.shape))
     expected = [np.repeat(p, c) for p, c in zip(particles, counts)]
     assert np.array_equal(out, np.array(expected))
 
@@ -493,7 +522,7 @@ def test_repeat_by_counts_of_degenerate_counts_needs_no_full_size_temporary():
     out = np.empty(n)
     tracemalloc.start()
     try:
-        repeat_by_counts(particles, counts, out)
+        repeat_checked(particles, check_counts(counts, particles.shape), out)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -503,8 +532,8 @@ def test_repeat_by_counts_of_degenerate_counts_needs_no_full_size_temporary():
 
 def test_repeat_by_counts_block_keeps_rows_in_place():
     particles = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    out = repeat_by_counts(particles, np.array([[0, 3, 0], [2, 0, 1]]))
-    assert out.tolist() == [[2.0, 2.0, 2.0], [4.0, 4.0, 6.0]]
+    counts = check_counts(np.array([[0, 3, 0], [2, 0, 1]]), particles.shape)
+    assert repeat_checked(particles, counts).tolist() == [[2.0, 2.0, 2.0], [4.0, 4.0, 6.0]]
     with pytest.raises(CountMismatch) as info:
-        repeat_by_counts(particles, np.array([[0, 3, 0], [2, 0, 2]]))
+        check_counts(np.array([[0, 3, 0], [2, 0, 2]]), particles.shape)
     assert info.value.row == 1
