@@ -25,7 +25,9 @@ change wins (a tie counts for neither side), and two verdicts:
 
 * the claim rule: the change wins at least 9 in 10 of the pairs and its
   median is better than the parent's by more than the parent's
-  interquartile range;
+  interquartile range, and by more than a tenth of the metric's `bound`
+  as a share of the parent's median (so a peak RSS with a bound of 0.1
+  must gain more than 1%, however little its parent runs spread);
 * the bound: the relative change of the median, read against the
   metric's `bound` as a fraction of the parent's median (a bound of 0.25
   allows the change's median to be 25% worse).  A metric worse beyond
@@ -51,6 +53,7 @@ import subprocess
 import sys
 
 CLAIM_SHARE = 0.9  # the share of pairs the change must win to claim a gain
+CLAIM_FLOOR = 0.1  # a claimed gain exceeds this share of the bound, of the parent's median
 
 
 def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
@@ -100,7 +103,8 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
             "spread": spread,
             "wins": wins, "losses": losses, "pairs": len(a),
             "better_median": gain > 0,
-            "claim_met": wins >= CLAIM_SHARE * len(a) and gain > pa3 - pa1,
+            "claim_met": wins >= CLAIM_SHARE * len(a)
+            and gain > max(pa3 - pa1, CLAIM_FLOOR * spec["bound"] * abs(pa2)),
             "beyond_bound": worse > spec["bound"],
             "unresolved": (gain < 0 and overlap) or (spread > spec["bound"] and not separated),
         })
@@ -144,7 +148,9 @@ def report(workload: str, parent: list[dict], change: list[dict], rows: list[dic
               f"{verdict(row)}")
         ok &= not row["beyond_bound"]
     print(f"claim rule: the change wins at least {CLAIM_SHARE:.0%} of the pairs (ties "
-          f"count for neither) and its median is better by more than the parent's IQR")
+          f"count for neither) and its median is better by more than the parent's IQR "
+          f"and by more than {CLAIM_FLOOR:g} of the metric's bound, as a share of the "
+          f"parent's median")
     return ok
 
 

@@ -9,22 +9,15 @@ Kalman), and a convergence-rate experiment harness with a CLI.
 from .convergence import ConvergenceReport, ExperimentConfig, RateFit, \
     fit_loglog_slope, run_convergence_study
 from .cox import CoxParams, GammaProposal, ObservationSeries, \
-    cox_likelihood_logdensity, cox_prior_sample, cox_transition_logdensity, \
-    gamma_logdensity, gamma_propose, make_bootstrap_proposal, make_cox_model, \
-    make_gamma_proposal, simulate
+    cox_likelihood_logdensity, cox_transition_logdensity, gamma_logdensity, \
+    gamma_propose, make_cox_model, make_gamma_proposal, simulate
 from .engine import run_filter, run_filters
 from .errors import PfconvError
-from .gridfilter import GridDensity, grid_estimate, grid_init, grid_predict, \
-    grid_update, run_cox_grid_filter
-from .lineargauss import GaussianBelief, LinearGaussianModel, kalman_filter, \
-    kalman_log_evidence, kalman_step, make_lg_bootstrap_proposal, make_lg_model, \
-    simulate_lg
+from .gridfilter import grid_predict, run_cox_grid_filter
 from .model import Proposal, StateSpaceModel, TestFunction, make_test_function
-from .moments import MomentCondition, MomentStatus, MomentVerdict, \
-    check_cox_moment_condition, quadrature_weight_moment
+from .moments import MomentCondition, check_cox_moment_condition, quadrature_weight_moment
 from .particles import FilterRun
-from .resampling import ResampleScheme, get_scheme, multinomial_resample, \
-    stratified_resample, systematic_resample
+from .resampling import ResampleScheme, get_scheme
 from .rng import RngStream
 
 __version__ = "0.1.0"

@@ -34,6 +34,10 @@ lifts that noise in the tail to the grid's edge.
 The grid ends at x_max, so it is only truth when the posterior has
 negligible mass near that edge: `run_cox_grid_filter` fails when the top
 5% of cells hold more than 1e-9 of the filtered mass at any step.
+
+A run builds the midpoints and each test function's values on them once;
+a step is one predict, one update (`grid_update`, from the likelihood on
+the midpoints) and the tail check, and reads its statistics off them.
 """
 
 from __future__ import annotations
@@ -95,19 +99,15 @@ class GridDensity:
     def midpoints(self) -> np.ndarray:
         return (np.arange(self.n_cells) + 0.5) * self.dx
 
-    def mean(self) -> float:
-        return float(np.sum(self.midpoints() * self.values) * self.dx)
 
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.sum((self.midpoints() - m) ** 2 * self.values) * self.dx)
-
-
-def _renormalized(values: np.ndarray, dx: float) -> np.ndarray:
+def _renormalized(values: np.ndarray, dx: float) -> tuple[np.ndarray, float]:
+    """The values over their mass, frozen for `GridDensity` to keep uncopied; and the mass."""
     mass = float(np.sum(values) * dx)
     if mass <= 0 or not math.isfinite(mass):
         raise ZeroMass("grid density lost all mass")
-    return values / mass
+    values = values / mass
+    values.setflags(write=False)
+    return values, mass
 
 
 def grid_cells(x_max: float, dx: float) -> int:
@@ -131,7 +131,7 @@ def grid_init(prior_density: Callable[[np.ndarray], np.ndarray],
     dx = x_max / n_cells
     mids = (np.arange(n_cells) + 0.5) * dx
     values = np.asarray(prior_density(mids), dtype=float)
-    return GridDensity(x_max, _renormalized(values, dx))
+    return GridDensity(x_max, _renormalized(values, dx)[0])
 
 
 def _half_widths(values: np.ndarray, dx: float, eta: float) -> np.ndarray:
@@ -183,29 +183,17 @@ def grid_predict(grid: GridDensity, eta: float) -> GridDensity:
             k = kernel[:b - a]
             k[:] = mirrored[2 * n - b:2 * n - a]  # mirrored[a:b] reversed: a palindrome
             rows += np.correlate(lags[lo + 2 * n - b:hi + 2 * n - 1 - a], k, "valid")
-    return GridDensity(grid.x_max, _renormalized(values * dx, dx))
+    return GridDensity(grid.x_max, _renormalized(values * dx, dx)[0])
 
 
-def _update_with_evidence(grid: GridDensity, likelihood_logdensity, y
-                          ) -> tuple[GridDensity, float]:
-    """Posterior grid plus the update normalizer (the evidence increment)."""
-    with np.errstate(divide="ignore"):
-        g = np.exp(np.asarray(likelihood_logdensity(y, grid.midpoints()), dtype=float))
-    values = grid.values * g
-    increment = float(np.sum(values) * grid.dx)
-    if increment <= 0 or not math.isfinite(increment):
-        raise ZeroMass(f"likelihood of y={y!r} annihilated the grid")
-    return GridDensity(grid.x_max, values / increment), increment
-
-
-def grid_update(grid: GridDensity, likelihood_logdensity, y) -> GridDensity:
-    """One measurement update: multiply by the likelihood, renormalize."""
-    return _update_with_evidence(grid, likelihood_logdensity, y)[0]
-
-
-def grid_estimate(grid: GridDensity, phi: TestFunction) -> float:
-    """Posterior expectation of a test function under the grid density."""
-    return float(np.sum(phi(grid.midpoints()) * grid.values) * grid.dx)
+def grid_update(grid: GridDensity, likelihood: np.ndarray) -> tuple[GridDensity, float]:
+    """One measurement update from the likelihood's values on the grid's
+    midpoints: the renormalized product and its mass (the evidence increment)."""
+    likelihood = np.asarray(likelihood, dtype=float)
+    if likelihood.shape != grid.values.shape:
+        raise DomainError(f"likelihood has shape {likelihood.shape}, not ({grid.n_cells},)")
+    values, increment = _renormalized(grid.values * likelihood, grid.dx)
+    return GridDensity(grid.x_max, values), increment
 
 
 def folded_normal_prior(x: np.ndarray) -> np.ndarray:
@@ -238,31 +226,31 @@ def run_cox_grid_filter(params: CoxParams, observations,
     filtered posterior (see the module docstring).
     """
     grid = grid_init(folded_normal_prior, x_max, n_cells)
+    mids, dx = grid.midpoints(), grid.dx
+    phis = [(phi.name, phi(mids)) for phi in test_functions]
     tail = max(1, int(n_cells * _TAIL_FRACTION))
     grids, steps, means, variances = [], [], [], []
-    estimates: dict[str, list[float]] = {phi.name: [] for phi in test_functions}
+    estimates: dict[str, list[float]] = {name: [] for name, _ in phis}
     log_evidence = 0.0
     for t, y in observations:
         grid = grid_predict(grid, params.eta)
-        grid, increment = _update_with_evidence(
-            grid, lambda yy, x: cox_likelihood_logdensity(yy, x, params.c), y)
+        likelihood = np.exp(cox_likelihood_logdensity(y, mids, params.c))
+        try:
+            grid, increment = grid_update(grid, likelihood)
+        except ZeroMass as exc:
+            raise ZeroMass(f"likelihood of y={y!r} at t={t} annihilated the grid") from exc
         log_evidence += math.log(increment)
-        tail_mass = float(np.sum(grid.values[-tail:]) * grid.dx)
+        tail_mass = float(np.sum(grid.values[-tail:]) * dx)
         if tail_mass > _TAIL_MASS_TOL:
             raise DomainError(f"x_max={x_max} truncates the posterior at t={t}: the "
                               f"top {tail} cells hold mass {tail_mass:.3g}")
         grids.append(grid)
         steps.append(int(t))
-        means.append(grid.mean())
-        variances.append(grid.variance())
-        for phi in test_functions:
-            estimates[phi.name].append(grid_estimate(grid, phi))
-    return GridFilterRun(
-        grids=tuple(grids),
-        steps=tuple(steps),
-        estimates={k: tuple(v) for k, v in estimates.items()},
-        means=tuple(means),
-        variances=tuple(variances),
-        log_evidence=log_evidence,
-    )
+        means.append(float(np.sum(mids * grid.values) * dx))
+        variances.append(float(np.sum((mids - means[-1]) ** 2 * grid.values) * dx))
+        for name, phi_on_mids in phis:
+            estimates[name].append(float(np.sum(phi_on_mids * grid.values) * dx))
+    return GridFilterRun(tuple(grids), tuple(steps),
+                         {k: tuple(v) for k, v in estimates.items()},
+                         tuple(means), tuple(variances), log_evidence)
 

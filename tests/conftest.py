@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from pfconv import CoxParams, GammaProposal, ObservationSeries, \
-    make_bootstrap_proposal, make_cox_model, make_gamma_proposal
+from pfconv import CoxParams, GammaProposal, ObservationSeries, make_cox_model, \
+    make_gamma_proposal
+from pfconv.cox import make_bootstrap_proposal
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURE_OBS = REPO_ROOT / "fixtures" / "cox_obs_t12.csv"

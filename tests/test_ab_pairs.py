@@ -45,6 +45,24 @@ def test_nine_wins_of_ten_with_a_gap_above_the_iqr_meet_the_claim(ab_pairs):
     assert ab_pairs.verdict(rows["wall_s"]) == "gain: claim rule met"
 
 
+def test_a_gain_below_a_tenth_of_the_bound_does_not_meet_the_claim(ab_pairs):
+    # peak RSS barely spreads: with a parent IQR of 0 a 20 kB shift would
+    # win every pair, but a bound of 0.1 puts the floor at 1% of the median
+    spec = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+
+    def row(parent_mb, change_mb):
+        lines = [[{"correct": True, "attempted": 3, "failed": 0,
+                   "metrics": {"peak_rss_mb": {"value": mb, "unit": "MB"}}}] * 10
+                 for mb in (parent_mb, change_mb)]
+        return ab_pairs.summarize(spec, *lines)[0]
+
+    noise = row(34.93, 34.91)
+    assert noise["wins"] == 10 and noise["parent"][2] - noise["parent"][0] == 0
+    assert not noise["claim_met"]
+    assert ab_pairs.verdict(noise) == "better, claim rule not met"
+    assert row(47.15, 43.91)["claim_met"]
+
+
 def test_eight_wins_of_ten_do_not_meet_the_claim(ab_pairs):
     change = [w - 0.2 for w in PARENT_WALL[:8]] + [w + 0.01 for w in PARENT_WALL[8:]]
     row = _rows(ab_pairs, change)["wall_s"]

@@ -20,27 +20,23 @@ from pfconv import (
     CoxParams,
     ExperimentConfig,
     GammaProposal,
-    LinearGaussianModel,
     MomentCondition,
-    MomentStatus,
     RngStream,
     check_cox_moment_condition,
-    kalman_filter,
     make_cox_model,
     make_gamma_proposal,
-    make_lg_bootstrap_proposal,
-    make_lg_model,
     make_test_function,
     run_convergence_study,
     run_filter,
-    simulate_lg,
 )
 from pfconv.cli import cli_dispatch
 from pfconv.convergence import ConvergenceReport
 from pfconv.cox import cox_transition_logdensity
 from pfconv.engine import _raw_log_weights
 from pfconv.gridfilter import run_cox_grid_filter
-from pfconv.moments import quadrature_refinements
+from pfconv.lineargauss import LinearGaussianModel, kalman_filter, \
+    make_lg_bootstrap_proposal, make_lg_model, simulate_lg
+from pfconv.moments import MomentStatus, quadrature_refinements
 from pfconv.report import emit_report
 from pfconv.resampling import get_scheme
 

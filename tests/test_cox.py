@@ -5,9 +5,9 @@ import pytest
 from scipy import integrate, stats
 
 from pfconv import CoxParams, GammaProposal, ObservationSeries, RngStream, \
-    cox_likelihood_logdensity, cox_prior_sample, cox_transition_logdensity, \
-    gamma_logdensity, gamma_propose, simulate
-from pfconv.cox import poisson_inverse_cdf, states_to_csv
+    cox_likelihood_logdensity, cox_transition_logdensity, gamma_logdensity, \
+    gamma_propose, simulate
+from pfconv.cox import cox_prior_sample, poisson_inverse_cdf, states_to_csv
 from pfconv.errors import DomainError
 
 ETA, C = 0.1, 0.5

@@ -12,22 +12,19 @@ from scipy import integrate
 from scipy.special import logsumexp, softmax
 
 from pfconv import (
-    LinearGaussianModel,
     Proposal,
     RngStream,
-    kalman_filter,
-    make_lg_bootstrap_proposal,
-    make_lg_model,
     make_test_function,
     run_filter,
     run_filters,
-    simulate_lg,
 )
 from pfconv import engine, resampling
 from pfconv.cores import WORKERS_ENV
 from pfconv.engine import _checked_sums, _estimate_rows, _normalize_rows, _raw_log_weights
 from pfconv.errors import CountMismatch, DegenerateWeights, DomainError, \
     WeightNotFinite
+from pfconv.lineargauss import LinearGaussianModel, kalman_filter, \
+    make_lg_bootstrap_proposal, make_lg_model, simulate_lg
 from pfconv.particles import FilterRun
 from pfconv.resampling import ResampleScheme, get_scheme
 
@@ -436,6 +433,7 @@ def test_run_filter_memory_stays_linear(monkeypatch, cox_model, gamma_proposal,
     # vector, and 8.5 MiB for stratified, which holds a row of positions.
     # A fourth buffer would add 2 MiB to each.
     import os
+    import numpy.random  # noqa: F401  its first import adds 0.7 MiB: load it before tracing
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     for scheme, limit_mib in (("systematic", 8.0), ("multinomial", 9.0),
                               ("stratified", 9.5)):
@@ -457,6 +455,7 @@ def test_run_filter_memory_with_the_draw_thread(draw_thread, cox_model, gamma_pr
     # next proposals into their own buffer behind the duplication.  About
     # 6.4 MiB at the peak for systematic and 8.0 MiB for multinomial,
     # whose numpy draw returns a fresh count vector.
+    import numpy.random  # noqa: F401  its first import adds 0.7 MiB: load it before tracing
     draw_thread(2)
     for scheme, limit_mib in (("systematic", 8.0), ("multinomial", 9.0)):
         prop, drew_on = _watched(gamma_proposal)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import threading
 import tracemalloc
@@ -6,15 +7,25 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from pfconv import GridDensity, grid_estimate, grid_init, grid_predict, \
-    grid_update, make_test_function, run_cox_grid_filter
+from pfconv import make_test_function
 from pfconv.cox import CoxParams, cox_likelihood_logdensity, cox_transition_logdensity
 from pfconv.errors import DomainError, ZeroMass
 from pfconv import gridfilter
-from pfconv.gridfilter import folded_normal_prior
+from pfconv.gridfilter import GridDensity, folded_normal_prior, grid_init, grid_predict, \
+    grid_update, run_cox_grid_filter
 
 EXP_NEG = make_test_function("exp_neg")
 ONE = make_test_function("one")
+
+
+def _expect(grid, phi=lambda x: x):
+    """E[phi(X)] under the grid density as a midpoint sum; the mean by default."""
+    return float(np.sum(phi(grid.midpoints()) * grid.values) * grid.dx)
+
+
+def _likelihood(y, grid, c=0.5):
+    """The Cox likelihood of the count y on the grid's midpoints."""
+    return np.exp(cox_likelihood_logdensity(y, grid.midpoints(), c))
 
 
 def test_grid_init_normalizes():
@@ -25,12 +36,12 @@ def test_grid_init_normalizes():
 
 def test_grid_init_mean_matches_folded_normal():
     grid = grid_init(folded_normal_prior, 15.0, 3000)
-    assert abs(grid.mean() - math.sqrt(2 / math.pi)) < 1e-3
+    assert abs(_expect(grid) - math.sqrt(2 / math.pi)) < 1e-3
 
 
 def test_grid_init_mean_stable_under_refinement():
-    a = grid_init(folded_normal_prior, 15.0, 3000).mean()
-    b = grid_init(folded_normal_prior, 15.0, 6000).mean()
+    a = _expect(grid_init(folded_normal_prior, 15.0, 3000))
+    b = _expect(grid_init(folded_normal_prior, 15.0, 6000))
     assert abs(a - b) < 1e-5
 
 
@@ -61,7 +72,7 @@ def test_grid_density_rejects_a_non_finite_x_max():
 def test_grid_predict_near_identity_kernel():
     grid = grid_init(folded_normal_prior, 15.0, 1500)
     out = grid_predict(grid, 1e-6)
-    assert abs(out.mean() - grid.mean()) < 2 * grid.dx
+    assert abs(_expect(out) - _expect(grid)) < 2 * grid.dx
     assert np.sum(out.values) * out.dx == pytest.approx(1.0, abs=1e-9)
     with pytest.raises(DomainError):
         grid_predict(grid, 0.0)
@@ -82,43 +93,50 @@ def test_grid_predict_point_mass_reproduces_transition_column():
 
 def test_grid_update_constant_likelihood_is_identity():
     grid = grid_init(folded_normal_prior, 15.0, 500)
-    out = grid_update(grid, lambda y, x: np.full_like(x, -0.7), 0)
+    out = grid_update(grid, np.full(grid.n_cells, math.exp(-0.7)))[0]
     assert np.allclose(out.values, grid.values, rtol=1e-12)
 
 
 def test_grid_update_zero_count_shifts_mass_down():
     grid = grid_init(folded_normal_prior, 15.0, 500)
-    out = grid_update(grid, lambda y, x: cox_likelihood_logdensity(y, x, 0.5), 0)
-    assert out.mean() < grid.mean()
+    out = grid_update(grid, _likelihood(0, grid))[0]
+    assert _expect(out) < _expect(grid)
 
 
 def test_grid_update_composes_multiplicatively():
     grid = grid_init(folded_normal_prior, 15.0, 500)
-    l1 = lambda y, x: cox_likelihood_logdensity(1, x, 0.5)
-    l2 = lambda y, x: cox_likelihood_logdensity(2, x, 0.5)
-    both = lambda y, x: l1(y, x) + l2(y, x)
-    two_steps = grid_update(grid_update(grid, l1, None), l2, None)
-    one_step = grid_update(grid, both, None)
+    mids = grid.midpoints()
+    l1 = cox_likelihood_logdensity(1, mids, 0.5)
+    l2 = cox_likelihood_logdensity(2, mids, 0.5)
+    two_steps = grid_update(grid_update(grid, np.exp(l1))[0], np.exp(l2))[0]
+    one_step = grid_update(grid, np.exp(l1 + l2))[0]
     assert np.allclose(two_steps.values, one_step.values, rtol=1e-12)
 
 
 def test_grid_update_zero_mass_aborts():
     grid = grid_init(folded_normal_prior, 15.0, 500)
     with pytest.raises(ZeroMass):
-        grid_update(grid, lambda y, x: np.full_like(x, -math.inf), 5)
+        grid_update(grid, np.zeros(grid.n_cells))
+
+
+def test_grid_update_rejects_a_likelihood_of_another_shape():
+    grid = grid_init(folded_normal_prior, 15.0, 500)
+    for likelihood in (np.ones(499), np.ones(501), np.ones((1, 500)), 1.0):
+        with pytest.raises(DomainError, match="^likelihood has shape"):
+            grid_update(grid, likelihood)
 
 
 def test_grid_estimate_constant_and_closed_form():
     grid = grid_init(folded_normal_prior, 15.0, 3000)
-    assert grid_estimate(grid, ONE) == pytest.approx(1.0, abs=1e-9)
+    assert _expect(grid, ONE) == pytest.approx(1.0, abs=1e-9)
     # int_0^inf e^-x * 2 N(x;0,1) dx = 2 e^{1/2} Phi(-1)
     closed = 2 * math.exp(0.5) * 0.5 * math.erfc(1 / math.sqrt(2))
-    assert grid_estimate(grid, EXP_NEG) == pytest.approx(closed, abs=1e-4)
+    assert _expect(grid, EXP_NEG) == pytest.approx(closed, abs=1e-4)
 
 
 def test_grid_estimate_stable_under_refinement():
-    a = grid_estimate(grid_init(folded_normal_prior, 15.0, 1500), EXP_NEG)
-    b = grid_estimate(grid_init(folded_normal_prior, 15.0, 3000), EXP_NEG)
+    a = _expect(grid_init(folded_normal_prior, 15.0, 1500), EXP_NEG)
+    b = _expect(grid_init(folded_normal_prior, 15.0, 3000), EXP_NEG)
     assert abs(a - b) < 1e-4
 
 
@@ -127,8 +145,7 @@ def test_grid_predict_matches_dense_kernel(eta):
     # reference: the n x n kernel K[i, j] = f(x_i | x_j) built from the
     # transition log-density, applied as values' = K @ values * dx
     prior = grid_init(folded_normal_prior, 15.0, 600)
-    posterior = grid_update(grid_predict(prior, 0.1),
-                            lambda y, x: cox_likelihood_logdensity(y, x, 0.5), 0)
+    posterior = grid_update(grid_predict(prior, 0.1), _likelihood(0, prior))[0]
     mids = prior.midpoints()
     xt, xp = np.meshgrid(mids, mids, indexing="ij")
     kernel = np.exp(cox_transition_logdensity(xt, xp, eta))
@@ -331,6 +348,25 @@ def test_grid_predict_runs_once_per_step_on_the_calling_thread(fixture_obs, monk
     monkeypatch.setattr(gridfilter, "grid_predict", recording)
     run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800)
     assert calls == [(threading.get_ident(), 800)] * len(fixture_obs)
+
+
+def test_a_run_builds_the_midpoints_and_each_test_function_once(fixture_obs, monkeypatch):
+    # the midpoints and each test function's values on them are built once
+    # per run, not once (or five times) per step
+    midpoints, calls = GridDensity.midpoints, []
+
+    def counted(phi):
+        return dataclasses.replace(phi, fn=lambda x: calls.append(phi.name) or phi(x))
+
+    def counting_midpoints(grid):
+        calls.append("midpoints")
+        return midpoints(grid)
+
+    monkeypatch.setattr(GridDensity, "midpoints", counting_midpoints)
+    run = run_cox_grid_filter(CoxParams(0.5, 0.1), fixture_obs, 15.0, 800,
+                              [counted(EXP_NEG), counted(ONE)])
+    assert len(run.steps) == 12
+    assert sorted(calls) == ["exp_neg", "midpoints", "one"]
 
 
 def test_run_cox_grid_filter_normalized_every_step(fixture_obs):

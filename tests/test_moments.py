@@ -8,7 +8,6 @@ from scipy import integrate
 
 from pfconv import (
     MomentCondition,
-    MomentStatus,
     RngStream,
     check_cox_moment_condition,
     quadrature_weight_moment,
@@ -16,7 +15,7 @@ from pfconv import (
 from pfconv.cox import GammaProposal, make_gamma_proposal
 from pfconv.engine import _normalize_rows, _raw_log_weights
 from pfconv.errors import DomainError
-from pfconv.moments import quadrature_refinements
+from pfconv.moments import MomentStatus, quadrature_refinements
 
 C, ETA = 0.5, 0.1
 

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pfconv import RngStream, get_scheme, make_test_function, multinomial_resample, \
-    stratified_resample, systematic_resample
+from pfconv import RngStream, get_scheme, make_test_function
 from pfconv.engine import _estimate_rows
 from pfconv.errors import CountMismatch, NotNormalized
 from pfconv import resampling
-from pfconv.resampling import check_counts, repeat_checked
+from pfconv.resampling import check_counts, multinomial_resample, repeat_checked, \
+    stratified_resample, systematic_resample
 from pfconv.rng import KeyedRows, KeyPool
 
 ALL_SCHEMES = ["multinomial", "stratified", "systematic"]
