@@ -2,8 +2,9 @@
 
 A sequential Monte Carlo engine over abstract state-space models and
 importance proposals, weight-moment diagnostics for proposals whose
-weights are pointwise unbounded, exact reference filters (dense grid and
-Kalman), and a convergence-rate experiment harness with a CLI.
+weights are pointwise unbounded, an exact dense-grid reference filter,
+and a convergence-rate experiment harness with a CLI.  The Kalman
+reference that validates the engine is test code, in `tests/lineargauss.py`.
 """
 
 from .convergence import ConvergenceReport, ExperimentConfig, RateFit, \

@@ -92,10 +92,6 @@ class ExperimentConfig:
         """The fields in order, tuples as lists (the report's config echo)."""
         return {k: list(v) if isinstance(v, tuple) else v for k, v in asdict(self).items()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
-
 
 @dataclass(frozen=True)
 class RateFit:
@@ -153,27 +149,6 @@ class ConvergenceReport:
             "tables": self.tables,
             "rate_fits": [dict(f) for f in self.rate_fits],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ConvergenceReport":
-        if data.get("schema_version") != SCHEMA_VERSION:
-            raise DomainError(f"unsupported schema_version {data.get('schema_version')!r}")
-        return cls(
-            config=ExperimentConfig.from_dict(data["config"]),
-            steps=tuple(data["steps"]),
-            truth={k: tuple(v) for k, v in data["truth"].items()},
-            oracle_check=data["oracle_check"],
-            tables=data["tables"],
-            rate_fits=tuple(data["rate_fits"]),
-            partial=data["partial"],
-        )
-
-    def fit(self, phi: str, t, moment: int, stage: str = "normalized") -> RateFit:
-        """Look up one fitted rate (t may be a step index or "mean")."""
-        for f in self.rate_fits:
-            if (f["phi"], f["t"], f["moment"], f["stage"]) == (phi, t, moment, stage):
-                return RateFit(f["slope"], f["intercept"], f["r_squared"])
-        raise KeyError(f"no rate fit for ({stage}, {phi}, t={t}, p={moment})")
 
 
 def _study_cell(args):

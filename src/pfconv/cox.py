@@ -56,10 +56,6 @@ class GammaProposal:
     def __post_init__(self):
         require_positive(alpha=self.alpha, beta=self.beta)
 
-    @property
-    def singular(self) -> bool:
-        return self.alpha > 1
-
 
 @dataclass(frozen=True)
 class ObservationSeries:
@@ -166,6 +162,12 @@ def cox_prior_sample(gen: np.random.Generator, size: int) -> np.ndarray:
     return np.abs(gen.standard_normal(size))
 
 
+def cox_transition_sample(x_prev, eta: float, gen: np.random.Generator) -> np.ndarray:
+    """One reflected-walk step |x' + sqrt(eta) * eps| from each state x'."""
+    x_prev = np.asarray(x_prev, dtype=float)
+    return np.abs(x_prev + math.sqrt(eta) * gen.standard_normal(np.size(x_prev)))
+
+
 def gamma_propose(prop: GammaProposal, gen: np.random.Generator, size: int) -> np.ndarray:
     """size draws from Gamma(alpha, rate beta)."""
     return gen.gamma(prop.alpha, 1.0 / prop.beta, size)
@@ -211,14 +213,8 @@ def make_gamma_proposal(prop: GammaProposal) -> Proposal:
 
 def make_bootstrap_proposal(params: CoxParams) -> Proposal:
     """Proposal identical to the transition; weights reduce to the likelihood."""
-
-    def propose(x_prev, y, gen):
-        x_prev = np.asarray(x_prev, dtype=float)
-        eps = gen.standard_normal(np.size(x_prev))
-        return np.abs(x_prev + math.sqrt(params.eta) * eps)
-
     return Proposal(
-        propose=propose,
+        propose=lambda x_prev, y, gen: cox_transition_sample(x_prev, params.eta, gen),
         logdensity=lambda x, xp, y: cox_transition_logdensity(x, xp, params.eta),
     )
 
@@ -272,10 +268,9 @@ def simulate(params: CoxParams, steps: int, master_seed: int
     states = np.empty(steps + 1)
     states[0] = cox_prior_sample(root.derive(0).gen, 1)[0]
     rows = []
-    sd = math.sqrt(params.eta)
     for t in range(1, steps + 1):
         gen = root.derive(t).gen
-        states[t] = abs(states[t - 1] + sd * gen.standard_normal())
+        states[t] = cox_transition_sample(states[t - 1:t], params.eta, gen)[0]
         y = poisson_inverse_cdf(params.c * states[t], gen.random())
         rows.append((t, y))
     return states, ObservationSeries(tuple(rows))

@@ -514,9 +514,8 @@ def run_filters(model: StateSpaceModel, proposal: Proposal,
         ess=block.ess[:, r], log_mean_weight=block.log_mean_weight[:, r],
         clouds=block.clouds[:, :, r],
         # a left-to-right sum in step order: np.sum pairs, and sum() compensates
-        log_evidence=reduce(add, block.log_mean_weight[:, r].tolist(), 0.0),
-        n=n, master_seed=root.master_seed, labels=root.labels)
-        for r, root in enumerate(roots))
+        log_evidence=reduce(add, block.log_mean_weight[:, r].tolist(), 0.0))
+        for r in range(len(roots)))
 
 
 def run_filter(model: StateSpaceModel, proposal: Proposal,

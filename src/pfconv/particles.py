@@ -9,7 +9,7 @@ it.  `WeightedParticleSet` and `Stage` are not used by the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -93,9 +93,11 @@ class FilterRun:
     ``resampled_estimates`` the estimates of each test function, by name,
     before and after resampling; ``ess`` the effective sample size of the
     normalized weights and ``log_mean_weight`` the step's incremental log
-    evidence.  ``clouds`` (T, 3, K) holds each step's first K proposed
-    particles, their normalized weights and its first K resampled
-    particles; K is 0 unless clouds were recorded.
+    evidence, and ``log_evidence`` their sum in step order.  ``clouds``
+    (T, 3, K) holds each step's first K proposed particles, their
+    normalized weights and its first K resampled particles; K is 0 unless
+    clouds were recorded.  The particle count and the root stream are the
+    caller's arguments, so a run does not repeat them.
     """
 
     steps: np.ndarray
@@ -105,9 +107,6 @@ class FilterRun:
     log_mean_weight: np.ndarray
     clouds: np.ndarray
     log_evidence: float
-    n: int
-    master_seed: int | None = None
-    labels: tuple[int, ...] = field(default=())
 
     def estimate_trace(self, name: str, stage: str = "normalized") -> np.ndarray:
         """Per-step estimates of one test function at one stage."""

@@ -39,10 +39,6 @@ def report_csv_text(report: ConvergenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_json_text(report: ConvergenceReport) -> str:
-    return json.dumps(report.to_dict(), indent=2) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # SVG (hand-rolled: no timestamps, no external assets)
 
@@ -142,7 +138,7 @@ def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
     if fmt == "csv":
         text = report_csv_text(report)
     elif fmt == "json":
-        text = report_json_text(report)
+        text = json.dumps(report.to_dict(), indent=2) + "\n"
     elif fmt == "svg":
         text = rate_svg_text(report)
     else:

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_positive
-from .model import Proposal, StateSpaceModel
-from .rng import RngStream
+from pfconv.errors import DomainError, require_positive
+from pfconv.model import Proposal, StateSpaceModel
+from pfconv.rng import RngStream
 
 
 @dataclass(frozen=True)

@@ -30,11 +30,11 @@ from pfconv import (
     run_filter,
 )
 from pfconv.cli import cli_dispatch
-from pfconv.convergence import ConvergenceReport
+from pfconv.convergence import RateFit
 from pfconv.cox import cox_transition_logdensity
 from pfconv.engine import _raw_log_weights
 from pfconv.gridfilter import run_cox_grid_filter
-from pfconv.lineargauss import LinearGaussianModel, kalman_filter, \
+from lineargauss import LinearGaussianModel, kalman_filter, \
     make_lg_bootstrap_proposal, make_lg_model, simulate_lg
 from pfconv.moments import MomentStatus, quadrature_refinements
 from pfconv.report import emit_report
@@ -70,6 +70,13 @@ def _run_study_artifacts(config, workers):
                       ("svg", config.out_svg)):
         emit_report(report, fmt, path)
     return report
+
+
+def _fit(rate_fits, t, moment):
+    """The report's normalized-stage exp_neg rate fit at step t and moment p."""
+    [f] = [f for f in rate_fits if (f["stage"], f["phi"], f["t"], f["moment"])
+           == ("normalized", "exp_neg", t, moment)]
+    return RateFit(f["slope"], f["intercept"], f["r_squared"])
 
 
 @pytest.fixture(scope="session")
@@ -109,12 +116,12 @@ def gamma_proposal_session():
 
 def test_criterion_1_mse_rate(mse_artifacts):
     config, _ = mse_artifacts
-    parsed = ConvergenceReport.from_dict(json.loads(open(config.out_json).read()))
-    fit = parsed.fit("exp_neg", 11, 2, stage="normalized")
+    parsed = json.loads(open(config.out_json).read())
+    fit = _fit(parsed["rate_fits"], 11, 2)
     assert -1.35 <= fit.slope <= -0.70, f"mse slope {fit.slope}"
     assert fit.r_squared >= 0.9
     # statistical error monotonicity: largest N beats smallest N at every t
-    tab = parsed.tables["normalized"]["exp_neg"]
+    tab = parsed["tables"]["normalized"]["exp_neg"]
     mse, l4 = np.array(tab["mse"]), np.array(tab["l4"])
     assert np.all(mse[-1] < mse[0])
     assert np.all(l4 >= mse ** 2 * (1 - 1e-12))  # Jensen, per cell
@@ -128,10 +135,10 @@ def test_criterion_1_mse_rate(mse_artifacts):
 
 def test_criterion_2_l4_rate(l4_artifacts):
     config, _ = l4_artifacts
-    parsed = ConvergenceReport.from_dict(json.loads(open(config.out_json).read()))
-    fit = parsed.fit("exp_neg", 11, 4, stage="normalized")
+    parsed = json.loads(open(config.out_json).read())
+    fit = _fit(parsed["rate_fits"], 11, 4)
     assert -2.5 <= fit.slope <= -1.4, f"l4 slope {fit.slope}"
-    tab = parsed.tables["normalized"]["exp_neg"]
+    tab = parsed["tables"]["normalized"]["exp_neg"]
     mse, l4 = np.array(tab["mse"]), np.array(tab["l4"])
     assert np.all(l4[-1] < l4[0])
     assert np.all(l4 >= mse ** 2 * (1 - 1e-12))
@@ -184,7 +191,7 @@ def test_criterion_4_unbounded_weight_reproduction(cox_model_session,
 
     # ... while the mean-square rate and the moment condition both hold
     _, report = mse_artifacts
-    fit = report.fit("exp_neg", 11, 2)
+    fit = _fit(report.rate_fits, 11, 2)
     assert -1.35 <= fit.slope <= -0.70
     verdict = check_cox_moment_condition(MomentCondition(2, ALPHA_MSE, BETA, C, ETA))
     assert verdict.status is MomentStatus.SATISFIED

@@ -141,7 +141,6 @@ def test_gamma_sample_mean():
 
 def test_gamma_density_vanishes_at_origin_when_singular():
     prop = GammaProposal(1.5, 0.5)
-    assert prop.singular
     assert gamma_logdensity(prop, 0.0) == -math.inf
     assert gamma_logdensity(prop, -1.0) == -math.inf
 

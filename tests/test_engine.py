@@ -23,7 +23,7 @@ from pfconv.cores import WORKERS_ENV
 from pfconv.engine import _checked_sums, _estimate_rows, _normalize_rows, _raw_log_weights
 from pfconv.errors import CountMismatch, DegenerateWeights, DomainError, \
     WeightNotFinite
-from pfconv.lineargauss import LinearGaussianModel, kalman_filter, \
+from lineargauss import LinearGaussianModel, kalman_filter, \
     make_lg_bootstrap_proposal, make_lg_model, simulate_lg
 from pfconv.particles import FilterRun
 from pfconv.resampling import ResampleScheme, get_scheme

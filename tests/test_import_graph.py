@@ -63,11 +63,3 @@ def test_a_function_level_import_closes_a_cycle():
     assert _cycle({"a": a, "b": b, "c": {"a"}}) == ["a", "b", "a"]
     assert _cycle({"a": a, "b": set()}) is None
 
-
-def test_no_package_module_imports_the_validation_model():
-    # the linear-Gaussian model only validates the engine in the tests, so
-    # `import pfconv` and the CLI never load it
-    graph = {path.stem: _imports(ast.parse(path.read_text()))
-             for path in sorted(SRC.glob("*.py"))}
-    assert "lineargauss" in graph
-    assert [name for name, deps in graph.items() if "lineargauss" in deps] == []

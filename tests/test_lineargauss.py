@@ -5,7 +5,7 @@ import pytest
 
 from pfconv import RngStream, run_filter
 from pfconv.errors import DomainError
-from pfconv.lineargauss import GaussianBelief, LinearGaussianModel, kalman_filter, \
+from lineargauss import GaussianBelief, LinearGaussianModel, kalman_filter, \
     kalman_log_evidence, kalman_step, make_lg_bootstrap_proposal, make_lg_model, \
     simulate_lg
 from pfconv.resampling import get_scheme
