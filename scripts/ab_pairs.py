@@ -32,10 +32,10 @@ change wins (a tie counts for neither side), and two verdicts:
   metric's `bound` as a fraction of the parent's median (a bound of 0.25
   allows the change's median to be 25% worse).  A metric worse beyond
   its bound is flagged.  A metric is marked unresolved, since the runs
-  spread too widely to tell, when it is worse and its quartile ranges
-  overlap, or when the parent's interquartile range is wider than the
-  bound (as a fraction of the parent's median) and not every change run
-  beats every parent run.
+  spread too widely to tell, when it is worse or meets the claim rule
+  and its quartile ranges overlap, or when the parent's interquartile
+  range is wider than the bound (as a fraction of the parent's median)
+  and not every change run beats every parent run.
 
 Every run must report `"correct": true` and no failed run.  The exit
 status is 1 when a metric of any workload is flagged or a run is not
@@ -96,6 +96,8 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
         overlap = pb1 <= pa3 and pa1 <= pb3
         spread = (pa3 - pa1) / abs(pa2) if pa2 else math.inf
         separated = max(b) < min(a) if lower else min(b) > max(a)
+        claim_met = wins >= CLAIM_SHARE * len(a) \
+            and gain > max(pa3 - pa1, CLAIM_FLOOR * spec["bound"] * abs(pa2))
         rows.append({
             "metric": name, "better": spec["better"], "bound": spec["bound"],
             "parent": (pa1, pa2, pa3), "change": (pb1, pb2, pb3),
@@ -103,10 +105,10 @@ def summarize(metrics: list[dict], parent: list[dict], change: list[dict]) -> li
             "spread": spread,
             "wins": wins, "losses": losses, "pairs": len(a),
             "better_median": gain > 0,
-            "claim_met": wins >= CLAIM_SHARE * len(a)
-            and gain > max(pa3 - pa1, CLAIM_FLOOR * spec["bound"] * abs(pa2)),
+            "claim_met": claim_met,
             "beyond_bound": worse > spec["bound"],
-            "unresolved": (gain < 0 and overlap) or (spread > spec["bound"] and not separated),
+            "unresolved": ((gain < 0 or claim_met) and overlap)
+            or (spread > spec["bound"] and not separated),
         })
     return rows
 

@@ -22,13 +22,22 @@ from .gridfilter import grid_cells, run_cox_grid_filter
 from .model import make_test_function, make_test_functions
 from .moments import MomentCondition, check_cox_moment_condition, \
     quadrature_weight_moment
-from .report import emit_report, histogram_svg_text
+from .report import _fmt, emit_report, histogram_svg_text
 from .resampling import SCHEMES, get_scheme
 from .rng import RngStream
 
+_CHOICES = {"proposal": PROPOSALS, "resampler": sorted(SCHEMES)}
 
-def _fmt(x) -> str:
-    return repr(float(x))
+
+def _add_study_flags(p, keys=None, defaults: ExperimentConfig | None = None) -> None:
+    """Add the ``converge`` flag of each config key in keys (every key when
+    None), in `KEYS` order, into the `ExperimentConfig` field's name, with
+    that field of defaults as its default (None without defaults)."""
+    for _, key, field, parse in KEYS:
+        if keys is None or key in keys:
+            p.add_argument(flag(key), dest=field, type=parse, choices=_CHOICES.get(field),
+                           default=getattr(defaults, field, None),
+                           help=None if defaults is None else "default: %(default)s")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -42,10 +51,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulation, filtering, oracles, and convergence studies.",
     )
     sub = parser.add_subparsers(dest="command")
+    defaults = ExperimentConfig(observations="")
 
     p = sub.add_parser("simulate", help="simulate a count series from the intensity model")
-    p.add_argument("--c", type=float, default=0.5, help="intensity slope (lambda = c*x)")
-    p.add_argument("--eta", type=float, default=0.1, help="per-step increment variance")
+    _add_study_flags(p, ("c", "eta"), defaults)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="observation CSV path (t,y)")
@@ -56,12 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--observations", required=True)
     p.add_argument("--n", type=int, default=10000, help="particle count")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--proposal", choices=PROPOSALS, default="gamma")
-    p.add_argument("--alpha", type=float, default=1.5)
-    p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--resampler", choices=sorted(SCHEMES), default="multinomial")
+    # --dx and --x-max set the --svg overlay's oracle grid
+    _add_study_flags(p, ("c", "eta", "kind", "alpha", "beta", "resampler", "dx", "x_max"),
+                     defaults)
     p.add_argument("--phi", type=str_list, default=("exp_neg",),
                    help="comma-separated registry test functions")
     p.add_argument("--out", required=True, help="per-step estimate CSV path")
@@ -70,16 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist-bins", type=int, default=30)
     p.add_argument("--hist-min", type=float, default=0.0)
     p.add_argument("--hist-max", type=float, default=6.0)
-    p.add_argument("--dx", type=float, default=0.005, help="oracle grid spacing (for --svg)")
-    p.add_argument("--x-max", type=float, default=15.0, help="oracle grid extent (for --svg)")
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("grid", help="run the dense-grid reference filter")
     p.add_argument("--observations", required=True)
-    p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=0.1)
-    p.add_argument("--dx", type=float, default=0.005)
-    p.add_argument("--x-max", type=float, default=15.0)
+    _add_study_flags(p, ("c", "eta", "dx", "x_max"), defaults)
     p.add_argument("--phi", default="exp_neg")
     p.add_argument("--out", required=True, help="per-step CSV (t,estimate_phi,grid_mean,grid_var)")
     p.add_argument("--density-out", help="optional full density dump CSV (t,x,density)")
@@ -89,8 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int_list, default=(2, 4))
     p.add_argument("--alpha", type=_float_list, default=(1.5,))
     p.add_argument("--beta", type=_float_list, default=(0.5,))
-    p.add_argument("--c", type=float, default=0.5)
-    p.add_argument("--eta", type=float, default=0.1)
+    _add_study_flags(p, ("c", "eta"), defaults)
     p.add_argument("--x-prev", type=float, default=1.0)
     p.add_argument("--level", type=int, default=12, help="quadrature refinement level")
     p.add_argument("--json", dest="json_out", help="optional JSON output path")
@@ -98,9 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="run a convergence-rate study")
     p.add_argument("--config", help="study config file")
-    choices = {"proposal": PROPOSALS, "resampler": sorted(SCHEMES)}
-    for _, key, field, parse in KEYS:
-        p.add_argument(flag(key), dest=field, type=parse, choices=choices.get(field))
+    _add_study_flags(p)
     p.add_argument("--workers", type=int,
                    help="worker processes "
                         "(default: usable cores, capped by PFCONV_WORKERS)")
@@ -139,7 +137,7 @@ def _histogram_cells(args, obs: ObservationSeries) -> int:
     if not args.hist_min < args.hist_max:
         raise DomainError(f"--hist-min must lie below --hist-max ({args.hist_max!r}), "
                           f"got {args.hist_min!r}")
-    return grid_cells(args.x_max, args.dx)
+    return grid_cells(args.grid_x_max, args.grid_dx)
 
 
 def _cmd_filter(args) -> int:
@@ -170,7 +168,7 @@ def _cmd_filter(args) -> int:
 
 
 def _write_filter_histogram(args, params, obs, run, n_cells: int) -> None:
-    grun = run_cox_grid_filter(params, obs, args.x_max, n_cells)
+    grun = run_cox_grid_filter(params, obs, args.grid_x_max, n_cells)
     t_idx = list(grun.steps).index(args.hist_step)  # the filter's step index too
     grid = grun.grids[t_idx]
     particles, weights, _ = run.clouds[t_idx]
@@ -187,8 +185,8 @@ def _cmd_grid(args) -> int:
     params = CoxParams(args.c, args.eta)
     obs = ObservationSeries.from_csv(args.observations)
     phi = make_test_function(args.phi)
-    n_cells = grid_cells(args.x_max, args.dx)
-    run = run_cox_grid_filter(params, obs, args.x_max, n_cells, [phi])
+    n_cells = grid_cells(args.grid_x_max, args.grid_dx)
+    run = run_cox_grid_filter(params, obs, args.grid_x_max, n_cells, [phi])
     with open(args.out, "w", newline="") as fh:
         fh.write("t,estimate_phi,grid_mean,grid_var\n")
         for i, t in enumerate(run.steps):

@@ -55,7 +55,7 @@ A block of at least `DRAW_THREAD_SLABS` slabs draws its proposals on a
 helper thread when the run may use two cores (`cores.resolve_workers`,
 so ``PFCONV_WORKERS=1`` turns it off; a study passes 1, since its cells
 already run in processes).  The helper draws a step ahead: once step t's
-counts pass their checks, it draws step t + 1 (`_Draws`, `_propose`,
+counts pass their checks, it draws step t + 1 (`_Draws`, `_draw_rows`,
 row by row and slab by slab) into the proposals' buffer behind the
 duplication, while the calling thread duplicates step t's proposals
 into the parents' buffer and estimates after resampling.  The helper
@@ -111,7 +111,7 @@ from .cores import resolve_workers
 from .errors import DegenerateWeights, DomainError, PfconvError, WeightNotFinite, \
     at_row
 from .model import Proposal, StateSpaceModel, TestFunction
-from .particles import _NORMALIZATION_RTOL, FilterRun
+from .particles import FilterRun
 from .resampling import ResampleScheme, check_counts, repeat_checked, slabs
 from .rng import KeyedRows, KeyPool, RngStream
 
@@ -124,12 +124,7 @@ from .rng import KeyedRows, KeyPool, RngStream
 # runs after a warm-up run).
 DRAW_THREAD_SLABS = 16
 
-
-def _particles(values, n: int, source: str) -> np.ndarray:
-    x = np.asarray(values, dtype=float)
-    if x.shape != (n,):
-        raise DomainError(f"{source} returned shape {x.shape} for {n} particles")
-    return x
+_NORMALIZATION_RTOL = 1e-12  # how far a row's normalized weights may sum from 1
 
 
 # ---------------------------------------------------------------------------
@@ -153,29 +148,32 @@ class _Workspace(NamedTuple):
     lw: np.ndarray
 
 
-def _propose(parents: np.ndarray, proposal: Proposal, y, rngs, out: np.ndarray,
-             ready: Callable[[int], None] | None = None,
-             drawn: Callable[[int], None] | None = None) -> np.ndarray:
-    """Row r of out is drawn by the proposal from the parents of row r and
-    the generator rngs[r], slab by slab; a row's slabs draw from it in order.
-    Around each slab, ``ready`` (when given) gets the offset into the
-    flattened block it ends at and returns once the parents are written up
-    to it, and then ``drawn`` (when given) gets that offset, below which
-    every entry of out is drawn."""
-    n = parents.shape[1]
+def _draw_rows(sample: Callable, rngs, out: np.ndarray, source: str,
+               ready: Callable[[int], None] | None = None,
+               drawn: Callable[[int], None] | None = None) -> None:
+    """Draw out[r, s] = sample(r, s, rngs[r]) slab s by slab s of each row
+    r; a row's slabs draw from its generator in order, and an error,
+    a draw of the wrong shape too, names its row.  Around each slab,
+    ``ready`` (when given) gets the offset into the flattened block it
+    ends at and returns once the parents are written up to it, and then
+    ``drawn`` (when given) gets that offset, below which every entry of
+    out is drawn."""
+    n = out.shape[1]
     row_slabs = slabs(n)
     for r, rng in enumerate(rngs):
         try:
             for s in row_slabs:
                 if ready is not None:
                     ready(r * n + s.stop)
-                out[r, s] = _particles(proposal.propose(parents[r, s], y, rng),
-                                       s.stop - s.start, "proposal")
+                size = s.stop - s.start
+                x = np.asarray(sample(r, s, rng), dtype=float)
+                if x.shape != (size,):
+                    raise DomainError(f"{source} returned shape {x.shape} for {size} particles")
+                out[r, s] = x
                 if drawn is not None:
                     drawn(r * n + s.stop)
         except PfconvError as err:
             raise at_row(err, r)
-    return out
 
 
 class _Progress:
@@ -211,7 +209,7 @@ class _Abandoned(Exception):
 
 
 class _Draws:
-    """One step's proposals, `_propose` of ``args``, drawn from parents
+    """One step's proposals, `_draw_rows` of ``args``, drawn from parents
     the caller writes and publishes to ``parents``.
 
     With a pool, its one thread draws each slab once its parents are
@@ -226,7 +224,7 @@ class _Draws:
 
     def _run(self) -> None:
         try:
-            _propose(*self._args, ready=self.parents.wait, drawn=self._drawn.publish)
+            _draw_rows(*self._args, ready=self.parents.wait, drawn=self._drawn.publish)
         except BaseException as err:
             self._drawn.stop(err)
             raise
@@ -236,7 +234,7 @@ class _Draws:
         the draws' error when they stopped short of it."""
         if self._pending:
             self._pending = False
-            _propose(*self._args)
+            _draw_rows(*self._args)
         elif self._future is not None:
             self._drawn.wait(upto)
 
@@ -450,11 +448,8 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
     resampled = (uniform[0], np.sum(uniform))  # all N entries are equal
     del uniform  # not held while the block runs
     ws = _Workspace(*(np.empty((len(roots), n)) for _ in _Workspace._fields))
-    row_slabs = slabs(n)
-    for r, rng in enumerate(KeyedRows(gen, keys)):
-        for s in row_slabs:
-            ws.x[r, s] = _particles(model.prior_sample(rng, s.stop - s.start),
-                                    s.stop - s.start, "prior_sample")
+    _draw_rows(lambda r, s, rng: model.prior_sample(rng, s.stop - s.start),
+               KeyedRows(gen, keys), ws.x, "prior_sample")
     m, p, k = len(roots), len(test_functions), max(0, min(record_clouds, n))
     out = FilterBlock(np.array(labels),
                       np.empty((len(steps), m)), np.empty((len(steps), m)),
@@ -470,7 +465,9 @@ def _run_block(model: StateSpaceModel, proposal: Proposal,
     with ThreadPoolExecutor(1) if threaded else nullcontext() as helper:
         def draws(i: int) -> _Draws:
             """Step i's proposals from the parents in ws.x into ws.proposed."""
-            return _Draws(helper, ws.x, proposal, steps[i][1], streams[i][0], ws.proposed)
+            y = steps[i][1]
+            return _Draws(helper, lambda r, s, rng: proposal.propose(ws.x[r, s], y, rng),
+                          streams[i][0], ws.proposed, "proposal")
 
         step_draws = draws(0)
         step_draws.parents.publish(ws.x.size)  # the prior draws are all written

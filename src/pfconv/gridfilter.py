@@ -126,8 +126,6 @@ def grid_cells(x_max: float, dx: float) -> int:
 def grid_init(prior_density: Callable[[np.ndarray], np.ndarray],
               x_max: float, n_cells: int) -> GridDensity:
     """Evaluate a prior density at cell midpoints and renormalize."""
-    if n_cells < 10:
-        raise DomainError("n_cells must be >= 10")
     dx = x_max / n_cells
     mids = (np.arange(n_cells) + 0.5) * dx
     values = np.asarray(prior_density(mids), dtype=float)
@@ -218,8 +216,7 @@ class GridFilterRun:
     log_evidence: float
 
 
-def run_cox_grid_filter(params: CoxParams, observations,
-                        x_max: float = 15.0, n_cells: int = 3000,
+def run_cox_grid_filter(params: CoxParams, observations, x_max: float, n_cells: int,
                         test_functions: Sequence[TestFunction] = ()) -> GridFilterRun:
     """Run the grid filter over a (t, y) sequence and record posteriors,
     on the calling thread.  Raises DomainError when x_max truncates a

@@ -103,6 +103,31 @@ def test_a_worse_metric_with_overlapping_quartiles_is_unresolved(ab_pairs):
     assert not far["unresolved"] and not far["beyond_bound"]
 
 
+def test_a_claimed_gain_with_overlapping_quartiles_is_unresolved(ab_pairs):
+    # a filter_large_n throughput that drifted between pairs: 9 of 10 wins and
+    # a gap above the parent's IQR, but the change's q1 lies below the parent's q3
+    spec = [{"name": "particle_steps_per_s", "unit": "1/s", "better": "higher",
+             "bound": 0.25}]
+    parent = [1.10e7, 1.00e7, 1.10e7, 1.15e7, 1.19e7, 1.19e7, 1.21e7, 1.23e7, 1.23e7,
+              1.25e7]
+    change = [1.05e7, 1.11e7, 1.11e7, 1.30e7, 1.335e7, 1.335e7, 1.36e7, 1.39e7, 1.39e7,
+              1.40e7]
+
+    def lines(values):
+        return [{"correct": True, "attempted": 3, "failed": 0,
+                 "metrics": {"particle_steps_per_s": {"value": v, "unit": "1/s"}}}
+                for v in values]
+
+    row = ab_pairs.summarize(spec, lines(parent), lines(change))[0]
+    assert row["parent"] == pytest.approx((1.10e7, 1.19e7, 1.23e7))
+    assert row["change"] == pytest.approx((1.11e7, 1.335e7, 1.39e7))
+    assert (row["wins"], row["losses"]) == (9, 1)
+    assert row["claim_met"] and row["unresolved"] and not row["beyond_bound"]
+    assert ab_pairs.verdict(row) == \
+        "gain: claim rule met, unresolved (quartile ranges overlap)"
+    assert ab_pairs.report("filter_large_n", lines(parent), lines(change), [row])
+
+
 def test_a_parent_spread_wider_than_the_bound_is_unresolved(ab_pairs):
     wide = [1.0 + 0.1 * i for i in range(10)]  # IQR 0.55, 38% of the median 1.45
 

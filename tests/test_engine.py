@@ -377,6 +377,22 @@ def test_run_filters_names_failing_row_and_step(request, cox_model, fixture_obs,
     assert info.value.row == 2
 
 
+def test_run_filters_names_the_row_whose_prior_draw_fails(cox_model, gamma_proposal,
+                                                          fixture_obs):
+    # the prior draws through the proposals' loop, so a study reruns the rows below
+    bad = _stream_key(1, (2, 0))
+
+    def prior_sample(rng, size):  # row 2 returns one state too many
+        return cox_model.prior_sample(rng, size + (philox_key(rng) == bad))
+
+    model = dataclasses.replace(cox_model, prior_sample=prior_sample)
+    streams = [RngStream(1, (r,)) for r in range(4)]
+    with pytest.raises(DomainError, match=r"prior_sample returned shape \(17,\)") as info:
+        run_filters(model, gamma_proposal, fixture_obs, 16, get_scheme("multinomial"),
+                    streams)
+    assert info.value.row == 2
+
+
 def test_run_filters_builds_one_generator_per_block(monkeypatch, cox_model,
                                                     gamma_proposal, fixture_obs):
     # a bare Generator(Philox(key=0)), re-keyed row by row: no stream's

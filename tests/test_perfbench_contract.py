@@ -65,3 +65,15 @@ def test_workload_builds(worker, tmp_path, name):
     finally:
         hooks.uninstall()
     assert not hooks.missing
+
+
+def test_tracer_finds_the_particle_set_hook(worker, tmp_path):
+    # particles.WeightedParticleSet is kept, empty, for this one hook: without
+    # its __post_init__ a traced run would report a "(not found)" span
+    tracing = worker.tracing
+    hooks = tracing.Hooks()
+    try:
+        tracing.install(tracing.Trace(spool_dir=str(tmp_path)), hooks)
+    finally:
+        hooks.uninstall()
+    assert [name for name in hooks.missing if "WeightedParticleSet" in name] == []
