@@ -14,15 +14,14 @@ import numpy as np
 
 from .convergence import ExperimentConfig, run_convergence_study
 from .configfile import KEYS, apply_overrides, flag, int_list, load_config, str_list
-from .cox import PROPOSALS, CoxParams, GammaProposal, ObservationSeries, make_cox_model, \
-    make_cox_model_and_proposal, make_gamma_proposal, simulate, states_to_csv
+from .cox import PROPOSALS, CoxParams, ObservationSeries, make_cox_model_and_proposal, simulate
 from .engine import run_filter
 from .errors import DomainError, PfconvError
 from .gridfilter import grid_cells, run_cox_grid_filter
 from .model import make_test_function, make_test_functions
 from .moments import MomentCondition, check_cox_moment_condition, \
     quadrature_weight_moment
-from .report import _fmt, emit_report, histogram_svg_text
+from .report import _fmt, csv_text, emit_report, histogram_svg_text, write_text
 from .resampling import SCHEMES, get_scheme
 from .rng import RngStream
 
@@ -123,7 +122,8 @@ def _cmd_simulate(args) -> int:
     states, obs = simulate(params, args.steps, args.seed)
     obs.to_csv(args.out)
     if args.states_out:
-        states_to_csv(states, args.states_out)
+        write_text(args.states_out,
+                   csv_text(["t", "x"], ((t, f"{x:.17g}") for t, x in enumerate(states))))
     print(f"wrote {len(obs)} observations to {args.out}")
     return 0
 
@@ -150,15 +150,13 @@ def _cmd_filter(args) -> int:
     run = run_filter(model, proposal, obs, args.n, get_scheme(args.resampler),
                      args.seed, phis, record_clouds=args.n if args.svg else 0)
     names = [phi.name for phi in phis]
-    with open(args.out, "w", newline="") as fh:
-        head = ["t"] + [f"estimate_{n}" for n in names] \
-            + [f"resampled_estimate_{n}" for n in names] + ["ess", "log_mean_weight"]
-        fh.write(",".join(head) + "\n")
-        for i, t in enumerate(run.steps.tolist()):
-            row = [str(t)] + [_fmt(run.estimates[n][i]) for n in names] \
-                + [_fmt(run.resampled_estimates[n][i]) for n in names] \
-                + [_fmt(run.ess[i]), _fmt(run.log_mean_weight[i])]
-            fh.write(",".join(row) + "\n")
+    head = ["t"] + [f"estimate_{n}" for n in names] \
+        + [f"resampled_estimate_{n}" for n in names] + ["ess", "log_mean_weight"]
+    rows = ([t] + [_fmt(run.estimates[n][i]) for n in names]
+            + [_fmt(run.resampled_estimates[n][i]) for n in names]
+            + [_fmt(run.ess[i]), _fmt(run.log_mean_weight[i])]
+            for i, t in enumerate(run.steps.tolist()))
+    write_text(args.out, csv_text(head, rows))
     print(f"filter: {len(run.steps)} steps, N={args.n}, "
           f"log evidence {run.log_evidence:.6f} -> {args.out}")
     if args.svg:
@@ -174,11 +172,8 @@ def _write_filter_histogram(args, params, obs, run, n_cells: int) -> None:
     particles, weights, _ = run.clouds[t_idx]
     edges = np.linspace(args.hist_min, args.hist_max, args.hist_bins + 1)
     mass, _ = np.histogram(particles, bins=edges, weights=weights)
-    keep = grid.midpoints() <= args.hist_max
-    svg = histogram_svg_text(edges, mass, grid.midpoints()[keep], grid.values[keep],
-                             title=f"filtering density at t={args.hist_step}")
-    with open(args.svg, "w", newline="") as fh:
-        fh.write(svg)
+    write_text(args.svg, histogram_svg_text(edges, mass, grid.midpoints(), grid.values,
+                                            title=f"filtering density at t={args.hist_step}"))
 
 
 def _cmd_grid(args) -> int:
@@ -187,18 +182,15 @@ def _cmd_grid(args) -> int:
     phi = make_test_function(args.phi)
     n_cells = grid_cells(args.grid_x_max, args.grid_dx)
     run = run_cox_grid_filter(params, obs, args.grid_x_max, n_cells, [phi])
-    with open(args.out, "w", newline="") as fh:
-        fh.write("t,estimate_phi,grid_mean,grid_var\n")
-        for i, t in enumerate(run.steps):
-            fh.write(f"{t},{_fmt(run.estimates[phi.name][i])},"
-                     f"{_fmt(run.means[i])},{_fmt(run.variances[i])}\n")
+    write_text(args.out, csv_text(
+        ["t", "estimate_phi", "grid_mean", "grid_var"],
+        ((t, _fmt(run.estimates[phi.name][i]), _fmt(run.means[i]), _fmt(run.variances[i]))
+         for i, t in enumerate(run.steps))))
     if args.density_out:
-        with open(args.density_out, "w", newline="") as fh:
-            fh.write("t,x,density\n")
-            for i, t in enumerate(run.steps):
-                mids = run.grids[i].midpoints()
-                for x, v in zip(mids, run.grids[i].values):
-                    fh.write(f"{t},{x:.17g},{v:.17g}\n")
+        write_text(args.density_out, csv_text(
+            ["t", "x", "density"],
+            ((t, f"{x:.17g}", f"{v:.17g}") for t, grid in zip(run.steps, run.grids)
+             for x, v in zip(grid.midpoints(), grid.values))))
     print(f"grid: {len(run.steps)} steps, {n_cells} cells -> {args.out}")
     return 0
 
@@ -207,7 +199,6 @@ def _cmd_moments(args) -> int:
     if not 0 <= args.x_prev < float("inf"):
         raise DomainError(f"--x-prev must be finite and nonnegative, got {args.x_prev!r}")
     params = CoxParams(args.c, args.eta)
-    model = make_cox_model(params)
     rows = []
     for p in args.p:
         for alpha in args.alpha:
@@ -216,7 +207,8 @@ def _cmd_moments(args) -> int:
                     MomentCondition(p, alpha, beta, args.c, args.eta))
                 quad = None
                 if verdict.tail_rate < 0:
-                    proposal = make_gamma_proposal(GammaProposal(alpha, beta))
+                    model, proposal = make_cox_model_and_proposal(params, "gamma",
+                                                                  alpha, beta)
                     quad = quadrature_weight_moment(model, proposal, args.x_prev,
                                                     0, p, args.level)
                 rows.append({
@@ -235,9 +227,8 @@ def _cmd_moments(args) -> int:
                  for c in cols]
         print("  ".join(str(v).ljust(widths[c]) for c, v in zip(cols, cells)))
     if args.json_out:
-        with open(args.json_out, "w", newline="") as fh:
-            json.dump({"schema_version": 1, "rows": rows}, fh, indent=2)
-            fh.write("\n")
+        write_text(args.json_out,
+                   json.dumps({"schema_version": 1, "rows": rows}, indent=2) + "\n")
         print(f"verdicts -> {args.json_out}")
     return 0
 

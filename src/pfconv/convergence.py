@@ -30,7 +30,7 @@ from .errors import DomainError, InsufficientPoints, NonPositiveValue, PfconvErr
     StudyError
 from .gridfilter import grid_cells, run_cox_grid_filter
 from .model import make_test_functions
-from .report import emit_report
+from .report import MOMENT_TABLES, emit_report
 from .resampling import SCHEMES, get_scheme
 from .rng import RngStream
 
@@ -75,8 +75,8 @@ class ExperimentConfig:
         if not self.test_functions:
             raise DomainError("need at least one test function")
         make_test_functions(self.test_functions)
-        if not set(self.moments) <= {2, 4} or not self.moments:
-            raise DomainError("moments must be a nonempty subset of {2, 4}")
+        if not set(self.moments) <= set(MOMENT_TABLES) or not self.moments:
+            raise DomainError(f"moments must be a nonempty subset of {set(MOMENT_TABLES)}")
         if self.resampler not in SCHEMES:
             raise DomainError(f"unknown resampler {self.resampler!r}")
         if self.proposal not in PROPOSALS:
@@ -205,31 +205,23 @@ def _aggregate(est: np.ndarray, truth: np.ndarray, phis) -> dict:
     """est has shape (n_N, M, T, P); returns per-phi moment tables."""
     err = est - truth[None, None, :, :]
     m = est.shape[1]
-    e2, e4 = err ** 2, err ** 4
-    mse = np.nanmean(e2, axis=1)
-    l4 = np.nanmean(e4, axis=1)
-    mse_se = np.nanstd(e2, axis=1, ddof=1) / np.sqrt(m)
-    l4_se = np.nanstd(e4, axis=1, ddof=1) / np.sqrt(m)
-    out = {}
-    for p_idx, phi in enumerate(phis):
-        out[phi.name] = {
-            "mse": mse[:, :, p_idx].tolist(),
-            "mse_stderr": mse_se[:, :, p_idx].tolist(),
-            "l4": l4[:, :, p_idx].tolist(),
-            "l4_stderr": l4_se[:, :, p_idx].tolist(),
-        }
-    return out
+    stats = {}  # table name -> (n_N, T, P), in MOMENT_TABLES' order
+    for p, name in MOMENT_TABLES.items():
+        ep = err ** p
+        stats[name] = np.nanmean(ep, axis=1)
+        stats[name + "_stderr"] = np.nanstd(ep, axis=1, ddof=1) / np.sqrt(m)
+    return {phi.name: {name: tab[:, :, p_idx].tolist() for name, tab in stats.items()}
+            for p_idx, phi in enumerate(phis)}
 
 
 def _rate_fits(config: ExperimentConfig, steps, tables) -> list[dict]:
     fits = []
     ns = config.particle_counts
-    moment_key = {2: "mse", 4: "l4"}
     for stage in ("normalized", "resampled"):
         for phi in config.test_functions:
             tab = tables[stage][phi]
             for p in config.moments:
-                values = np.array(tab[moment_key[p]])  # (n_N, T)
+                values = np.array(tab[MOMENT_TABLES[p]])  # (n_N, T)
                 targets = [(t, values[:, i]) for i, t in enumerate(steps)]
                 targets.append(("mean", values.mean(axis=1)))
                 for t, col in targets:

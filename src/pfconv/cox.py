@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError, require_positive
 from .model import Proposal, StateSpaceModel
+from .report import csv_text, write_text
 from .rng import RngStream
 
 
@@ -82,10 +83,8 @@ class ObservationSeries:
         return np.array([y for _, y in self.observations], dtype=np.int64)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y"])
-            writer.writerows(self.observations)
+        """`t,y` rows with CRLF line ends, as the committed observation files."""
+        write_text(path, csv_text(["t", "y"], self.observations, end="\r\n"))
 
     @classmethod
     def from_csv(cls, path) -> "ObservationSeries":
@@ -274,11 +273,3 @@ def simulate(params: CoxParams, steps: int, master_seed: int
         y = poisson_inverse_cdf(params.c * states[t], gen.random())
         rows.append((t, y))
     return states, ObservationSeries(tuple(rows))
-
-
-def states_to_csv(states: np.ndarray, path) -> None:
-    """Write a trajectory as `t,x` rows at 17 significant digits."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,x\n")
-        for t, x in enumerate(states):
-            fh.write(f"{t},{x:.17g}\n")

@@ -126,6 +126,8 @@ def grid_cells(x_max: float, dx: float) -> int:
 def grid_init(prior_density: Callable[[np.ndarray], np.ndarray],
               x_max: float, n_cells: int) -> GridDensity:
     """Evaluate a prior density at cell midpoints and renormalize."""
+    if n_cells < 10:
+        raise DomainError(f"grid needs at least 10 cells, got {n_cells}")
     dx = x_max / n_cells
     mids = (np.arange(n_cells) + 0.5) * dx
     values = np.asarray(prior_density(mids), dtype=float)

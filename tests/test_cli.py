@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from pfconv import report
 from pfconv.cli import cli_dispatch
 from pfconv.cox import ObservationSeries
 
@@ -84,6 +85,40 @@ def test_grid_writes_per_step_csv(tmp_path, fixture_obs_path):
     assert lines[0] == "t,estimate_phi,grid_mean,grid_var"
     assert len(lines) == 13
     assert dens.read_text().splitlines()[0] == "t,x,density"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--steps", "3", "--seed", "1", "--out", "{obs}"], "--out"),
+    (["simulate", "--steps", "3", "--seed", "1", "--out", "{obs}"], "--states-out"),
+    (["filter", "--observations", "{fixture}", "--n", "16", "--seed", "1"], "--out"),
+    (["filter", "--observations", "{fixture}", "--n", "16", "--seed", "1",
+      "--out", "{obs}", "--dx", "0.05", "--x-max", "12"], "--svg"),
+    (["grid", "--observations", "{fixture}", "--dx", "0.05", "--x-max", "12"], "--out"),
+    (["grid", "--observations", "{fixture}", "--dx", "0.05", "--x-max", "12",
+      "--out", "{obs}"], "--density-out"),
+    (["moments", "--level", "4"], "--json"),
+], ids=["simulate-out", "simulate-states-out", "filter-out", "filter-svg", "grid-out",
+        "grid-density-out", "moments-json"])
+def test_every_output_flag_creates_missing_parent_directories(tmp_path, fixture_obs_path,
+                                                              argv, flag):
+    target = tmp_path / "new" / "dir" / "x.out"
+    argv = [a.format(obs=tmp_path / "obs.csv", fixture=fixture_obs_path) for a in argv]
+    assert cli_dispatch(argv + [flag, str(target)]) == 0
+    assert target.stat().st_size > 0
+
+
+def test_histogram_overlay_scales_its_y_axis_to_what_it_draws(tmp_path, fixture_obs_path):
+    # the grid density peaks below x = 3, outside the drawn range
+    svg = tmp_path / "hist.svg"
+    assert cli_dispatch(["filter", "--observations", str(fixture_obs_path), "--n", "2000",
+                         "--seed", "7", "--out", str(tmp_path / "est.csv"), "--svg", str(svg),
+                         "--hist-min", "3", "--hist-max", "6"]) == 0
+    text = svg.read_text()
+    bar_tops = [float(y) for y in re.findall(r'<rect x="[^"]*" y="([^"]*)"', text)]
+    points = re.search(r'<polyline[^>]* points="([^"]*)"', text).group(1).split()
+    line_tops = [float(p.split(",")[1]) for p in points]
+    height, bottom = report._H - 2 * report._MARGIN, report._H - report._MARGIN
+    assert (bottom - min(bar_tops + line_tops)) / height >= 0.8
 
 
 def test_moments_table_and_json(tmp_path, capsys):

@@ -7,7 +7,8 @@ from scipy import integrate, stats
 from pfconv import CoxParams, GammaProposal, ObservationSeries, RngStream, \
     cox_likelihood_logdensity, cox_transition_logdensity, gamma_logdensity, \
     gamma_propose, simulate
-from pfconv.cox import cox_prior_sample, poisson_inverse_cdf, states_to_csv
+from pfconv.cli import cli_dispatch
+from pfconv.cox import cox_prior_sample, poisson_inverse_cdf
 from pfconv.errors import DomainError
 
 ETA, C = 0.1, 0.5
@@ -250,6 +251,7 @@ def test_observation_series_csv_roundtrip(tmp_path):
     assert ObservationSeries.from_csv(path) == series
     header = path.read_text().splitlines()[0]
     assert header == "t,y"
+    assert path.read_bytes() == b"t,y\r\n1,0\r\n2,3\r\n3,1\r\n"  # the csv module's ends
 
 
 @pytest.mark.parametrize("text, line", [("", 1), ("t,y\n1,0\n\n", 3),
@@ -262,10 +264,14 @@ def test_observation_csv_errors_name_file_and_line(tmp_path, text, line):
 
 
 def test_states_csv_full_precision(tmp_path):
-    states = np.array([0.1234567890123456789, 1.0 / 3.0])
     path = tmp_path / "states.csv"
-    states_to_csv(states, path)
+    assert cli_dispatch(["simulate", "--c", str(C), "--eta", str(ETA), "--steps", "6",
+                         "--seed", "4", "--out", str(tmp_path / "obs.csv"),
+                         "--states-out", str(path)]) == 0
+    states, _ = simulate(CoxParams(C, ETA), 6, 4)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x"
-    for line, expected in zip(lines[1:], states):
+    assert len(lines) == 1 + len(states)
+    for t, (line, expected) in enumerate(zip(lines[1:], states)):
+        assert line.split(",")[0] == str(t)
         assert float(line.split(",")[1]) == expected  # 17 digits round-trip

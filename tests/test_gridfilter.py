@@ -52,6 +52,12 @@ def test_grid_init_zero_mass():
         grid_init(folded_normal_prior, 15.0, 5)
 
 
+@pytest.mark.parametrize("n_cells", [0, -3, 5])
+def test_grid_filter_checks_the_cell_count_before_dividing_by_it(n_cells):
+    with pytest.raises(DomainError, match=f"^grid needs at least 10 cells, got {n_cells}$"):
+        run_cox_grid_filter(CoxParams(0.5, 0.1), [(1, 0)], 15.0, n_cells)
+
+
 def test_grid_density_freezes_a_copy_of_a_writeable_input():
     values = np.ones(20)
     grid = GridDensity(2.0, values)
