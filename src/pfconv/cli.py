@@ -172,8 +172,8 @@ def _write_filter_histogram(args, params, obs, run, n_cells: int) -> None:
     particles, weights, _ = run.clouds[t_idx]
     edges = np.linspace(args.hist_min, args.hist_max, args.hist_bins + 1)
     mass, _ = np.histogram(particles, bins=edges, weights=weights)
-    write_text(args.svg, histogram_svg_text(edges, mass, grid.midpoints(), grid.values,
-                                            title=f"filtering density at t={args.hist_step}"))
+    write_text(args.svg, [histogram_svg_text(edges, mass, grid.midpoints(), grid.values,
+                                             title=f"filtering density at t={args.hist_step}")])
 
 
 def _cmd_grid(args) -> int:
@@ -222,13 +222,12 @@ def _cmd_moments(args) -> int:
     widths = {c: max(len(c), 22) for c in cols}
     print("  ".join(c.ljust(widths[c]) for c in cols))
     for row in rows:
-        cells = ["" if row[c] is None else
-                 (row[c] if isinstance(row[c], str) else _fmt(row[c]))
-                 for c in cols]
-        print("  ".join(str(v).ljust(widths[c]) for c, v in zip(cols, cells)))
+        cells = ("" if v is None else _fmt(v) if isinstance(v, float) else str(v)
+                 for v in map(row.get, cols))
+        print("  ".join(v.ljust(widths[c]) for c, v in zip(cols, cells)))
     if args.json_out:
         write_text(args.json_out,
-                   json.dumps({"schema_version": 1, "rows": rows}, indent=2) + "\n")
+                   [json.dumps({"schema_version": 1, "rows": rows}, indent=2) + "\n"])
         print(f"verdicts -> {args.json_out}")
     return 0
 

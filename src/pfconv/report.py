@@ -1,5 +1,7 @@
 """Report persistence: CSV tables, JSON mirror, self-contained SVG plots,
-and `write_text`, through which every file the package writes goes.
+and `write_text`, through which every file the package writes goes: CSV
+row by row, JSON and SVG whole, and only once every check of the content
+has passed, so a rejected command leaves no file.
 
 Float formatting uses `repr`, i.e. the shortest digit string that
 round-trips, so identical studies always serialize to identical bytes.
@@ -29,33 +31,31 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_text(path, text: str) -> None:
-    """Write text as it is (no newline translation), making missing parent dirs."""
+def write_text(path, parts) -> None:
+    """Write text pieces as they are (no newline translation), making missing parent dirs."""
     parent = os.path.dirname(str(path))
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.writelines(parts)
 
 
-def csv_text(header, rows, end: str = "\n") -> str:
-    """Header, then rows: cells as `str` gives them, joined by commas, then end."""
-    return "".join(",".join(map(str, row)) + end for row in chain([header], rows))
+def csv_text(header, rows, end: str = "\n"):
+    """Header, then rows, one lazy line each: `str` of the cells, comma-joined, then end."""
+    return (",".join(map(str, row)) + end for row in chain([header], rows))
 
 
-def report_csv_text(report: ConvergenceReport) -> str:
-    """Normalized-stage moment table, one row per (phi, N, t)."""
+def report_csv_text(report: ConvergenceReport):
+    """Normalized-stage moment table, one line per (phi, N, t), made as it is read."""
     keys = [name + sfx for name in MOMENT_TABLES.values() for sfx in ("", "_stderr")]
-    rows = []
-    for phi in report.config.test_functions:
-        tab = report.tables["normalized"][phi]
-        for n_idx, n in enumerate(report.config.particle_counts):
-            for t_idx, t in enumerate(report.steps):
-                cells = [tab[k][n_idx][t_idx] for k in keys]
-                if any(isinstance(v, float) and math.isnan(v) for v in cells):
-                    continue  # partial flush: skip incomplete cells
-                rows.append([phi, n, t] + [_fmt(v) for v in cells])
-    return csv_text(["phi", "N", "t"] + keys, rows)
+    tab = report.tables["normalized"]
+    cells = (([phi, n, t], [tab[phi][k][i][j] for k in keys])
+             for phi in report.config.test_functions
+             for i, n in enumerate(report.config.particle_counts)
+             for j, t in enumerate(report.steps))
+    return csv_text(["phi", "N", "t"] + keys,  # a NaN marks a partial flush's missing cell
+                    (at + [_fmt(v) for v in vals] for at, vals in cells
+                     if not any(isinstance(v, float) and math.isnan(v) for v in vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,8 @@ def histogram_svg_text(edges: np.ndarray, particle_mass: np.ndarray,
 
 def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
     """Persist a study report as csv, json, or svg."""
-    texts = {"csv": report_csv_text, "svg": rate_svg_text,
-             "json": lambda r: json.dumps(r.to_dict(), indent=2) + "\n"}
+    texts = {"csv": report_csv_text, "svg": lambda r: [rate_svg_text(r)],
+             "json": lambda r: [json.dumps(r.to_dict(), indent=2) + "\n"]}
     if fmt not in texts:
         raise DomainError(f"unknown report format {fmt!r}")
     write_text(path, texts[fmt](report))

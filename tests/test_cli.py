@@ -1,11 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
 from pfconv import report
 from pfconv.cli import cli_dispatch
 from pfconv.cox import ObservationSeries
+
+from conftest import REPO_ROOT
 
 
 def test_help_exits_zero(capsys):
@@ -87,6 +92,34 @@ def test_grid_writes_per_step_csv(tmp_path, fixture_obs_path):
     assert dens.read_text().splitlines()[0] == "t,x,density"
 
 
+# Run by a bare interpreter: a child's peak RSS also counts the memory of
+# the process it was forked from, which would be the whole test process.
+_PEAK_OF_CHILD = ("import resource, subprocess, sys; "
+                  "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+                  "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+
+
+def _peak_rss_mb(argv) -> float:
+    """Peak RSS of `python -m pfconv argv`, run as a child of a bare interpreter."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _PEAK_OF_CHILD,
+                          sys.executable, "-m", "pfconv", *argv],
+                         env=dict(os.environ, PYTHONPATH=path), check=True,
+                         capture_output=True, text=True).stdout
+    return int(out) / 1024  # KiB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_grid_density_out_is_written_row_by_row(tmp_path):
+    # 3000 cells x 50 steps: a 6.1 MB dump, whose lines held in memory at
+    # once would add about 21 MB to the peak
+    argv = ["grid", "--observations", str(REPO_ROOT / "out" / "figures" / "obs_t50.csv"),
+            "--out", str(tmp_path / "grid.csv")]
+    dumped = _peak_rss_mb(argv + ["--density-out", str(tmp_path / "density.csv")])
+    assert (tmp_path / "density.csv").stat().st_size > 6_000_000
+    assert dumped - _peak_rss_mb(argv) < 4.0
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["simulate", "--steps", "3", "--seed", "1", "--out", "{obs}"], "--out"),
     (["simulate", "--steps", "3", "--seed", "1", "--out", "{obs}"], "--states-out"),
@@ -128,6 +161,8 @@ def test_moments_table_and_json(tmp_path, capsys):
     assert code == 0
     table = capsys.readouterr().out
     assert "status" in table and "satisfied" in table
+    assert [line.split()[:3] for line in table.splitlines()[1:3]] == [
+        ["2", "1.5", "0.5"], ["2", "1.25", "0.5"]]
     data = json.loads(out.read_text())
     rows = {(r["p"], r["alpha"]): r for r in data["rows"]}
     assert rows[(2, 1.5)]["status"] == "satisfied"

@@ -10,15 +10,15 @@ from pfconv.report import emit_report, histogram_svg_text, rate_svg_text, \
     report_csv_text
 
 
-def _tiny_report(steps=(1, 2), ns=(8, 16, 32)):
+def _tiny_report(steps=(1, 2), ns=(8, 16, 32), scale=1.0):
     config = ExperimentConfig(observations="obs.csv", particle_counts=ns,
                               replicates=2, test_functions=("exp_neg",))
     t_len = len(steps)
     tab = {
-        "mse": [[1.0 / n] * t_len for n in ns],
-        "mse_stderr": [[0.1 / n] * t_len for n in ns],
-        "l4": [[1.0 / n ** 2] * t_len for n in ns],
-        "l4_stderr": [[0.1 / n ** 2] * t_len for n in ns],
+        "mse": [[scale / n] * t_len for n in ns],
+        "mse_stderr": [[0.1 * scale / n] * t_len for n in ns],
+        "l4": [[scale / n ** 2] * t_len for n in ns],
+        "l4_stderr": [[0.1 * scale / n ** 2] * t_len for n in ns],
     }
     tables = {"normalized": {"exp_neg": tab}, "resampled": {"exp_neg": tab}}
     fits = ({"stage": "normalized", "phi": "exp_neg", "t": "mean", "moment": 2,
@@ -31,17 +31,15 @@ def _tiny_report(steps=(1, 2), ns=(8, 16, 32)):
 
 
 def test_csv_layout():
-    text = report_csv_text(_tiny_report())
-    lines = text.splitlines()
-    assert lines[0] == "phi,N,t,mse,mse_stderr,l4,l4_stderr"
+    lines = list(report_csv_text(_tiny_report()))
+    assert lines[0] == "phi,N,t,mse,mse_stderr,l4,l4_stderr\n"
     assert len(lines) == 1 + 3 * 2
     assert lines[1].startswith("exp_neg,8,1,0.125,")
 
 
 def test_csv_empty_steps_is_header_only():
     report = _tiny_report(steps=())
-    text = report_csv_text(report)
-    assert text == "phi,N,t,mse,mse_stderr,l4,l4_stderr\n"
+    assert list(report_csv_text(report)) == ["phi,N,t,mse,mse_stderr,l4,l4_stderr\n"]
 
 
 def test_json_roundtrip(tmp_path):
@@ -87,3 +85,14 @@ def test_svgs_are_wellformed_xml():
 def test_emit_rejects_unknown_format(tmp_path):
     with pytest.raises(DomainError):
         emit_report(_tiny_report(), "pdf", tmp_path / "x.pdf")
+
+
+def test_a_rejected_report_leaves_its_path_as_it_was(tmp_path):
+    report = _tiny_report(scale=0.0)  # no positive error moment: nothing to plot
+    kept, new = tmp_path / "kept.svg", tmp_path / "new" / "rates.svg"
+    kept.write_text("kept\n")
+    for path in (kept, new):
+        with pytest.raises(DomainError, match="nothing to plot"):
+            emit_report(report, "svg", path)
+    assert kept.read_text() == "kept\n"
+    assert not new.parent.exists()
